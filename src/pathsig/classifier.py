@@ -5,8 +5,8 @@ hidden activation, so at inference the whole network collapses to one
 affine map.  The hidden layer earns its keep during training: dropconnect
 zeroes a random subset of W1's entries on every mini-batch (Bernoulli keep
 probability 1 - drop_rate), which regularizes the very wide input layer.
-At inference W1 is scaled by (1 - drop_rate), the expected value of the
-training-time mask.
+At inference the hidden pre-activation is scaled by (1 - drop_rate), the
+expected value of the training-time mask.
 
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
@@ -54,6 +54,7 @@ __all__ = [
     "gradient_check",
     "rank_actors",
     "stage_partition",
+    "prepare_body",
     "extract_body_features",
     "two_stage_predict",
     "save_model",
@@ -178,8 +179,9 @@ def forward(model: LinearNetModel, x, training_mask: np.ndarray | None = None) -
     """Class probabilities for one input vector or a batch of rows.
 
     With ``training_mask`` (0/1 array shaped like w1) the hidden layer
-    uses the masked weights; without it, w1 is scaled by the expected mask
-    value 1 - drop_rate.  Rows sum to 1.
+    uses the masked weights; without it, the pre-activation x @ w1 is scaled
+    by the expected mask value 1 - drop_rate (equal to scaling w1, without
+    copying it).  Rows sum to 1.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -194,10 +196,9 @@ def forward(model: LinearNetModel, x, training_mask: np.ndarray | None = None) -
             raise InputError(
                 f"mask shape {training_mask.shape} does not match w1 {model.w1.shape}"
             )
-        w1 = model.w1 * training_mask
+        h = arr @ (model.w1 * training_mask) + model.b1
     else:
-        w1 = (1.0 - model.config.drop_rate) * model.w1
-    h = arr @ w1 + model.b1
+        h = (1.0 - model.config.drop_rate) * (arr @ model.w1) + model.b1
     probs = _softmax(h @ model.w2 + model.b2)
     return probs[0] if single else probs
 
@@ -292,7 +293,8 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
             if config.drop_rate > 0.0:
                 np.multiply(g_w1, mask, out=g_w1)
             v_w1 *= config.momentum
-            v_w1 -= lr * g_w1
+            np.multiply(g_w1, lr, out=g_w1)  # lr * g_w1 without a W1-sized temporary
+            v_w1 -= g_w1
             model.w1 += v_w1
             v_b1 *= config.momentum
             v_b1 -= lr * g_b1
@@ -428,23 +430,27 @@ class TwoStageModel:
     multi_scaler: FeatureScaler
 
 
+def prepare_body(clip: SkeletonClip, bodies: int) -> SkeletonClip:
+    """The clip's top ``bodies`` actors, ranked by movement, as one rigid body.
+
+    Missing body slots stay zero.  The merged clip is normalized (shared
+    center and scale, preserving relative placement) and gap-filled.
+    """
+    if not clip.valid.any():
+        raise InputError("clip has no valid joints in any frame")
+    ranked = rank_actors(clip)
+    merged = merge_actors(clip, ranked[:bodies], bodies)
+    return fill_clip(normalize_clip(merged))
+
+
 def extract_body_features(
     clip: SkeletonClip,
     bodies: int,
     config: FeatureConfig,
     descriptor: DatasetDescriptor,
 ) -> np.ndarray:
-    """Feature vector of the clip's top ``bodies`` actors as one rigid body.
-
-    Actors are ranked by movement; missing body slots stay zero.  The
-    merged clip is normalized (shared center and scale, preserving the
-    actors' relative placement) and gap-filled before assembly.
-    """
-    if not clip.valid.any():
-        raise InputError("clip has no valid joints in any frame")
-    ranked = rank_actors(clip)
-    merged = merge_actors(clip, ranked[:bodies], bodies)
-    prepared = fill_clip(normalize_clip(merged))
+    """Feature vector of the clip's top ``bodies`` actors as one rigid body."""
+    prepared = prepare_body(clip, bodies)
     return assemble_features(prepared.joints[:, 0], config, descriptor.merged(bodies)).values
 
 

@@ -34,7 +34,8 @@ from .classifier import (
     forward,
     init_model,
     load_model,
-    rank_actors,
+    prepare_body,
+    rank_actors,  # noqa: F401  (not called here; perfbench wraps it on this module)
     save_model,
     stage_partition,
     train,
@@ -48,10 +49,9 @@ from .skeleton import (
     assemble_features,
     augment_clips,
     feature_layout,
-    fill_clip,
+    fill_clip,  # noqa: F401  (not called here; perfbench wraps it on this module)
     fit_scaler,
-    merge_actors,
-    normalize_clip,
+    normalize_clip,  # noqa: F401  (not called here; perfbench wraps it on this module)
 )
 from .transforms import add_time, lead_lag
 
@@ -179,13 +179,6 @@ def _class_id(name: str, descriptor: DatasetDescriptor, manifest_path) -> int:
         ) from None
 
 
-def _prepare_body(clip, bodies: int):
-    """Rank actors, merge the top ones into a rigid body, normalize, fill."""
-    ranked = rank_actors(clip)
-    merged = merge_actors(clip, ranked[:bodies], bodies)
-    return fill_clip(normalize_clip(merged))
-
-
 def _extract_split(records, descriptor, config, options, bodies, augment):
     """Feature rows and labels for one manifest split, in manifest order."""
     body_desc = descriptor.merged(bodies)
@@ -194,7 +187,7 @@ def _extract_split(records, descriptor, config, options, bodies, augment):
         label = _class_id(rec.label_name, descriptor, rec.clip_path)
         clip = pio.read_clip_file(rec.clip_path, descriptor, label=label,
                                   min_actors=rec.actor_count)
-        prepared = _prepare_body(clip, bodies)
+        prepared = prepare_body(clip, bodies)
         if augment:
             variants = augment_clips(prepared, body_desc, flip=options.flip,
                                      noise_copies=options.noise_copies,

@@ -24,9 +24,14 @@ Two facts drive the implementation:
   (convolution) product of the signatures,
   c_k = sum_{m=0..k} a_m (x) b_{k-m}, with a_0 = b_0 = 1.
 
-``path_signature`` folds segments into an accumulator with a Horner
-rearrangement of Chen's identity.  Appending a segment with increment D
-updates level k to
+One private fold, ``_horner_fold``, serves ``path_signature`` (B = 1) and
+``path_signature_batch``.  It is channel-first: increments are
+(segments, d, B) and level k is a (d**k, B) block, so the batch is the
+innermost, contiguous axis of every in-place add and outer product.  The
+feature stack signs thousands of short paths with d = 2 or 3, where a
+batch-outermost layout would leave each numpy call an inner loop of d.
+The fold appends segments with a Horner rearrangement of Chen's identity:
+appending a segment with increment D updates level k to
 
     a_k + (a_{k-1} + (a_{k-2} + .. (a_1 + D/k (x) ..) (x) D/(k-1)) (x) D/1
 
@@ -230,27 +235,8 @@ def path_signature(path, level: int) -> TruncatedSignature:
     """
     pts = as_path(path)
     level = _check_level(level)
-    L, d = pts.shape
-    sig = TruncatedSignature.zeros(d, level)
-    if L < 2:
-        return sig
-    # Scratch for the Horner chain: q[j] holds a block of size d**(j+1).
-    q = [np.empty(d ** (j + 1)) for j in range(level)]
-    increments = np.diff(pts, axis=0)
-    for s in range(L - 1):
-        delta = increments[s]
-        # delta / i for i = 1..level, computed once per segment
-        dscaled = [None] + [delta / i for i in range(1, level + 1)]
-        for k in range(level, 0, -1):
-            q[0][:] = dscaled[k]
-            for j in range(1, k):
-                np.add(q[j - 1], sig.level(j), out=q[j - 1])
-                np.multiply(
-                    q[j - 1][:, None], dscaled[k - j][None, :], out=q[j].reshape(-1, d)
-                )
-            blk = sig.level(k)
-            blk += q[k - 1]
-    return sig
+    coeffs = _horner_fold(np.diff(pts, axis=0)[:, :, None], level)
+    return TruncatedSignature(pts.shape[1], level, coeffs.reshape(-1))
 
 
 def path_signature_batch(paths, level: int) -> np.ndarray:
@@ -277,19 +263,33 @@ def path_signature_batch(paths, level: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InputError("paths contain non-finite values")
     level = _check_level(level)
-    levels = [np.zeros((B, d ** k)) for k in range(1, level + 1)]
-    if L >= 2:
-        increments = np.diff(arr, axis=1)
-        for s in range(L - 1):
-            delta = increments[:, s, :]
-            dscaled = [None] + [delta / i for i in range(1, level + 1)]
-            for k in range(level, 0, -1):
-                q = dscaled[k]
-                for j in range(1, k):
-                    q = q + levels[j - 1]
-                    q = (q[:, :, None] * dscaled[k - j][:, None, :]).reshape(B, -1)
-                levels[k - 1] += q
-    return np.concatenate(levels, axis=1)
+    increments = np.ascontiguousarray(np.diff(arr, axis=1).transpose(1, 2, 0))
+    return np.ascontiguousarray(_horner_fold(increments, level).T)
+
+
+def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
+    """Fold channel-first increments (M, d, B) into B signatures.
+
+    Returns the (m, B) coefficient array, column b holding the flat
+    buffer of path b.  No increments (M = 0) gives the zero signature.
+    """
+    _, d, B = increments.shape
+    out = np.zeros((signature_dimension(d, level), B))
+    levels = np.split(out, np.cumsum([d ** k for k in range(1, level)]))
+    # Scratch: q[j] holds a (d**(j+1), B) block, dscaled[i - 1] the increment / i.
+    q = [np.empty((d ** (j + 1), B)) for j in range(level)]
+    dscaled = np.empty((level, d, B))
+    divisors = np.arange(1.0, level + 1)[:, None, None]
+    for delta in increments:
+        np.divide(delta, divisors, out=dscaled)
+        for k in range(level, 0, -1):
+            acc = dscaled[k - 1]
+            for j in range(1, k):
+                np.add(acc, levels[j - 1], out=q[j - 1])
+                np.multiply(q[j - 1][:, None], dscaled[k - j - 1], out=q[j].reshape(-1, d, B))
+                acc = q[j]
+            levels[k - 1] += acc
+    return out
 
 
 def signature_bruteforce(path, level: int, subdivisions: int = 10_000) -> TruncatedSignature:

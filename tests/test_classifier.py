@@ -1,6 +1,7 @@
 """Linear network, training loop, persistence, and two-stage routing."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,42 @@ def test_forward_collapsed_affine():
     expect = np.exp(logits - logits.max(axis=1, keepdims=True))
     expect /= expect.sum(axis=1, keepdims=True)
     assert np.allclose(forward(model, x), expect, atol=1e-12)
+
+
+def explicit_forward(model, x):
+    """softmax((x @ ((1-p) W1) + b1) @ W2 + b2), scaling W1 before the product."""
+    h = x @ ((1.0 - model.config.drop_rate) * model.w1) + model.b1
+    logits = h @ model.w2 + model.b2
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def test_forward_matches_scaled_w1_product():
+    rng = np.random.default_rng(3)
+    model = init_model(300, 5, TrainConfig(drop_rate=0.95, seed=4), hidden_dim=32)
+    model.b1[:] = rng.standard_normal(32)
+    model.b2[:] = rng.standard_normal(5)
+    for x in (rng.standard_normal(300), rng.standard_normal((40, 300))):
+        probs = forward(model, x)
+        expect = explicit_forward(model, x)
+        assert probs.shape == expect.shape
+        assert np.allclose(probs, expect, rtol=0.0, atol=1e-12)
+        assert np.array_equal(probs.argmax(axis=-1), expect.argmax(axis=-1))
+
+
+def test_forward_single_row_does_not_copy_w1():
+    rng = np.random.default_rng(5)
+    D, H = 200_000, 64
+    model = LinearNetModel(rng.standard_normal((D, H)), np.zeros(H),
+                           rng.standard_normal((H, 3)), np.zeros(3), TrainConfig())
+    x = rng.standard_normal(D)
+    tracemalloc.start()
+    try:
+        forward(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.w1.nbytes / 4
 
 
 def test_forward_validates():

@@ -363,3 +363,35 @@ def test_batch_single_point_paths():
 def test_batch_validates():
     with pytest.raises(InputError):
         path_signature_batch(np.zeros((3, 4)), 2)
+
+
+def reference_batch_signature(paths, level):
+    """The batch-outermost Horner loop the channel-first fold replaced."""
+    B, L, d = paths.shape
+    levels = [np.zeros((B, d ** k)) for k in range(1, level + 1)]
+    if L >= 2:
+        increments = np.diff(paths, axis=1)
+        for s in range(L - 1):
+            delta = increments[:, s, :]
+            dscaled = [None] + [delta / i for i in range(1, level + 1)]
+            for k in range(level, 0, -1):
+                q = dscaled[k]
+                for j in range(1, k):
+                    q = q + levels[j - 1]
+                    q = (q[:, :, None] * dscaled[k - j][:, None, :]).reshape(B, -1)
+                levels[k - 1] += q
+    return np.concatenate(levels, axis=1)
+
+
+def test_fold_bit_identical_to_batch_outermost_loop():
+    rng = np.random.default_rng(47)
+    for B in (1, 7):
+        for L in (1, 2, 3, 9):
+            for d in (1, 2, 3, 5):
+                paths = rng.standard_normal((B, L, d))
+                for level in range(1, 6):
+                    expect = reference_batch_signature(paths, level)
+                    batch = path_signature_batch(paths, level)
+                    assert batch.flags.c_contiguous
+                    assert np.array_equal(batch, expect), (B, L, d, level)
+                    assert np.array_equal(path_signature(paths[0], level).data, expect[0])
