@@ -8,6 +8,16 @@ probability 1 - drop_rate), which regularizes the very wide input layer.
 At inference the hidden pre-activation is scaled by (1 - drop_rate), the
 expected value of the training-time mask.
 
+A batch's mask is held as the sorted flat indices of the kept W1 entries,
+drawn as cumulative geometric gaps (about (1 - drop_rate) * W1.size draws,
+not one per entry).  The masked product x @ (W1 * mask) and the momentum
+update walk W1 in row chunks of ``_CHUNK_ROWS`` rows: the forward pass
+scatters each chunk's kept weights into a zeroed chunk buffer, and the
+update computes the chunk's gradient into a second buffer and applies it
+at the kept entries only.  Besides the weights, training holds one
+W1-sized array, the momentum; the rest is two chunk buffers and the kept
+indices.
+
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
 exponentially decaying learning rate lr(t) = lr0 * exp(-decay * t), t
@@ -22,6 +32,8 @@ two-actor action classes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -65,6 +77,9 @@ HIDDEN_UNITS = 64
 
 _MODEL_MAGIC = b"SIGNET1"
 _MODEL_VERSION = 1
+
+# W1 rows per training chunk: an 8 MB float64 block at 64 hidden units.
+_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -210,16 +225,15 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
     return config.learning_rate * float(np.exp(-config.decay * epoch))
 
 
-def _loss_and_grads(model: LinearNetModel, x: np.ndarray, labels: np.ndarray, w1_eff: np.ndarray):
-    """Cross-entropy loss summed over the batch, plus gradients.
+def _softmax_head(h: np.ndarray, labels: np.ndarray, w2: np.ndarray, b2: np.ndarray):
+    """Cross-entropy of softmax(h @ w2 + b2) summed over the batch, plus gradients.
 
-    ``w1_eff`` is the effective first-layer weight (masked or scaled);
-    the returned g_w1 is the gradient w.r.t. w1_eff, which the caller
-    projects back (mask multiply, or (1-p) scale) as appropriate.
+    ``h`` is the hidden pre-activation, b1 included.  Returns the loss,
+    the class probabilities, g_h (the gradient w.r.t. h, which each caller
+    carries back through its own W1 product), g_b1, g_w2 and g_b2.
     """
-    B = x.shape[0]
-    h = x @ w1_eff + model.b1
-    logits = h @ model.w2 + model.b2
+    B = h.shape[0]
+    logits = h @ w2 + b2
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = -log_probs[np.arange(B), labels].sum()
@@ -228,20 +242,46 @@ def _loss_and_grads(model: LinearNetModel, x: np.ndarray, labels: np.ndarray, w1
     g_logits[np.arange(B), labels] -= 1.0
     g_w2 = h.T @ g_logits
     g_b2 = g_logits.sum(axis=0)
-    g_h = g_logits @ model.w2.T
-    g_w1 = x.T @ g_h
-    g_b1 = g_h.sum(axis=0)
-    return loss, probs, g_w1, g_b1, g_w2, g_b2
+    g_h = g_logits @ w2.T
+    return loss, probs, g_h, g_h.sum(axis=0), g_w2, g_b2
+
+
+def _kept_entries(rng: np.random.Generator, size: int, keep: float) -> np.ndarray:
+    """Sorted flat indices of the entries a Bernoulli(keep) mask over ``size`` keeps.
+
+    Between consecutive kept entries of an i.i.d. Bernoulli(keep) sequence
+    the gaps are i.i.d. geometric(keep) on 1, 2, ..., so the cumulative sum
+    of gaps, starting at -1, lists the kept indices with the same
+    distribution as one uniform draw per entry, from about keep * size
+    draws.  Gaps are drawn in blocks sized to pass ``size`` with near
+    certainty; a short block is followed by another.
+    """
+    blocks = []
+    last = -1
+    while last < size - 1:
+        expected = (size - 1 - last) * keep
+        kept = np.cumsum(rng.geometric(keep, size=int(expected + 6.0 * np.sqrt(expected)) + 16))
+        kept += last
+        blocks.append(kept)
+        last = int(kept[-1])
+    kept = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return kept[:np.searchsorted(kept, size)]
 
 
 def train(model: LinearNetModel, features, labels, config: TrainConfig | None = None) -> list[EpochStats]:
     """Fit the model in place; returns per-epoch loss/accuracy history.
 
     Mini-batches are drawn from a fresh seeded shuffle each epoch; every
-    batch gets its own dropconnect mask over w1.  Loss and accuracy are
-    accumulated from the same masked forward passes the updates use.
+    batch gets its own dropconnect mask over w1, held as the sorted flat
+    indices of its kept entries (see ``_kept_entries``).  The masked
+    product and the update walk w1 in row chunks, so apart from the
+    weights the only W1-sized array held is the momentum; masked-out
+    entries move by their momentum alone (v <- mu*v).  Loss and accuracy
+    are accumulated from the same masked forward passes the updates use.
     Deterministic: same model, data, and config give bit-identical
-    results.
+    results.  Raises InputError, naming the epoch and batch, when a batch
+    loss is not finite (before that batch updates the weights), or when
+    the final weights are not finite.
     """
     config = config or model.config
     x = np.asarray(features, dtype=np.float64)
@@ -261,16 +301,20 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
         raise InputError(f"features have {x.shape[1]} dims, model expects {model.input_dim}")
 
     n = x.shape[0]
-    keep = 1.0 - config.drop_rate
+    D, H = model.w1.shape
+    masked = config.drop_rate > 0.0
     rng = np.random.default_rng([config.seed, 1])
     v_w1 = np.zeros_like(model.w1)
     v_b1 = np.zeros_like(model.b1)
     v_w2 = np.zeros_like(model.w2)
     v_b2 = np.zeros_like(model.b2)
-    # scratch reused across batches: the mask and the masked weights
-    mask_u = np.empty_like(model.w1)
-    mask = np.empty(model.w1.shape, dtype=bool)
-    w1_eff = np.empty_like(model.w1)
+    chunk_rows = min(_CHUNK_ROWS, D)
+    chunks = [(r0, min(r0 + chunk_rows, D)) for r0 in range(0, D, chunk_rows)]
+    chunk_edges = np.array([r0 for r0, _ in chunks] + [D]) * H  # flat w1 index bounds
+    w_buf = np.zeros((chunk_rows, H))  # zero outside one chunk's scattered kept weights
+    g_buf = np.empty((chunk_rows, H))
+    w_buf_flat, g_buf_flat = w_buf.reshape(-1), g_buf.reshape(-1)
+    w1_flat, v_flat = model.w1.reshape(-1), v_w1.reshape(-1)
 
     history = []
     for epoch in range(config.max_epochs):
@@ -278,24 +322,41 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
         order = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
-        for start in range(0, n, config.batch_size):
+        for batch_index, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start:start + config.batch_size]
             xb, yb = x[batch], y[batch]
-            if config.drop_rate > 0.0:
-                rng.random(out=mask_u)
-                np.less(mask_u, keep, out=mask)
-                np.multiply(model.w1, mask, out=w1_eff)
-            else:
-                w1_eff[:] = model.w1
-            loss, probs, g_w1, g_b1, g_w2, g_b2 = _loss_and_grads(model, xb, yb, w1_eff)
+            if masked:
+                kept = _kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)
+                bounds = np.searchsorted(kept, chunk_edges)
+            h = np.zeros((xb.shape[0], H))
+            for c, (r0, r1) in enumerate(chunks):
+                if masked:
+                    idx = kept[bounds[c]:bounds[c + 1]]
+                    local = idx - r0 * H
+                    w_buf_flat[local] = w1_flat[idx]
+                    h += xb[:, r0:r1] @ w_buf[:r1 - r0]
+                    w_buf_flat[local] = 0.0
+                else:
+                    h += xb[:, r0:r1] @ model.w1[r0:r1]
+            h += model.b1
+            loss, probs, g_h, g_b1, g_w2, g_b2 = _softmax_head(h, yb, model.w2, model.b2)
+            if not np.isfinite(loss):
+                raise InputError(
+                    f"training diverged: loss is {loss} at epoch {epoch}, batch {batch_index}"
+                )
             loss_sum += loss
             correct += int((probs.argmax(axis=1) == yb).sum())
-            if config.drop_rate > 0.0:
-                np.multiply(g_w1, mask, out=g_w1)
-            v_w1 *= config.momentum
-            np.multiply(g_w1, lr, out=g_w1)  # lr * g_w1 without a W1-sized temporary
-            v_w1 -= g_w1
-            model.w1 += v_w1
+            for c, (r0, r1) in enumerate(chunks):
+                g = np.matmul(xb[:, r0:r1].T, g_h, out=g_buf[:r1 - r0])
+                v = v_w1[r0:r1]
+                v *= config.momentum
+                if masked:
+                    idx = kept[bounds[c]:bounds[c + 1]]
+                    v_flat[idx] -= lr * g_buf_flat[idx - r0 * H]
+                else:
+                    g *= lr
+                    v -= g
+                model.w1[r0:r1] += v
             v_b1 *= config.momentum
             v_b1 -= lr * g_b1
             model.b1 += v_b1
@@ -306,6 +367,9 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
             v_b2 -= lr * g_b2
             model.b2 += v_b2
         history.append(EpochStats(epoch, lr, loss_sum / n, correct / n))
+    parts = [model.w1[r0:r1] for r0, r1 in chunks] + [model.b1, model.w2, model.b2]
+    if not all(np.isfinite(a).all() for a in parts):
+        raise InputError(f"training diverged: weights are not finite after epoch {epoch}")
     return history
 
 
@@ -326,29 +390,29 @@ def gradient_check(model: LinearNetModel, x, label: int, step: float = 1e-5) -> 
     scale = 1.0 - model.config.drop_rate
     xb = x[None, :]
     yb = np.array([label])
-    loss, _, g_w1_eff, g_b1, g_w2, g_b2 = _loss_and_grads(model, xb, yb, scale * model.w1)
+
+    def head(params):
+        h = scale * (xb @ params["w1"]) + params["b1"]
+        return _softmax_head(h, yb, params["w2"], params["b2"])
+
+    params = {"w1": model.w1.copy(), "b1": model.b1.copy(), "w2": model.w2.copy(), "b2": model.b2.copy()}
+    _, _, g_h, g_b1, g_w2, g_b2 = head(params)
     analytic = {
-        "w1": scale * g_w1_eff,  # chain rule through the (1-p) scaling
+        "w1": scale * (xb.T @ g_h),  # chain rule through the (1-p) scaling
         "b1": g_b1,
         "w2": g_w2,
         "b2": g_b2,
     }
 
-    def loss_at(params):
-        trial = LinearNetModel(params["w1"], params["b1"], params["w2"], params["b2"], model.config)
-        l, *_ = _loss_and_grads(trial, xb, yb, scale * trial.w1)
-        return l
-
-    params = {"w1": model.w1.copy(), "b1": model.b1.copy(), "w2": model.w2.copy(), "b2": model.b2.copy()}
     worst = 0.0
     for name, arr in params.items():
         grad = analytic[name]
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + step
-            plus = loss_at(params)
+            plus = head(params)[0]
             arr[idx] = orig - step
-            minus = loss_at(params)
+            minus = head(params)[0]
             arr[idx] = orig
             numeric = (plus - minus) / (2 * step)
             a = grad[idx]
@@ -494,11 +558,18 @@ def save_model(model: LinearNetModel, path) -> None:
 
 
 def _read_exact(f, count: int, path, what: str) -> bytes:
-    data = f.read(count)
+    """Read ``count`` bytes, checking first that the file holds them.
+
+    The check against the file size comes before the read, so a count taken
+    from a hostile header fails with FormatError instead of allocating it.
+    """
+    offset = f.tell()
+    size = os.fstat(f.fileno()).st_size
+    data = f.read(count) if offset + count <= size else b""
     if len(data) != count:
         raise FormatError(
             f"{path}: truncated while reading {what}: wanted {count} bytes at offset "
-            f"{f.tell() - len(data)}, got {len(data)}"
+            f"{offset}, but the file has {size} bytes"
         )
     return data
 
@@ -509,6 +580,8 @@ def load_model(path) -> LinearNetModel:
     Layout: magic ``SIGNET1``, a version byte, input/hidden/class counts
     as little-endian u64, then w1, b1, w2, b2 as row-major little-endian
     f64, then a u64-length-prefixed text block of training-config keys.
+    Every size taken from the file is checked against the file size before
+    the read it governs.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, len(_MODEL_MAGIC), path, "magic")
@@ -520,7 +593,7 @@ def load_model(path) -> LinearNetModel:
         D, H, C = struct.unpack("<QQQ", _read_exact(f, 24, path, "dimensions"))
         arrays = []
         for name, shape in (("w1", (D, H)), ("b1", (H,)), ("w2", (H, C)), ("b2", (C,))):
-            count = int(np.prod(shape))
+            count = math.prod(shape)  # Python ints: a hostile D*H cannot wrap
             raw = _read_exact(f, count * 8, path, name)
             arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
         text_len = struct.unpack("<Q", _read_exact(f, 8, path, "config length"))[0]

@@ -338,7 +338,11 @@ def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
 
 
 def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
-    """Read a SIGFEAT1 file; returns (matrix, layout blocks)."""
+    """Read a SIGFEAT1 file; returns (matrix, layout blocks).
+
+    The declared rows x cols are checked against the file size before any
+    payload is read, so a hostile header cannot trigger a huge allocation.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(_FEAT_MAGIC))
         if magic != _FEAT_MAGIC:
@@ -348,6 +352,13 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
             raise FormatError(f"{path}: truncated header at offset {8 + len(header)}")
         rows, cols = struct.unpack("<QQ", header)
         count = rows * cols
+        need = 24 + count * 8
+        size = os.fstat(f.fileno()).st_size
+        if need > size:
+            raise FormatError(
+                f"{path}: truncated: header declares {rows} x {cols} values, "
+                f"{need} bytes with the header, but the file has {size} bytes"
+            )
         raw = f.read(count * 8)
         if len(raw) != count * 8:
             raise FormatError(

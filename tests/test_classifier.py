@@ -1,6 +1,7 @@
 """Linear network, training loop, persistence, and two-stage routing."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from pathsig import (
     train,
     two_stage_predict,
 )
+from pathsig.classifier import _CHUNK_ROWS, _kept_entries
 
 
 def blobs(rng, per_class=40, dim=10, gap=4.0):
@@ -281,6 +283,125 @@ def test_history_fields():
     assert all(0.0 <= s.accuracy <= 1.0 for s in history)
 
 
+def dense_reference_train(model, x, y, config):
+    """The dense masked training loop that the chunked one replaced.
+
+    It builds a W1-shaped 0/1 mask per batch from the same ``_kept_entries``
+    draws, in the same rng order, and updates every entry of w1 densely.
+    """
+    n = x.shape[0]
+    rng = np.random.default_rng([config.seed, 1])
+    v = {k: np.zeros_like(getattr(model, k)) for k in ("w1", "b1", "w2", "b2")}
+    history = []
+    for epoch in range(config.max_epochs):
+        lr = lr_schedule(epoch, config)
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        correct = 0
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            xb, yb = x[batch], y[batch]
+            mask = np.ones(model.w1.size)
+            if config.drop_rate > 0.0:
+                mask[:] = 0.0
+                mask[_kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)] = 1.0
+            mask = mask.reshape(model.w1.shape)
+            B = xb.shape[0]
+            h = xb @ (model.w1 * mask) + model.b1
+            logits = h @ model.w2 + model.b2
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            loss_sum += -log_probs[np.arange(B), yb].sum()
+            probs = np.exp(log_probs)
+            correct += int((probs.argmax(axis=1) == yb).sum())
+            g_logits = probs.copy()
+            g_logits[np.arange(B), yb] -= 1.0
+            g_h = g_logits @ model.w2.T
+            grads = {"w1": (xb.T @ g_h) * mask, "b1": g_h.sum(axis=0),
+                     "w2": h.T @ g_logits, "b2": g_logits.sum(axis=0)}
+            for k, g in grads.items():
+                v[k] *= config.momentum
+                v[k] -= lr * g
+                getattr(model, k)[...] += v[k]
+        history.append((epoch, lr, loss_sum / n, correct / n))
+    return history
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.5, 0.95])
+def test_chunked_training_matches_dense_masked_loop(drop_rate):
+    # several chunks plus a ragged last one; the last batch is short too
+    D = 3 * _CHUNK_ROWS + 5
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((40, D))
+    y = rng.integers(0, 3, size=40)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=4)
+    model = init_model(D, 3, cfg, hidden_dim=4)
+    reference = init_model(D, 3, cfg, hidden_dim=4)
+    history = train(model, x, y, cfg)
+    expect = dense_reference_train(reference, x, y, cfg)
+    # chunked products sum in another order: entries that cancel to near
+    # zero keep a rounding error relative to the array's scale, not their own
+    for k in ("w1", "b1", "w2", "b2"):
+        ref = getattr(reference, k)
+        np.testing.assert_allclose(getattr(model, k), ref, rtol=1e-10,
+                                   atol=1e-12 * np.abs(ref).max())
+    assert [(s.epoch, s.lr, s.accuracy) for s in history] == [(e[0], e[1], e[3]) for e in expect]
+    np.testing.assert_allclose([s.loss for s in history], [e[2] for e in expect], rtol=1e-10)
+
+
+@pytest.mark.parametrize("keep", [0.05, 0.5, 0.97])
+def test_kept_entries_are_bernoulli(keep):
+    size = 200_003
+    kept = _kept_entries(np.random.default_rng(12), size, keep)
+    assert kept.dtype.kind == "i"
+    assert np.all(np.diff(kept) > 0)
+    assert kept[0] >= 0 and kept[-1] < size
+    sigma = math.sqrt(size * keep * (1.0 - keep))
+    assert abs(kept.size - size * keep) < 5 * sigma
+    edges = np.linspace(0, size, 11).astype(np.int64)
+    counts = np.diff(np.searchsorted(kept, edges))
+    widths = np.diff(edges)
+    assert np.all(np.abs(counts - widths * keep) < 5 * np.sqrt(widths * keep * (1.0 - keep)))
+
+
+def test_kept_entries_keep_all():
+    for size in (1, 17, 40_000):
+        assert np.array_equal(_kept_entries(np.random.default_rng(0), size, 1.0), np.arange(size))
+
+
+def test_train_holds_one_w1_sized_array():
+    rng = np.random.default_rng(13)
+    D, H = 200_000, 64
+    model = LinearNetModel(rng.standard_normal((D, H)) / math.sqrt(D), np.zeros(H),
+                           rng.standard_normal((H, 3)), np.zeros(3), TrainConfig())
+    x = rng.standard_normal((8, D))
+    y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+    tracemalloc.start()
+    try:
+        train(model, x, y, TrainConfig(max_epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * model.w1.nbytes
+
+
+def test_train_stops_on_non_finite_loss():
+    cfg = TrainConfig(batch_size=2, max_epochs=3, seed=0)
+    model = init_model(5, 2, cfg, hidden_dim=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match=r"diverged.*epoch \d+, batch \d+"):
+            train(model, np.full((6, 5), 1e300), np.array([0, 1] * 3), cfg)
+
+
+def test_train_stops_on_non_finite_final_weights():
+    # balanced logits keep the loss finite while the summed gradient overflows
+    cfg = TrainConfig(batch_size=100, max_epochs=1, drop_rate=0.0)
+    model = LinearNetModel(1e-3 * np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match="not finite"):
+            train(model, np.full((100, 2), 1e307), np.zeros(100, dtype=int), cfg)
+
+
 def test_train_validates():
     cfg = TrainConfig()
     model = init_model(3, 2, cfg)
@@ -341,6 +462,29 @@ def test_load_rejects_trailing_bytes(tmp_path):
     save_model(model, path)
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(FormatError):
+        load_model(path)
+
+
+def test_load_rejects_oversized_header_before_allocating(tmp_path):
+    path = tmp_path / "huge.model"
+    path.write_bytes(b"SIGNET1" + struct.pack("<B", 1)
+                     + struct.pack("<QQQ", 10**12, 64, 3) + b"\x00" * 64)
+    with pytest.raises(FormatError) as err:
+        load_model(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert str(8 * 64 * 10**12) in message and str(path.stat().st_size) in message
+
+
+def test_load_rejects_oversized_config_length(tmp_path):
+    model = init_model(4, 2, TrainConfig(), hidden_dim=3)
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    data = path.read_bytes()
+    at = 32 + 8 * (4 * 3 + 3 + 3 * 2 + 2)  # header, then w1, b1, w2, b2
+    assert struct.unpack("<Q", data[at:at + 8])[0] == len(data) - at - 8
+    path.write_bytes(data[:at] + struct.pack("<Q", 2**62) + data[at + 8:])
+    with pytest.raises(FormatError, match="config text"):
         load_model(path)
 
 

@@ -1,13 +1,14 @@
 """Command line surface: output text, exit codes, file-level determinism."""
 
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pathsig.io import ExtractionOptions, write_feature_config
+from pathsig.io import ExtractionOptions, write_feature_config, write_feature_matrix
 from pathsig.skeleton import FeatureConfig
 from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
 
@@ -219,6 +220,29 @@ def test_eval_rejects_mismatched_labels(trained, tmp_path):
     result = run_cli("eval", "--features", f"{trained['prefix']}.test.feat",
                      "--labels", labels, "--model", trained["model"])
     assert result.returncode == 1
+
+
+def test_train_divergence_is_exit_1_without_model(tmp_path):
+    feat = tmp_path / "huge.feat"
+    write_feature_matrix(feat, np.full((6, 5), 1e300))
+    labels = tmp_path / "huge.labels"
+    labels.write_text("0\n1\n0\n1\n0\n1\n")
+    model = tmp_path / "huge.model"
+    result = run_cli("train", "--features", feat, "--labels", labels,
+                     "--model", model, "--epochs", 3, "--batch-size", 2)
+    assert result.returncode == 1
+    assert re.search(r"diverged.*epoch \d+, batch \d+", result.stderr)
+    assert not model.exists()
+
+
+def test_eval_oversized_header_is_exit_2(trained, tmp_path):
+    feat = tmp_path / "hostile.feat"
+    feat.write_bytes(b"SIGFEAT1" + struct.pack("<QQ", 10**6, 10**6) + b"\x00" * 64)
+    result = run_cli("eval", "--features", feat,
+                     "--labels", f"{trained['prefix']}.test.labels",
+                     "--model", trained["model"])
+    assert result.returncode == 2
+    assert str(feat) in result.stderr and "88 bytes" in result.stderr
 
 
 # ------------------------------------------------------------------- predict

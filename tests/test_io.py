@@ -1,5 +1,7 @@
 """File formats: round-trips and malformed-input diagnostics."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,16 @@ def test_feature_matrix_truncated(tmp_path):
     with pytest.raises(FormatError) as err:
         read_feature_matrix(p)
     assert "truncated" in str(err.value)
+
+
+def test_feature_matrix_oversized_header_rejected_before_allocating(tmp_path):
+    p = tmp_path / "m.feat"
+    p.write_bytes(b"SIGFEAT1" + struct.pack("<QQ", 10**6, 10**6) + b"\x00" * 64)
+    with pytest.raises(FormatError) as err:
+        read_feature_matrix(p)
+    message = str(err.value)
+    assert str(p) in message
+    assert str(24 + 8 * 10**12) in message and "88 bytes" in message
 
 
 # ------------------------------------------------------------ labels, scaler
