@@ -31,6 +31,7 @@ from .classifier import (
     stage_partition,
     train,
     two_stage_predict,
+    two_stage_route,
 )
 from .errors import FormatError, InputError
 from .signature import (
@@ -62,7 +63,6 @@ from .skeleton import (
     horizontal_flip,
     merge_actors,
     normalize_clip,
-    spatial_features,
     temporal_joint_features,
     temporal_spatial_features,
 )
@@ -123,12 +123,12 @@ __all__ = [
     "segment_signature",
     "signature_bruteforce",
     "signature_dimension",
-    "spatial_features",
     "stage_partition",
     "temporal_joint_features",
     "temporal_spatial_features",
     "train",
     "two_stage_predict",
+    "two_stage_route",
     "uniform_sample",
 ]
 

@@ -25,21 +25,23 @@ counting completed epochs.  Everything random (init, shuffling, masks)
 flows from the seed in TrainConfig, so a given (data, config) pair always
 produces the same model bit for bit.
 
-The two-stage composition routes a clip through a binary body-count gate
+The two-stage composition routes clips through a binary body-count gate
 and then one of two class models, for datasets that mix single-actor and
-two-actor action classes.
+two-actor action classes; ``two_stage_route`` does it for batches of
+scaled rows and serves both ``eval`` and ``predict``.  SIGNET1 model files
+are read with the size-checked readers and key-value parser of ``io``.
 """
 
 from __future__ import annotations
 
-import math
-import os
+import dataclasses
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, InputError
+from .io import _parse_key_values, _read_array, _read_exact
 from .skeleton import (
     DatasetDescriptor,
     FeatureConfig,
@@ -68,6 +70,7 @@ __all__ = [
     "stage_partition",
     "prepare_body",
     "extract_body_features",
+    "two_stage_route",
     "two_stage_predict",
     "save_model",
     "load_model",
@@ -190,13 +193,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward(model: LinearNetModel, x, training_mask: np.ndarray | None = None) -> np.ndarray:
+def forward(model: LinearNetModel, x) -> np.ndarray:
     """Class probabilities for one input vector or a batch of rows.
 
-    With ``training_mask`` (0/1 array shaped like w1) the hidden layer
-    uses the masked weights; without it, the pre-activation x @ w1 is scaled
-    by the expected mask value 1 - drop_rate (equal to scaling w1, without
-    copying it).  Rows sum to 1.
+    The hidden pre-activation x @ w1 is scaled by the expected dropconnect
+    mask value 1 - drop_rate (equal to scaling w1, without copying it).
+    Rows sum to 1.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -206,14 +208,7 @@ def forward(model: LinearNetModel, x, training_mask: np.ndarray | None = None) -
         raise InputError(
             f"input has shape {np.shape(x)}, model expects dimension {model.input_dim}"
         )
-    if training_mask is not None:
-        if training_mask.shape != model.w1.shape:
-            raise InputError(
-                f"mask shape {training_mask.shape} does not match w1 {model.w1.shape}"
-            )
-        h = arr @ (model.w1 * training_mask) + model.b1
-    else:
-        h = (1.0 - model.config.drop_rate) * (arr @ model.w1) + model.b1
+    h = (1.0 - model.config.drop_rate) * (arr @ model.w1) + model.b1
     probs = _softmax(h @ model.w2 + model.b2)
     return probs[0] if single else probs
 
@@ -268,6 +263,8 @@ def _kept_entries(rng: np.random.Generator, size: int, keep: float) -> np.ndarra
     return kept[:np.searchsorted(kept, size)]
 
 
+# overflow on the way to a diverged run is reported by the finiteness checks below
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: LinearNetModel, features, labels, config: TrainConfig | None = None) -> list[EpochStats]:
     """Fit the model in place; returns per-epoch loss/accuracy history.
 
@@ -518,6 +515,26 @@ def extract_body_features(
     return assemble_features(prepared.joints[:, 0], config, descriptor.merged(bodies)).values
 
 
+def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: LinearNetModel,
+                    partition: StagePartition, x_gate, x_one, x_multi) -> tuple[np.ndarray, np.ndarray]:
+    """Route rows through the gate, then the matching class model, one batch per model.
+
+    Row i of ``x_gate``, ``x_one`` and ``x_multi`` is one clip, already
+    scaled for the gate, the one-body and the multi-body model; the gate's
+    output 0 means one-body.  Returns (class ids, probabilities) in the
+    original class numbering.
+    """
+    to_multi = forward(gate, x_gate).argmax(axis=1) != 0
+    labels = np.empty(to_multi.size, dtype=np.int64)
+    probs = np.empty(to_multi.size)
+    for rows, model, x, classes in ((~to_multi, one_body, x_one, partition.one_body_classes),
+                                    (to_multi, multi_body, x_multi, partition.multi_body_classes)):
+        p = forward(model, x[rows])
+        labels[rows] = classes[p.argmax(axis=1)]
+        probs[rows] = p.max(axis=1)
+    return labels, probs
+
+
 def two_stage_predict(
     model: TwoStageModel,
     clip: SkeletonClip,
@@ -528,24 +545,19 @@ def two_stage_predict(
 
     Returns (class id, probability) in the original class numbering.
     """
-    two_body = extract_body_features(clip, 2, config, descriptor)
-    gate_probs = forward(model.gate, apply_scaler(model.gate_scaler, two_body))
-    if int(gate_probs.argmax()) == 0:
-        one_body = extract_body_features(clip, 1, config, descriptor)
-        probs = forward(model.one_body, apply_scaler(model.one_scaler, one_body))
-        classes = model.partition.one_body_classes
-    else:
-        probs = forward(model.multi_body, apply_scaler(model.multi_scaler, two_body))
-        classes = model.partition.multi_body_classes
-    local = int(probs.argmax())
-    return int(classes[local]), float(probs[local])
+    two = extract_body_features(clip, 2, config, descriptor)[None, :]
+    one = extract_body_features(clip, 1, config, descriptor)[None, :]
+    labels, probs = two_stage_route(
+        model.gate, model.one_body, model.multi_body, model.partition,
+        apply_scaler(model.gate_scaler, two), apply_scaler(model.one_scaler, one),
+        apply_scaler(model.multi_scaler, two))
+    return int(labels[0]), float(probs[0])
 
 
 def save_model(model: LinearNetModel, path) -> None:
     """Write the model in the binary SIGNET1 layout (see load_model)."""
     config_text = "\n".join(
-        f"{k} = {getattr(model.config, k)}"
-        for k in ("batch_size", "momentum", "learning_rate", "decay", "max_epochs", "drop_rate", "seed")
+        f"{f.name} = {getattr(model.config, f.name)}" for f in dataclasses.fields(TrainConfig)
     ).encode("ascii")
     with open(path, "wb") as f:
         f.write(_MODEL_MAGIC)
@@ -555,23 +567,6 @@ def save_model(model: LinearNetModel, path) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         f.write(struct.pack("<Q", len(config_text)))
         f.write(config_text)
-
-
-def _read_exact(f, count: int, path, what: str) -> bytes:
-    """Read ``count`` bytes, checking first that the file holds them.
-
-    The check against the file size comes before the read, so a count taken
-    from a hostile header fails with FormatError instead of allocating it.
-    """
-    offset = f.tell()
-    size = os.fstat(f.fileno()).st_size
-    data = f.read(count) if offset + count <= size else b""
-    if len(data) != count:
-        raise FormatError(
-            f"{path}: truncated while reading {what}: wanted {count} bytes at offset "
-            f"{offset}, but the file has {size} bytes"
-        )
-    return data
 
 
 def load_model(path) -> LinearNetModel:
@@ -586,40 +581,22 @@ def load_model(path) -> LinearNetModel:
     with open(path, "rb") as f:
         magic = _read_exact(f, len(_MODEL_MAGIC), path, "magic")
         if magic != _MODEL_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {_MODEL_MAGIC!r}")
+            raise FormatError(f"{path}: bad magic {bytes(magic)!r}, expected {_MODEL_MAGIC!r}")
         version = struct.unpack("<B", _read_exact(f, 1, path, "version"))[0]
         if version != _MODEL_VERSION:
             raise FormatError(f"{path}: unsupported model version {version}")
         D, H, C = struct.unpack("<QQQ", _read_exact(f, 24, path, "dimensions"))
-        arrays = []
-        for name, shape in (("w1", (D, H)), ("b1", (H,)), ("w2", (H, C)), ("b2", (C,))):
-            count = math.prod(shape)  # Python ints: a hostile D*H cannot wrap
-            raw = _read_exact(f, count * 8, path, name)
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+        arrays = [_read_array(f, shape, path, name)
+                  for name, shape in (("w1", (D, H)), ("b1", (H,)), ("w2", (H, C)), ("b2", (C,)))]
         text_len = struct.unpack("<Q", _read_exact(f, 8, path, "config length"))[0]
         text = _read_exact(f, text_len, path, "config text").decode("ascii")
         extra = f.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after config at offset {f.tell() - 1}")
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: malformed config line {line!r}")
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+    fields = _parse_key_values(enumerate(text.splitlines(), start=1), f"{path} config text")
     try:
-        config = TrainConfig(
-            batch_size=int(fields["batch_size"]),
-            momentum=float(fields["momentum"]),
-            learning_rate=float(fields["learning_rate"]),
-            decay=float(fields["decay"]),
-            max_epochs=int(fields["max_epochs"]),
-            drop_rate=float(fields["drop_rate"]),
-            seed=int(fields["seed"]),
-        )
+        config = TrainConfig(**{f.name: type(f.default)(fields[f.name])  # int or float
+                                for f in dataclasses.fields(TrainConfig)})
     except KeyError as exc:
         raise FormatError(f"{path}: config text is missing key {exc}") from exc
     except ValueError as exc:

@@ -26,7 +26,6 @@ from .errors import FormatError, InputError
 from . import io as pio
 from .classifier import (
     HIDDEN_UNITS,
-    LinearNetModel,
     TrainConfig,
     TwoStageModel,
     StagePartition,
@@ -40,6 +39,7 @@ from .classifier import (
     stage_partition,
     train,
     two_stage_predict,
+    two_stage_route,
 )
 from .signature import path_signature, signature_dimension
 from .skeleton import (
@@ -264,6 +264,11 @@ def cmd_extract(args) -> int:
                              for r in train_recs], dtype=np.int64)
     counts = np.array([r.actor_count for r in train_recs], dtype=np.float64)
     partition = stage_partition(train_labels, counts, len(descriptor.class_names))
+    for side, classes in (("one-body", partition.one_body_classes),
+                          ("multi-body", partition.multi_body_classes)):
+        if classes.size < 2:  # each class model needs two classes
+            raise InputError(f"{args.manifest}: --two-stage needs at least two {side} "
+                             f"classes, got {classes.tolist()}")
     pio.write_partition(partition.mean_actor_counts, partition.multi_body,
                         f"{args.output}.partition.txt")
     one_layout = feature_layout(config, descriptor)
@@ -277,10 +282,9 @@ def cmd_extract(args) -> int:
         is_multi = np.isin(y, multi_classes)
         y_gate = is_multi.astype(np.int64)
         if split == "train":
-            # each stage's scaler sees only its own training distribution
             gate_scaler = fit_scaler(x_two)
-            one_scaler = fit_scaler(x_one[~is_multi]) if (~is_multi).any() else fit_scaler(x_one)
-            multi_scaler = fit_scaler(x_two[is_multi]) if is_multi.any() else gate_scaler
+            one_scaler = fit_scaler(x_one[~is_multi])
+            multi_scaler = fit_scaler(x_two[is_multi])
             pio.write_scaler(gate_scaler, f"{args.output}.gate.scaler.feat")
             pio.write_scaler(one_scaler, f"{args.output}.one.scaler.feat")
             pio.write_scaler(multi_scaler, f"{args.output}.multi.scaler.feat")
@@ -353,13 +357,10 @@ def cmd_train(args) -> int:
          f"{args.model}.gate.history.txt")
     for stage, classes in (("one", partition.one_body_classes),
                            ("multi", partition.multi_body_classes)):
-        if classes.size == 0:
-            continue
         x, _ = pio.read_feature_matrix(f"{prefix}.{stage}.train.feat")
         y = pio.read_labels(f"{prefix}.{stage}.train.labels")
         keep = np.isin(y, classes)
-        remap = {int(c): i for i, c in enumerate(classes)}
-        y_local = np.array([remap[int(v)] for v in y[keep]], dtype=np.int64)
+        y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
         _fit(x[keep], y_local, classes.size, config, args.hidden,
              f"{args.model}.{stage}.model", f"{args.model}.{stage}.history.txt")
     return 0
@@ -384,6 +385,13 @@ def _report_eval(y_true, y_pred, class_count) -> float:
     return accuracy
 
 
+def _load_two_stage(model_prefix, extract_prefix):
+    """Gate, one-body and multi-body models of a two-stage train, and the class partition."""
+    means, multi = pio.read_partition(f"{extract_prefix}.partition.txt")
+    return (load_model(f"{model_prefix}.gate.model"), load_model(f"{model_prefix}.one.model"),
+            load_model(f"{model_prefix}.multi.model"), StagePartition(means, multi))
+
+
 def cmd_eval(args) -> int:
     y = pio.read_labels(args.labels)
     if not args.two_stage:
@@ -399,27 +407,15 @@ def cmd_eval(args) -> int:
         _report_eval(y, pred, model.class_count)
         return 0
 
-    means, multi = pio.read_partition(f"{args.features}.partition.txt")
-    partition = StagePartition(means, multi)
     split = args.split
     x_gate, _ = pio.read_feature_matrix(f"{args.features}.gate.{split}.feat")
     x_one, _ = pio.read_feature_matrix(f"{args.features}.one.{split}.feat")
     x_multi, _ = pio.read_feature_matrix(f"{args.features}.multi.{split}.feat")
     if not (x_gate.shape[0] == x_one.shape[0] == x_multi.shape[0] == y.size):
         raise InputError("two-stage feature files and labels disagree on row count")
-    gate = load_model(f"{args.model}.gate.model")
-    one = load_model(f"{args.model}.one.model")
-    multi_model = load_model(f"{args.model}.multi.model")
-    gate_pred = forward(gate, x_gate).argmax(axis=1)
-    pred = np.empty(y.size, dtype=np.int64)
-    for i in range(y.size):
-        if gate_pred[i] == 0:
-            local = int(forward(one, x_one[i]).argmax())
-            pred[i] = int(partition.one_body_classes[local])
-        else:
-            local = int(forward(multi_model, x_multi[i]).argmax())
-            pred[i] = int(partition.multi_body_classes[local])
-    _report_eval(y, pred, means.size)
+    gate, one, multi, partition = _load_two_stage(args.model, args.features)
+    pred, _ = two_stage_route(gate, one, multi, partition, x_gate, x_one, x_multi)
+    _report_eval(y, pred, partition.multi_body.size)
     return 0
 
 
@@ -439,12 +435,9 @@ def cmd_predict(args) -> int:
         label = int(probs.argmax())
         prob = float(probs[label])
     else:
-        means, multi = pio.read_partition(f"{args.scaler}.partition.txt")
+        gate, one, multi, partition = _load_two_stage(args.model, args.scaler)
         model = TwoStageModel(
-            gate=load_model(f"{args.model}.gate.model"),
-            one_body=load_model(f"{args.model}.one.model"),
-            multi_body=load_model(f"{args.model}.multi.model"),
-            partition=StagePartition(means, multi),
+            gate=gate, one_body=one, multi_body=multi, partition=partition,
             gate_scaler=pio.read_scaler(f"{args.scaler}.gate.scaler.feat"),
             one_scaler=pio.read_scaler(f"{args.scaler}.one.scaler.feat"),
             multi_scaler=pio.read_scaler(f"{args.scaler}.multi.scaler.feat"),

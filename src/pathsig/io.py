@@ -8,11 +8,15 @@ feature matrix format is binary for bulk float data:
     <text footer: one "name offset width" line per layout block>
 
 Malformed input raises FormatError naming the file and the line number or
-byte offset.  Every writer/reader pair round-trips bit-exactly.
+byte offset.  Every writer/reader pair round-trips bit-exactly.  Binary
+readers check each size from a header against the file size before they
+allocate, and read arrays in place; the SIGNET1 model reader in
+``classifier`` shares them and the ``key = value`` parser.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -193,15 +197,16 @@ def write_manifest(records, path) -> None:
             f.write(f"{rel},{rec.label_name},{rec.split},{rec.actor_count}\n")
 
 
-def _read_key_values(path) -> dict[str, str]:
+def _parse_key_values(numbered_lines, where) -> dict[str, str]:
+    """``key = value`` fields of (line_number, text) pairs; ``where`` names the source."""
     fields = {}
-    for lineno, text in _data_lines(path):
+    for lineno, text in numbered_lines:
         if "=" not in text:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+            raise FormatError(f"{where}:{lineno}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
         if key in fields:
-            raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise FormatError(f"{where}:{lineno}: duplicate key {key!r}")
         fields[key] = value.strip()
     return fields
 
@@ -217,7 +222,7 @@ def read_descriptor(path) -> DatasetDescriptor:
     Required keys: joints, dims, classes.  Optional: priority, mirror
     (identity when omitted), horizontal_axis (0 when omitted).
     """
-    fields = _read_key_values(path)
+    fields = _parse_key_values(_data_lines(path), path)
     try:
         joints = int(fields["joints"])
         dims = int(fields["dims"])
@@ -283,7 +288,7 @@ def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
     evolution_level, lead_lag_dim, dyadic, dyadic_depth.  Extraction
     keys: bodies, flip, noise_copies, noise_sigma, seed.
     """
-    fields = _read_key_values(path)
+    fields = _parse_key_values(_data_lines(path), path)
     known_int = {
         "sampled_frames", "pair_level", "triple_level", "joint_level",
         "evolution_level", "lead_lag_dim", "dyadic_depth",
@@ -337,6 +342,27 @@ def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
             f.write(f"{block.name} {block.offset} {block.width}\n".encode("ascii"))
 
 
+def _read_exact(f, count: int, path, what: str, buffer=bytearray):
+    """Read ``count`` bytes into ``buffer(count)``, allocated only once the file is
+    known to hold them, so a count from a hostile header is never allocated."""
+    offset = f.tell()
+    size = os.fstat(f.fileno()).st_size
+    data = buffer(count) if offset + count <= size else None
+    if data is None or f.readinto(data) != count:
+        raise FormatError(
+            f"{path}: truncated while reading {what}: wanted {count} bytes at offset "
+            f"{offset}, up to byte {offset + count}, but the file has {size} bytes"
+        )
+    return data
+
+
+def _read_array(f, shape, path, what: str) -> np.ndarray:
+    """Read a row-major little-endian f64 array of ``shape`` into a fresh array."""
+    shape = tuple(int(n) for n in shape)  # Python ints: a hostile product cannot wrap
+    return _read_exact(f, 8 * math.prod(shape), path, what,
+                       lambda _: np.empty(shape, dtype="<f8"))
+
+
 def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
     """Read a SIGFEAT1 file; returns (matrix, layout blocks).
 
@@ -344,29 +370,12 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
     payload is read, so a hostile header cannot trigger a huge allocation.
     """
     with open(path, "rb") as f:
-        magic = f.read(len(_FEAT_MAGIC))
+        magic = _read_exact(f, len(_FEAT_MAGIC), path, "magic")
         if magic != _FEAT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {_FEAT_MAGIC!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise FormatError(f"{path}: truncated header at offset {8 + len(header)}")
-        rows, cols = struct.unpack("<QQ", header)
-        count = rows * cols
-        need = 24 + count * 8
-        size = os.fstat(f.fileno()).st_size
-        if need > size:
-            raise FormatError(
-                f"{path}: truncated: header declares {rows} x {cols} values, "
-                f"{need} bytes with the header, but the file has {size} bytes"
-            )
-        raw = f.read(count * 8)
-        if len(raw) != count * 8:
-            raise FormatError(
-                f"{path}: truncated data: wanted {count * 8} bytes at offset 24, "
-                f"got {len(raw)}"
-            )
+            raise FormatError(f"{path}: bad magic {bytes(magic)!r}, expected {_FEAT_MAGIC!r}")
+        rows, cols = struct.unpack("<QQ", _read_exact(f, 16, path, "header"))
+        matrix = _read_array(f, (rows, cols), path, "data")
         footer = f.read().decode("ascii")
-    matrix = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
     blocks = []
     for lineno, line in enumerate(footer.splitlines(), start=1):
         line = line.strip()
@@ -428,7 +437,7 @@ def write_partition(means, multi, path) -> None:
 
 def read_partition(path):
     """Read the two-stage class split; returns (means, multi) arrays."""
-    fields = _read_key_values(path)
+    fields = _parse_key_values(_data_lines(path), path)
     try:
         count = int(fields["classes"])
         means = np.array([float(v) for v in fields["means"].split(",")])

@@ -28,6 +28,7 @@ drawn from an explicitly seeded generator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,7 +49,6 @@ __all__ = [
     "add_gaussian_noise",
     "augment_clips",
     "enumerate_pathlets",
-    "spatial_features",
     "temporal_joint_features",
     "temporal_spatial_features",
     "assemble_features",
@@ -372,18 +372,6 @@ def _frame_spatial_blocks(frames: np.ndarray, config: FeatureConfig, descriptor:
     return sj, pair, triple
 
 
-def spatial_features(frame_joints, config: FeatureConfig, descriptor: DatasetDescriptor) -> np.ndarray:
-    """Spatial blocks of a single frame: raw joints, pair and triple signatures."""
-    arr = np.asarray(frame_joints, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None, ...]
-    frames = _check_actor_array(arr, descriptor)
-    if frames.shape[0] != 1:
-        raise InputError(f"spatial_features expects one frame, got {frames.shape[0]}")
-    sj, pair, triple = _frame_spatial_blocks(frames, config, descriptor)
-    return np.concatenate([sj[0], pair[0], triple[0]])
-
-
 def _windowed_batch_signature(paths: np.ndarray, level: int, config: FeatureConfig) -> np.ndarray:
     """Batch signatures, whole-interval or concatenated over dyadic windows.
 
@@ -449,8 +437,8 @@ def temporal_spatial_features(
 def feature_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> tuple[Block, ...]:
     """The block layout assemble_features will produce, from dimensions alone."""
     N, d = descriptor.joint_count, descriptor.dim
-    pair_w = _comb2(N) * signature_dimension(d, config.pair_level)
-    triple_w = _comb3(N) * signature_dimension(d, config.triple_level)
+    pair_w = math.comb(N, 2) * signature_dimension(d, config.pair_level)
+    triple_w = math.comb(N, 3) * signature_dimension(d, config.triple_level)
     joint_w = N * signature_dimension(d + 1, config.joint_level)
     evo_w = (pair_w + triple_w) * signature_dimension(config.lead_lag_dim, config.evolution_level)
     if config.dyadic:
@@ -562,11 +550,3 @@ def _check_actor_array(actor_joints, descriptor: DatasetDescriptor) -> np.ndarra
     if not np.all(np.isfinite(arr)):
         raise InputError("actor joints contain non-finite values")
     return arr
-
-
-def _comb2(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def _comb3(n: int) -> int:
-    return n * (n - 1) * (n - 2) // 6

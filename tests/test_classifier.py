@@ -29,6 +29,7 @@ from pathsig import (
     stage_partition,
     train,
     two_stage_predict,
+    two_stage_route,
 )
 from pathsig.classifier import _CHUNK_ROWS, _kept_entries
 
@@ -74,15 +75,6 @@ def test_forward_probability_simplex():
 def test_forward_hand_evaluated_case():
     # h = 0.5*W1^T x + b1 = [-0.5, -1.5]; softmax gap of 1
     probs = forward(hand_model(), np.array([1.0, -1.0]))
-    e = math.exp(-1.0)
-    assert probs == pytest.approx([1.0 / (1.0 + e), e / (1.0 + e)], abs=1e-15)
-
-
-def test_forward_mask_overrides_scaling():
-    model = hand_model()
-    probs = forward(model, np.array([1.0, -1.0]),
-                    training_mask=np.ones((2, 2)))
-    # with the all-ones mask: h = [-2+0.5, -2-0.5] = [-1.5, -2.5], same gap
     e = math.exp(-1.0)
     assert probs == pytest.approx([1.0 / (1.0 + e), e / (1.0 + e)], abs=1e-15)
 
@@ -140,8 +132,6 @@ def test_forward_validates():
     model = hand_model()
     with pytest.raises(InputError):
         forward(model, np.zeros(3))
-    with pytest.raises(InputError):
-        forward(model, np.zeros(2), training_mask=np.ones((3, 2)))
 
 
 # ------------------------------------------------------------------ schedule
@@ -488,6 +478,35 @@ def test_load_rejects_oversized_config_length(tmp_path):
         load_model(path)
 
 
+def test_load_holds_the_weights_once(tmp_path):
+    rng = np.random.default_rng(21)
+    D, H = 200_000, 64
+    model = LinearNetModel(rng.standard_normal((D, H)), np.zeros(H),
+                           rng.standard_normal((H, 3)), np.zeros(3), TrainConfig())
+    path = tmp_path / "wide.model"
+    save_model(model, path)
+    tracemalloc.start()
+    try:
+        loaded = load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.w1, model.w1)
+    assert peak < 1.5 * model.w1.nbytes
+
+
+def test_load_rejects_duplicate_config_key(tmp_path):
+    model = init_model(4, 2, TrainConfig(), hidden_dim=3)
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    data = path.read_bytes()
+    at = 32 + 8 * (4 * 3 + 3 + 3 * 2 + 2)  # header, then w1, b1, w2, b2
+    text = data[at + 8:] + b"\nseed = 5"
+    path.write_bytes(data[:at] + struct.pack("<Q", len(text)) + text)
+    with pytest.raises(FormatError, match="duplicate key 'seed'"):
+        load_model(path)
+
+
 # ----------------------------------------------------------------- two-stage
 
 
@@ -587,3 +606,37 @@ def test_two_stage_rejects_empty_clip():
     empty = SkeletonClip(np.zeros((3, 1, 3, 2)), np.zeros((3, 1, 3), dtype=bool))
     with pytest.raises(InputError):
         two_stage_predict(model, empty, config, desc)
+
+
+def per_row_route(gate, one, multi, partition, x_gate, x_one, x_multi):
+    """The row-at-a-time routing loop ``pathsig eval --two-stage`` used to run."""
+    gate_pred = forward(gate, x_gate).argmax(axis=1)
+    pred = np.empty(x_gate.shape[0], dtype=np.int64)
+    for i in range(pred.size):
+        if gate_pred[i] == 0:
+            local = int(forward(one, x_one[i]).argmax())
+            pred[i] = int(partition.one_body_classes[local])
+        else:
+            local = int(forward(multi, x_multi[i]).argmax())
+            pred[i] = int(partition.multi_body_classes[local])
+    return pred
+
+
+def test_two_stage_route_matches_per_row_loop():
+    partition = StagePartition(np.array([1.0, 2.0, 1.2, 1.9, 1.8]),
+                               np.array([False, True, False, True, True]))
+    d_two, d_one, rows = 12, 7, 80
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 30])
+        gate = init_model(d_two, 2, TrainConfig(seed=seed), hidden_dim=5)
+        one = init_model(d_one, 2, TrainConfig(seed=seed + 10), hidden_dim=5)
+        multi = init_model(d_two, 3, TrainConfig(seed=seed + 20), hidden_dim=5)
+        x_gate, x_one, x_multi = (rng.standard_normal((rows, d)) for d in (d_two, d_one, d_two))
+        labels, probs = two_stage_route(gate, one, multi, partition, x_gate, x_one, x_multi)
+        expect = per_row_route(gate, one, multi, partition, x_gate, x_one, x_multi)
+        assert np.array_equal(labels, expect)
+        to_multi = forward(gate, x_gate).argmax(axis=1) == 1
+        assert 0 < to_multi.sum() < rows  # rows routed both ways
+        for i in range(rows):
+            model, x = (multi, x_multi[i]) if to_multi[i] else (one, x_one[i])
+            assert probs[i] == pytest.approx(forward(model, x).max(), abs=1e-12)

@@ -232,6 +232,7 @@ def test_train_divergence_is_exit_1_without_model(tmp_path):
                      "--model", model, "--epochs", 3, "--batch-size", 2)
     assert result.returncode == 1
     assert re.search(r"diverged.*epoch \d+, batch \d+", result.stderr)
+    assert "RuntimeWarning" not in result.stderr
     assert not model.exists()
 
 
@@ -303,3 +304,22 @@ def test_two_stage_cli_flow(tmp_path):
     name, prob = predict.stdout.split()
     assert name in ("solo_sway", "solo_drift", "pair_approach", "pair_circle")
     assert 0.25 <= float(prob) <= 1.0
+
+
+def test_two_stage_extract_needs_two_classes_per_side(action_ds, tmp_path):
+    train, test, desc = make_interaction_dataset(train_clips=8, test_clips=4,
+                                                 joint_count=5, dim=2, seed=3)
+    manifest, descriptor = write_dataset(train, test, desc, tmp_path)
+    # count pair_circle's two actors as one: pair_approach is the only multi-body class
+    with open(manifest) as f:
+        lines = f.read().splitlines()
+    with open(manifest, "w") as f:
+        f.writelines(re.sub(r"(,pair_circle,\w+,)2$", r"\g<1>1", l) + "\n" for l in lines)
+    # every action clip has one actor, so no class is multi-body
+    for man, dsc, multi in ((action_ds["manifest"], action_ds["descriptor"], []),
+                            (manifest, descriptor, [2])):
+        result = run_cli("features", "extract", "--manifest", man,
+                         "--descriptor", dsc, "--output", tmp_path / "f", "--two-stage")
+        assert result.returncode == 1
+        assert f"at least two multi-body classes, got {multi}" in result.stderr
+        assert not (tmp_path / "f.partition.txt").exists()

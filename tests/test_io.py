@@ -1,6 +1,7 @@
 """File formats: round-trips and malformed-input diagnostics."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ def test_feature_matrix_oversized_header_rejected_before_allocating(tmp_path):
     message = str(err.value)
     assert str(p) in message
     assert str(24 + 8 * 10**12) in message and "88 bytes" in message
+
+
+def test_feature_matrix_read_holds_the_payload_once(tmp_path):
+    matrix = np.random.default_rng(4).standard_normal((40, 200_000))
+    p = tmp_path / "wide.feat"
+    write_feature_matrix(p, matrix)
+    tracemalloc.start()
+    try:
+        back, _ = read_feature_matrix(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, matrix)
+    assert peak < 1.5 * matrix.nbytes
 
 
 # ------------------------------------------------------------ labels, scaler

@@ -23,7 +23,6 @@ from pathsig import (
     normalize_clip,
     path_signature,
     signature_dimension,
-    spatial_features,
     temporal_joint_features,
 )
 
@@ -140,9 +139,12 @@ def test_pathlets_validate():
 def test_spatial_features_match_direct_signatures():
     rng = np.random.default_rng(2)
     desc3 = DatasetDescriptor(joint_count=3, dim=2)
-    config = FeatureConfig(pair_level=2, triple_level=2)
+    config = FeatureConfig(sampled_frames=1, pair_level=2, triple_level=2)
     frame = rng.standard_normal((3, 2))
-    vec = spatial_features(frame, config, desc3)
+    features = assemble_features(frame[None], config, desc3)
+    spatial = features.layout[:3]  # joints, pair_sig, triple_sig of the one frame
+    assert [b.name for b in spatial] == ["joints", "pair_sig", "triple_sig"]
+    vec = features.values[:spatial[-1].offset + spatial[-1].width]
     pair_dim = signature_dimension(2, 2)
     expect = [frame.reshape(-1)]  # leading block is the raw joint coordinates
     for pathlet in enumerate_pathlets(3, 2):
