@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, InputError
-from .io import _parse_key_values, _read_array, _read_exact
+from .io import _decode, _parse_key_values, _read_array, _read_exact
 from .skeleton import (
     DatasetDescriptor,
     FeatureConfig,
@@ -589,7 +589,7 @@ def load_model(path) -> LinearNetModel:
         arrays = [_read_array(f, shape, path, name)
                   for name, shape in (("w1", (D, H)), ("b1", (H,)), ("w2", (H, C)), ("b2", (C,)))]
         text_len = struct.unpack("<Q", _read_exact(f, 8, path, "config length"))[0]
-        text = _read_exact(f, text_len, path, "config text").decode("ascii")
+        text = _decode(_read_exact(f, text_len, path, "config text"), f"{path} config text")
         extra = f.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after config at offset {f.tell() - 1}")

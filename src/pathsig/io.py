@@ -53,12 +53,22 @@ _FEAT_MAGIC = b"SIGFEAT1"
 
 def _data_lines(path):
     """Yield (line_number, stripped_text) skipping blanks and # comments."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
-            text = raw.strip()
+            text = _decode(raw, f"{path}:{lineno}", "utf-8").strip()
             if not text or text.startswith("#"):
                 continue
             yield lineno, text
+
+
+def _decode(data: bytes, where: str, encoding: str = "ascii") -> str:
+    """``data`` as text, or FormatError naming ``where`` and the offending byte."""
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{where}: byte 0x{data[exc.start]:02x} at position {exc.start} is not {encoding} text"
+        ) from None
 
 
 def read_path_file(path) -> np.ndarray:
@@ -337,7 +347,7 @@ def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
     with open(path, "wb") as f:
         f.write(_FEAT_MAGIC)
         f.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        f.write(arr.tobytes())
+        f.write(arr.data)
         for block in layout:
             f.write(f"{block.name} {block.offset} {block.width}\n".encode("ascii"))
 
@@ -375,7 +385,7 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
             raise FormatError(f"{path}: bad magic {bytes(magic)!r}, expected {_FEAT_MAGIC!r}")
         rows, cols = struct.unpack("<QQ", _read_exact(f, 16, path, "header"))
         matrix = _read_array(f, (rows, cols), path, "data")
-        footer = f.read().decode("ascii")
+        footer = _decode(f.read(), f"{path} footer")
     blocks = []
     for lineno, line in enumerate(footer.splitlines(), start=1):
         line = line.strip()

@@ -24,9 +24,11 @@ Two facts drive the implementation:
   (convolution) product of the signatures,
   c_k = sum_{m=0..k} a_m (x) b_{k-m}, with a_0 = b_0 = 1.
 
-One private fold, ``_horner_fold``, serves ``path_signature`` (B = 1) and
-``path_signature_batch``.  It is channel-first: increments are
-(segments, d, B) and level k is a (d**k, B) block, so the batch is the
+One private fold, ``_horner_fold``, serves ``path_signature`` (B = 1),
+``path_signature_batch`` and the feature stack's temporal blocks, and one
+private Chen product, ``_chen_product``, serves ``chen_concat`` (B = 1)
+and the feature stack's dyadic windows.  Both are channel-first: increments
+are (segments, d, B) and level k is a (d**k, B) block, so the batch is the
 innermost, contiguous axis of every in-place add and outer product.  The
 feature stack signs thousands of short paths with d = 2 or 3, where a
 batch-outermost layout would leave each numpy call an inner loop of d.
@@ -210,13 +212,8 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
             f"signatures must match in dimension and level: "
             f"(d={a.d}, n={a.n}) vs (d={b.d}, n={b.n})"
         )
-    out = TruncatedSignature.zeros(a.d, a.n)
-    for k in range(1, a.n + 1):
-        blk = out.level(k)
-        np.add(a.level(k), b.level(k), out=blk)
-        for m in range(1, k):
-            blk += np.multiply(a.level(m)[:, None], b.level(k - m)[None, :]).ravel()
-    return out
+    coeffs = _chen_product(a.data[:, None], b.data[:, None], a.d, a.n)
+    return TruncatedSignature(a.d, a.n, coeffs[:, 0])
 
 
 def path_signature(path, level: int) -> TruncatedSignature:
@@ -275,7 +272,7 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
     """
     _, d, B = increments.shape
     out = np.zeros((signature_dimension(d, level), B))
-    levels = np.split(out, np.cumsum([d ** k for k in range(1, level)]))
+    levels = _level_blocks(out, d, level)
     # Scratch: q[j] holds a (d**(j+1), B) block, dscaled[i - 1] the increment / i.
     q = [np.empty((d ** (j + 1), B)) for j in range(level)]
     dscaled = np.empty((level, d, B))
@@ -290,6 +287,26 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
                 acc = q[j]
             levels[k - 1] += acc
     return out
+
+
+def _chen_product(a: np.ndarray, b: np.ndarray, d: int, level: int) -> np.ndarray:
+    """Chen's identity on (m, B) coefficient columns.
+
+    Column b of the result is the signature of path b of ``a`` followed by
+    path b of ``b``; ``chen_concat`` is the case B = 1.
+    """
+    out = a + b
+    blocks_a, blocks_b, blocks_out = (_level_blocks(x, d, level) for x in (a, b, out))
+    for k in range(2, level + 1):
+        for m in range(1, k):
+            outer = blocks_a[m - 1][:, None] * blocks_b[k - m - 1][None]
+            blocks_out[k - 1] += outer.reshape(d ** k, -1)
+    return out
+
+
+def _level_blocks(coeffs: np.ndarray, d: int, level: int) -> list[np.ndarray]:
+    """Views of the (d**k, B) level blocks of an (m, B) coefficient array."""
+    return np.split(coeffs, np.cumsum([d ** k for k in range(1, level)]))
 
 
 def signature_bruteforce(path, level: int, subdivisions: int = 10_000) -> TruncatedSignature:

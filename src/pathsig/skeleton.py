@@ -19,7 +19,9 @@ The three spatial blocks enter the final vector once per sampled frame
 blocks always see every frame, so the output width does not depend on clip
 length.  With ``dyadic`` enabled, each temporal signature is replaced by
 the concatenation of signatures over ``dyadic_windows``, multiplying the
-temporal widths by 2**depth - 1.
+temporal widths by 2**depth - 1.  Each temporal block builds its
+increments once, channel-first; only the finest windows are signed, and
+every coarser window is the Chen product of its two halves.
 
 Everything here is a pure function of its inputs; augmentation noise is
 drawn from an explicitly seeded generator.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .signature import path_signature_batch, signature_dimension
+from .signature import _chen_product, _horner_fold, path_signature_batch, signature_dimension
 from .transforms import dyadic_windows, fill_missing, uniform_sample
 
 __all__ = [
@@ -372,18 +374,27 @@ def _frame_spatial_blocks(frames: np.ndarray, config: FeatureConfig, descriptor:
     return sj, pair, triple
 
 
-def _windowed_batch_signature(paths: np.ndarray, level: int, config: FeatureConfig) -> np.ndarray:
-    """Batch signatures, whole-interval or concatenated over dyadic windows.
+def _temporal_signatures(increments: np.ndarray, level: int, config: FeatureConfig) -> np.ndarray:
+    """Signatures of B temporal paths, whole-interval or over dyadic windows.
 
-    paths: (B, F, dim).  Returns (B, w) with w multiplied by 2**depth - 1
-    when dyadic windowing is on.  Window blocks are ordered as
-    dyadic_windows yields them (coarse to fine).
+    increments: channel-first (F-1, dim, B).  Returns the flat (B * w)
+    vector, path by path, with w multiplied by 2**depth - 1 when dyadic
+    windowing is on.  Window blocks are ordered as dyadic_windows yields
+    them (coarse to fine).  Only the finest windows, which partition the
+    segments, are folded; each coarser window is the Chen product of its
+    two children, since every coarse split point is also a finer one.
     """
     if not config.dyadic:
-        return path_signature_batch(paths, level)
-    windows = dyadic_windows(paths.shape[1], config.dyadic_depth)
-    parts = [path_signature_batch(paths[:, w.start:w.end + 1, :], level) for w in windows]
-    return np.concatenate(parts, axis=1)
+        return _horner_fold(increments, level).T.reshape(-1)
+    windows = dyadic_windows(increments.shape[0] + 1, config.dyadic_depth)
+    # windows[i] at depth j has its two children at 2i+1 and 2i+2, depth j+1
+    first_finest = len(windows) // 2
+    sigs = [None] * first_finest + [
+        _horner_fold(increments[w.start:w.end], level) for w in windows[first_finest:]
+    ]
+    for i in range(first_finest - 1, -1, -1):
+        sigs[i] = _chen_product(sigs[2 * i + 1], sigs[2 * i + 2], increments.shape[1], level)
+    return np.stack(sigs).transpose(2, 0, 1).reshape(-1)
 
 
 def temporal_joint_features(actor_joints, config: FeatureConfig) -> np.ndarray:
@@ -397,10 +408,14 @@ def temporal_joint_features(actor_joints, config: FeatureConfig) -> np.ndarray:
     if arr.ndim != 3:
         raise InputError(f"actor joints must have shape (frames, joints, dim), got {arr.shape}")
     F, N, d = arr.shape
-    paths = arr.transpose(1, 0, 2)  # (N, F, d)
-    t = np.linspace(0.0, 1.0, F) if F > 1 else np.zeros(1)
-    aug = np.concatenate([paths, np.broadcast_to(t, (N, F))[..., None]], axis=2)
-    return _windowed_batch_signature(aug, config.joint_level, config).reshape(-1)
+    if F < 1 or N < 1:
+        raise InputError(f"actor joints need at least one frame and one joint, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("actor joints contain non-finite values")
+    lifted = np.empty((F, d + 1, N))
+    lifted[:, :d] = arr.transpose(0, 2, 1)
+    lifted[:, d] = np.linspace(0.0, 1.0, F)[:, None]
+    return _temporal_signatures(np.diff(lifted, axis=0), config.joint_level, config)
 
 
 def temporal_spatial_features(
@@ -422,16 +437,18 @@ def temporal_spatial_features(
         _, pair, triple = _frame_spatial_blocks(frames, config, descriptor)
         spatial_psf = np.concatenate([pair, triple], axis=1)
     F = frames.shape[0]
-    if spatial_psf.shape[0] != F:
+    series = np.asarray(spatial_psf, dtype=np.float64)
+    if series.ndim != 2 or series.shape[0] != F:
         raise InputError(
-            f"spatial block has {spatial_psf.shape[0]} frames, expected {F}"
+            f"spatial block must have shape ({F}, dims), got {series.shape}"
         )
-    series = np.ascontiguousarray(spatial_psf.T)  # (D_S, F)
+    if not np.all(np.isfinite(series)):
+        raise InputError("spatial block contains non-finite values")
     k = config.lead_lag_dim
-    lifted = np.zeros((series.shape[0], F, k))
+    lifted = np.zeros((F, k, series.shape[1]))
     for j in range(k):
-        lifted[:, j:, j] = series[:, : F - j]
-    return _windowed_batch_signature(lifted, config.evolution_level, config).reshape(-1)
+        lifted[j:, j] = series[: F - j]
+    return _temporal_signatures(np.diff(lifted, axis=0), config.evolution_level, config)
 
 
 def feature_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> tuple[Block, ...]:
@@ -485,7 +502,7 @@ def fit_scaler(features: np.ndarray) -> FeatureScaler:
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise InputError(f"scaler needs a non-empty (rows, dims) matrix, got shape {arr.shape}")
-    scale = np.max(np.abs(arr), axis=0)
+    scale = np.maximum(arr.max(axis=0), -arr.min(axis=0))  # max |x| without an |arr| copy
     scale[scale == 0.0] = 1.0
     return FeatureScaler(scale)
 

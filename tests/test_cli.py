@@ -246,6 +246,16 @@ def test_eval_oversized_header_is_exit_2(trained, tmp_path):
     assert str(feat) in result.stderr and "88 bytes" in result.stderr
 
 
+def test_eval_non_ascii_model_config_is_exit_2(trained, tmp_path):
+    model = tmp_path / "bad.model"
+    model.write_bytes(trained["model"].read_bytes()[:-1] + b"\xff")  # config text is last
+    result = run_cli("eval", "--features", f"{trained['prefix']}.test.feat",
+                     "--labels", f"{trained['prefix']}.test.labels", "--model", model)
+    assert result.returncode == 2
+    assert f"{model} config text" in result.stderr and "byte 0xff" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # ------------------------------------------------------------------- predict
 
 

@@ -303,6 +303,30 @@ def test_feature_matrix_read_holds_the_payload_once(tmp_path):
     assert peak < 1.5 * matrix.nbytes
 
 
+def test_feature_matrix_write_makes_no_payload_copy(tmp_path):
+    matrix = np.random.default_rng(5).standard_normal((40, 200_000))
+    p = tmp_path / "wide.feat"
+    tracemalloc.start()
+    try:
+        write_feature_matrix(p, matrix, (Block("all", 0, 200_000),))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * matrix.nbytes
+    expect = (b"SIGFEAT1" + struct.pack("<QQ", 40, 200_000) + matrix.astype("<f8").tobytes()
+              + b"all 0 200000\n")
+    assert p.read_bytes() == expect
+
+
+def test_feature_matrix_non_ascii_footer(tmp_path):
+    p = tmp_path / "m.feat"
+    write_feature_matrix(p, np.ones((2, 3)), (Block("alpha", 0, 3),))
+    p.write_bytes(p.read_bytes()[:-1] + b"\xff")
+    with pytest.raises(FormatError, match="byte 0xff") as err:
+        read_feature_matrix(p)
+    assert f"{p} footer" in str(err.value)
+
+
 # ------------------------------------------------------------ labels, scaler
 
 
@@ -316,6 +340,14 @@ def test_labels_reject_non_integer(tmp_path):
     p = tmp_path / "y.labels"
     p.write_text("0\n1.5\n")
     with pytest.raises(FormatError) as err:
+        read_labels(p)
+    assert f"{p}:2" in str(err.value)
+
+
+def test_labels_reject_non_utf8_line(tmp_path):
+    p = tmp_path / "y.labels"
+    p.write_bytes(b"0\n\xff\n1\n")
+    with pytest.raises(FormatError, match="byte 0xff") as err:
         read_labels(p)
     assert f"{p}:2" in str(err.value)
 

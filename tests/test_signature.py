@@ -17,6 +17,7 @@ from pathsig import (
     signature_bruteforce,
     signature_dimension,
 )
+from pathsig.signature import _chen_product
 
 
 def random_path(rng, length, dim, scale=1.0):
@@ -395,3 +396,33 @@ def test_fold_bit_identical_to_batch_outermost_loop():
                     assert batch.flags.c_contiguous
                     assert np.array_equal(batch, expect), (B, L, d, level)
                     assert np.array_equal(path_signature(paths[0], level).data, expect[0])
+
+
+# ------------------------------------------------------- batched Chen product
+
+
+def reference_chen_concat(a, b):
+    """The per-signature Chen loop the batched product replaced."""
+    out = TruncatedSignature.zeros(a.d, a.n)
+    for k in range(1, a.n + 1):
+        blk = out.level(k)
+        np.add(a.level(k), b.level(k), out=blk)
+        for m in range(1, k):
+            blk += np.multiply(a.level(m)[:, None], b.level(k - m)[None, :]).ravel()
+    return out
+
+
+def test_chen_product_matches_chen_concat_column_by_column():
+    rng = np.random.default_rng(53)
+    for d in (1, 2, 3, 4):
+        for level in range(1, 6):
+            m = signature_dimension(d, level)
+            a, b = rng.standard_normal((2, m, 7))
+            product = _chen_product(a, b, d, level)
+            assert product.shape == (m, 7)
+            for col in range(7):
+                sa = TruncatedSignature(d, level, a[:, col])
+                sb = TruncatedSignature(d, level, b[:, col])
+                expect = reference_chen_concat(sa, sb).data
+                assert np.array_equal(chen_concat(sa, sb).data, expect), (d, level)
+                assert np.array_equal(product[:, col], expect), (d, level, col)

@@ -1,5 +1,7 @@
 """Skeleton feature stack: block dimensions, invariances, preprocessing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pathsig import (
     apply_scaler,
     assemble_features,
     augment_clips,
+    dyadic_windows,
     enumerate_pathlets,
     feature_layout,
     fill_clip,
@@ -22,8 +25,10 @@ from pathsig import (
     merge_actors,
     normalize_clip,
     path_signature,
+    path_signature_batch,
     signature_dimension,
     temporal_joint_features,
+    temporal_spatial_features,
 )
 
 DESC15 = DatasetDescriptor(joint_count=15, dim=2)
@@ -185,6 +190,92 @@ def test_temporal_joint_block_invariant_under_midpoint_refinement():
     assert np.allclose(a, b, rtol=0, atol=1e-10)
 
 
+# ----------------------------------------------- temporal blocks vs reference
+
+
+def reference_windowed(paths, level, config):
+    """The lifted-path, per-window batch signatures the temporal blocks replaced."""
+    if not config.dyadic:
+        return path_signature_batch(paths, level).reshape(-1)
+    windows = dyadic_windows(paths.shape[1], config.dyadic_depth)
+    parts = [path_signature_batch(paths[:, w.start:w.end + 1, :], level) for w in windows]
+    return np.concatenate(parts, axis=1).reshape(-1)
+
+
+def reference_joint_block(frames, config):
+    F, N, d = frames.shape
+    t = np.linspace(0.0, 1.0, F) if F > 1 else np.zeros(1)
+    aug = np.concatenate([frames.transpose(1, 0, 2), np.broadcast_to(t, (N, F))[..., None]],
+                         axis=2)
+    return reference_windowed(aug, config.joint_level, config)
+
+
+def reference_evolution_block(spatial_psf, config):
+    F = spatial_psf.shape[0]
+    k = config.lead_lag_dim
+    lifted = np.zeros((spatial_psf.shape[1], F, k))
+    for j in range(k):
+        lifted[:, j:, j] = spatial_psf.T[:, : F - j]
+    return reference_windowed(lifted, config.evolution_level, config)
+
+
+def assert_matches_reference(got, expect, dyadic, what):
+    if dyadic:  # coarse windows are Chen products: equal up to rounding
+        assert np.all(np.abs(got - expect) <= 1e-12 * np.maximum(1.0, np.abs(expect))), what
+    else:  # the same increments folded in the same order
+        assert np.array_equal(got, expect), what
+
+
+def test_temporal_blocks_match_per_window_reference():
+    rng = np.random.default_rng(61)
+    for dim in (2, 3):
+        desc = DatasetDescriptor(joint_count=4, dim=dim)
+        for depth in (1, 2, 3):
+            for F in (2 ** (depth - 1) + 1, 17, 30, 40):
+                frames = rng.standard_normal((F, 4, dim))
+                psf = rng.standard_normal((F, 5))
+                for level in range(1, 6):
+                    for dyadic in (False, True):
+                        config = FeatureConfig(joint_level=level, evolution_level=level,
+                                               lead_lag_dim=dim, dyadic=dyadic,
+                                               dyadic_depth=depth)
+                        what = (dim, depth, F, level, dyadic)
+                        assert_matches_reference(temporal_joint_features(frames, config),
+                                                 reference_joint_block(frames, config),
+                                                 dyadic, what)
+                        got = temporal_spatial_features(frames, config, desc, psf)
+                        assert_matches_reference(got, reference_evolution_block(psf, config),
+                                                 dyadic, what)
+
+
+def test_temporal_blocks_single_frame_and_short_dyadic_clip():
+    frames = np.random.default_rng(62).standard_normal((1, 5, 2))
+    config = FeatureConfig(joint_level=3)
+    block = temporal_joint_features(frames, config)
+    assert block.shape == (5 * signature_dimension(3, 3),) and not block.any()
+    assert np.array_equal(block, reference_joint_block(frames, config))
+    short = np.zeros((4, 5, 2))  # 3 segments cannot fill 4 windows at depth 3
+    with pytest.raises(InputError, match="too short for depth 3"):
+        temporal_joint_features(short, FeatureConfig(dyadic=True, dyadic_depth=3))
+    with pytest.raises(InputError, match="too short for depth 3"):
+        temporal_spatial_features(short, FeatureConfig(dyadic=True, dyadic_depth=3), DESC5)
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_temporal_blocks_reject_non_finite_input(dyadic):
+    config = FeatureConfig(joint_level=2, dyadic=dyadic)
+    rng = np.random.default_rng(63)
+    frames = rng.standard_normal((12, 5, 2))
+    bad = frames.copy()
+    bad[6] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        temporal_joint_features(bad, config)
+    psf = rng.standard_normal((12, 40))
+    psf[3, 7] = np.inf
+    with pytest.raises(InputError, match="non-finite"):
+        temporal_spatial_features(frames, config, DESC5, psf)
+
+
 # ----------------------------------------------------------------- preprocess
 
 
@@ -315,6 +406,34 @@ def test_scaler_fit_apply():
     assert np.all(np.abs(scaled) <= 1.0 + 1e-12)
     one_row = apply_scaler(scaler, x[0])
     assert np.array_equal(one_row, scaled[0])
+
+
+def test_scaler_matches_abs_max_reference():
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((9, 8))
+    x[:, 0] = 0.0
+    x[:, 1] = -0.0
+    x[:, 2] = -np.abs(x[:, 2])
+    x[:, 3] = np.where(np.arange(9) % 2, 0.0, -0.0)
+    x[2, 4], x[5, 4] = 7.5, -7.5
+    expect = np.max(np.abs(x), axis=0)  # the full |x| copy fit_scaler no longer makes
+    expect[expect == 0.0] = 1.0
+    assert fit_scaler(x).scale.tobytes() == expect.tobytes()
+    x[4, 5] = np.nan  # a NaN scale is rejected, as it was
+    with pytest.raises(InputError, match="positive"):
+        fit_scaler(x)
+
+
+def test_scaler_fit_makes_no_matrix_sized_copy():
+    x = np.random.default_rng(14).standard_normal((40, 200_000))
+    tracemalloc.start()
+    try:
+        scaler = fit_scaler(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scaler.scale.shape == (200_000,)
+    assert peak < 0.25 * x.nbytes
 
 
 def test_scaler_validates():
