@@ -13,123 +13,14 @@ The library has three layers:
 ``pathsig.io`` reads and writes every file format it uses.
 """
 
-from .classifier import (
-    HIDDEN_UNITS,
-    EpochStats,
-    LinearNetModel,
-    StagePartition,
-    TrainConfig,
-    TwoStageModel,
-    extract_body_features,
-    forward,
-    gradient_check,
-    init_model,
-    load_model,
-    lr_schedule,
-    rank_actors,
-    save_model,
-    stage_partition,
-    train,
-    two_stage_predict,
-    two_stage_route,
-)
+from . import classifier, signature, skeleton, transforms
+from .classifier import *  # noqa: F401,F403
 from .errors import FormatError, InputError
-from .signature import (
-    TruncatedSignature,
-    as_path,
-    chen_concat,
-    levy_area,
-    path_signature,
-    path_signature_batch,
-    segment_signature,
-    signature_bruteforce,
-    signature_dimension,
-)
-from .skeleton import (
-    Block,
-    DatasetDescriptor,
-    FeatureConfig,
-    FeatureScaler,
-    FeatureVector,
-    SkeletonClip,
-    add_gaussian_noise,
-    apply_scaler,
-    assemble_features,
-    augment_clips,
-    enumerate_pathlets,
-    feature_layout,
-    fill_clip,
-    fit_scaler,
-    horizontal_flip,
-    merge_actors,
-    normalize_clip,
-    temporal_joint_features,
-    temporal_spatial_features,
-)
-from .transforms import (
-    IndexWindow,
-    add_time,
-    dyadic_windows,
-    fill_missing,
-    lead_lag,
-    uniform_sample,
-)
+from .signature import *  # noqa: F401,F403
+from .skeleton import *  # noqa: F401,F403
+from .transforms import *  # noqa: F401,F403
 
-__all__ = [
-    "Block",
-    "DatasetDescriptor",
-    "EpochStats",
-    "FeatureConfig",
-    "FeatureScaler",
-    "FeatureVector",
-    "FormatError",
-    "HIDDEN_UNITS",
-    "IndexWindow",
-    "InputError",
-    "LinearNetModel",
-    "SkeletonClip",
-    "StagePartition",
-    "TrainConfig",
-    "TruncatedSignature",
-    "TwoStageModel",
-    "add_gaussian_noise",
-    "add_time",
-    "apply_scaler",
-    "as_path",
-    "assemble_features",
-    "augment_clips",
-    "chen_concat",
-    "dyadic_windows",
-    "enumerate_pathlets",
-    "extract_body_features",
-    "feature_layout",
-    "fill_clip",
-    "fill_missing",
-    "fit_scaler",
-    "forward",
-    "gradient_check",
-    "horizontal_flip",
-    "init_model",
-    "lead_lag",
-    "levy_area",
-    "load_model",
-    "lr_schedule",
-    "merge_actors",
-    "normalize_clip",
-    "path_signature",
-    "path_signature_batch",
-    "rank_actors",
-    "save_model",
-    "segment_signature",
-    "signature_bruteforce",
-    "signature_dimension",
-    "stage_partition",
-    "temporal_joint_features",
-    "temporal_spatial_features",
-    "train",
-    "two_stage_predict",
-    "two_stage_route",
-    "uniform_sample",
-]
+__all__ = sorted(["FormatError", "InputError", *signature.__all__, *transforms.__all__,
+                  *skeleton.__all__, *classifier.__all__])
 
 __version__ = "0.1.0"

@@ -212,15 +212,11 @@ def _print_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> None:
     D = sum(totals.values())
     print(f"feature layout: {descriptor.joint_count} joints, dim {descriptor.dim}, "
           f"{config.sampled_frames} sampled frames")
-    print(f"  joints                per frame {per_frame['joints']:>8}  "
-          f"total {totals['joints']:>9}")
-    print(f"  pair_sig              per frame {per_frame['pair_sig']:>8}  "
-          f"total {totals['pair_sig']:>9}")
-    print(f"  triple_sig            per frame {per_frame['triple_sig']:>8}  "
-          f"total {totals['triple_sig']:>9}")
+    for name in ("joints", "pair_sig", "triple_sig"):
+        print(f"  {name:<22}per frame {per_frame[name]:>8}  total {totals[name]:>9}")
     print(f"  spatial sig per frame (pair+triple): {spatial}")
-    print(f"  joint_motion_sig      {totals['joint_motion_sig']:>9}")
-    print(f"  spatial_evolution_sig {totals['spatial_evolution_sig']:>9}")
+    for name in ("joint_motion_sig", "spatial_evolution_sig"):
+        print(f"  {name:<22}{totals[name]:>9}")
     print(f"  total dimension: {D}")
 
 

@@ -16,6 +16,7 @@ allocate, and read arrays in place; the SIGNET1 model reader in
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
@@ -293,50 +294,38 @@ _CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False}
 def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
     """Read feature and extraction settings from a key-value file.
 
-    Every key is optional; omitted keys keep their defaults.  Feature
-    keys: sampled_frames, pair_level, triple_level, joint_level,
-    evolution_level, lead_lag_dim, dyadic, dyadic_depth.  Extraction
-    keys: bodies, flip, noise_copies, noise_sigma, seed.
+    The keys are the field names of FeatureConfig and ExtractionOptions,
+    each parsed by the type of its default.  Every key is optional;
+    omitted keys keep their defaults.
     """
-    fields = _parse_key_values(_data_lines(path), path)
-    known_int = {
-        "sampled_frames", "pair_level", "triple_level", "joint_level",
-        "evolution_level", "lead_lag_dim", "dyadic_depth",
-        "bodies", "noise_copies", "seed",
-    }
-    feature_kwargs = {}
-    option_kwargs = {}
-    for key, value in fields.items():
+    schema = {f.name: (cls, type(f.default))
+              for cls in (FeatureConfig, ExtractionOptions) for f in dataclasses.fields(cls)}
+    kwargs = {FeatureConfig: {}, ExtractionOptions: {}}
+    for key, value in _parse_key_values(_data_lines(path), path).items():
+        if key not in schema:
+            raise FormatError(f"{path}: unknown feature config key {key!r}")
+        cls, kind = schema[key]
         try:
-            if key in ("dyadic", "flip"):
+            if kind is bool:
                 parsed = _CONFIG_BOOL.get(value.lower())
                 if parsed is None:
                     raise ValueError(f"expected true/false, got {value!r}")
-            elif key in known_int:
-                parsed = int(value)
-            elif key == "noise_sigma":
-                parsed = float(value)
             else:
-                raise FormatError(f"{path}: unknown feature config key {key!r}")
+                parsed = kind(value)  # int or float
         except ValueError as exc:
             raise FormatError(f"{path}: malformed value for {key!r}: {exc}") from None
-        if key in ("bodies", "flip", "noise_copies", "noise_sigma", "seed"):
-            option_kwargs[key] = parsed
-        else:
-            feature_kwargs[key] = parsed
+        kwargs[cls][key] = parsed
     try:
-        return FeatureConfig(**feature_kwargs), ExtractionOptions(**option_kwargs)
+        return FeatureConfig(**kwargs[FeatureConfig]), ExtractionOptions(**kwargs[ExtractionOptions])
     except InputError as exc:
         raise FormatError(f"{path}: invalid feature config: {exc}") from exc
 
 
 def write_feature_config(config: FeatureConfig, options: ExtractionOptions, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for key in ("sampled_frames", "pair_level", "triple_level", "joint_level",
-                    "evolution_level", "lead_lag_dim", "dyadic", "dyadic_depth"):
-            f.write(f"{key} = {str(getattr(config, key)).lower()}\n")
-        for key in ("bodies", "flip", "noise_copies", "noise_sigma", "seed"):
-            f.write(f"{key} = {str(getattr(options, key)).lower()}\n")
+        for settings in (config, options):
+            for field in dataclasses.fields(settings):
+                f.write(f"{field.name} = {str(getattr(settings, field.name)).lower()}\n")
 
 
 def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -192,17 +192,10 @@ class FeatureConfig:
     dyadic_depth: int = 3
 
     def __post_init__(self):
-        for name in (
-            "sampled_frames",
-            "pair_level",
-            "triple_level",
-            "joint_level",
-            "evolution_level",
-            "lead_lag_dim",
-            "dyadic_depth",
-        ):
-            if int(getattr(self, name)) < 1:
-                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and int(value) < 1:
+                raise InputError(f"{f.name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

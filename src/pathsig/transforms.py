@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InputError
 from .signature import as_path
@@ -53,9 +52,7 @@ def add_time(path) -> np.ndarray:
     L >= 2, so no two distinct augmented paths share a signature.
     """
     pts = as_path(path)
-    L = pts.shape[0]
-    t = np.linspace(0.0, 1.0, L) if L > 1 else np.zeros(1)
-    return np.column_stack([pts, t])
+    return np.column_stack([pts, np.linspace(0.0, 1.0, pts.shape[0])])
 
 
 def lead_lag(series, delay_dim: int) -> np.ndarray:
@@ -132,14 +129,49 @@ def uniform_sample(frame_count: int, count: int) -> np.ndarray:
     )
 
 
+def _natural_spline(x, y, t) -> np.ndarray:
+    """Evaluate at ``t`` the natural cubic spline through knots x (n >= 2)
+    and values y (n, k); every t lies inside [x[0], x[-1]].
+
+    The second derivatives M are zero at both ends, and the interior ones
+    solve h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (s[i] -
+    s[i-1]), with h the knot gaps and s the secant slopes.  Each step of
+    that Thomas sweep needs the one before, so it runs on Python floats,
+    one column at a time.  Each t then takes the cubic of its segment.
+    """
+    h = np.diff(x).astype(np.float64)
+    rhs = 6.0 * np.diff(np.diff(y, axis=0) / h[:, None], axis=0)
+    gaps, diag, w = h.tolist(), [], []
+    for i in range(1, len(gaps)):
+        w.append(gaps[i - 1] / diag[-1] if diag else 0.0)
+        diag.append(2.0 * (gaps[i - 1] + gaps[i]) - w[-1] * gaps[i - 1])
+    m = np.zeros_like(y)
+    for c in range(y.shape[1]):
+        r = rhs[:, c].tolist()
+        for i in range(1, len(r)):
+            r[i] -= w[i] * r[i - 1]
+        q = 0.0
+        for i in range(len(r) - 1, -1, -1):
+            q = r[i] = (r[i] - gaps[i + 1] * q) / diag[i]
+        m[1:-1, c] = r
+    seg = np.searchsorted(x, t) - 1
+    hs = h[seg][:, None]
+    a = (x[seg + 1] - t)[:, None] / hs
+    b = (t - x[seg])[:, None] / hs
+    return a * y[seg] + b * y[seg + 1] + (
+        (a ** 3 - a) * m[seg] + (b ** 3 - b) * m[seg + 1]) * (hs * hs / 6.0)
+
+
 def fill_missing(values, valid) -> np.ndarray:
     """Complete a per-frame series given a validity mask.
 
     Interior gaps are filled per coordinate by a natural cubic spline
-    through the valid frames; leading and trailing gaps hold the nearest
-    valid value.  A series with a single valid frame is constant; one with
-    no valid frame is all zeros.  Idempotent: a fully valid series is
-    returned unchanged (as a copy).
+    through the valid frames (de Boor, *A Practical Guide to Splines*,
+    1978: one tridiagonal solve for the second derivatives, zero at both
+    ends); leading and trailing gaps hold the nearest valid value.  A
+    series with a single valid frame is constant; one with no valid frame
+    is all zeros.  Idempotent: a fully valid series is returned unchanged
+    (as a copy).
 
     Args:
         values: (F,) or (F, k) array of per-frame values.
@@ -166,11 +198,13 @@ def fill_missing(values, valid) -> np.ndarray:
     if idx.size == 1:
         out[:] = arr[idx[0]]
         return out
+    if not np.all(np.isfinite(arr[idx])):
+        raise InputError("valid frames contain non-finite values")
     positions = np.arange(arr.shape[0])
-    spline = CubicSpline(idx, arr[idx], bc_type="natural", axis=0)
     interior = ~mask & (positions > idx[0]) & (positions < idx[-1])
     if np.any(interior):
-        out[interior] = spline(positions[interior])
+        cols = out.reshape(arr.shape[0], -1)  # a view: filling it fills ``out``
+        cols[interior] = _natural_spline(idx, cols[idx], positions[interior])
     out[positions < idx[0]] = arr[idx[0]]
     out[positions > idx[-1]] = arr[idx[-1]]
     return out

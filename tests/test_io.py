@@ -1,5 +1,6 @@
 """File formats: round-trips and malformed-input diagnostics."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -212,9 +213,13 @@ def test_descriptor_duplicate_key(tmp_path):
 
 
 def test_feature_config_roundtrip(tmp_path):
-    config = FeatureConfig(sampled_frames=6, pair_level=3, dyadic=True)
+    config = FeatureConfig(sampled_frames=6, pair_level=3, triple_level=2, joint_level=4,
+                           evolution_level=3, lead_lag_dim=2, dyadic=True, dyadic_depth=2)
     options = ExtractionOptions(bodies=2, flip=False, noise_copies=0,
                                 noise_sigma=0.5, seed=9)
+    for settings in (config, options):  # every field away from its default
+        for field in dataclasses.fields(settings):
+            assert getattr(settings, field.name) != field.default, field.name
     p = tmp_path / "cfg.txt"
     write_feature_config(config, options, p)
     back_c, back_o = read_feature_config(p)

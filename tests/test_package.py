@@ -1,0 +1,46 @@
+"""Package surface: the exported names, the import footprint, the demos."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pathsig
+from pathsig import classifier, errors, signature, skeleton, transforms
+
+MODULES = (signature, transforms, skeleton, classifier)
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """Run this interpreter with the imported ``pathsig`` first on its path."""
+    src = os.path.dirname(os.path.dirname(pathsig.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_package_exports_are_the_module_exports():
+    expected = {"FormatError", "InputError"}.union(*(m.__all__ for m in MODULES))
+    assert sorted(pathsig.__all__) == sorted(expected)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(pathsig, name) is getattr(module, name), name
+    assert pathsig.FormatError is errors.FormatError
+    assert pathsig.InputError is errors.InputError
+
+
+def test_import_loads_no_scipy():
+    result = run_python("-c", "import sys, pathsig, pathsig.cli; print(sorted("
+                        "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("demo", ["01_signature_basics.py", "02_path_transforms.py",
+                                  "03_skeleton_features.py"])
+def test_demo_runs(demo):
+    result = run_python(str(REPO / "demos" / demo))
+    assert result.returncode == 0, result.stderr
