@@ -17,6 +17,7 @@ errors.  Every command is deterministic given its seed flags; rerunning
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -180,9 +181,8 @@ def _class_id(name: str, descriptor: DatasetDescriptor, manifest_path) -> int:
 
 
 def _extract_split(records, descriptor, config, options, bodies, augment):
-    """Feature rows and labels for one manifest split, in manifest order."""
+    """Yield (feature row, label) for one manifest split, in manifest order."""
     body_desc = descriptor.merged(bodies)
-    rows, labels = [], []
     for index, rec in enumerate(records):
         label = _class_id(rec.label_name, descriptor, rec.clip_path)
         clip = pio.read_clip_file(rec.clip_path, descriptor, label=label,
@@ -196,9 +196,17 @@ def _extract_split(records, descriptor, config, options, bodies, augment):
         else:
             variants = [prepared]
         for variant in variants:
-            rows.append(assemble_features(variant.joints[:, 0], config, body_desc).values)
-            labels.append(label)
-    return np.array(rows), np.array(labels, dtype=np.int64)
+            yield assemble_features(variant.joints[:, 0], config, body_desc).values, label
+
+
+def _widen(bounds, row) -> None:
+    """Fold ``row`` into the running per-column [max; min] ``bounds``.
+
+    ``fit_scaler(bounds)`` is bit for bit ``fit_scaler`` of the folded rows:
+    max |x| of a column is the larger of its max and -min either way.
+    """
+    np.maximum(bounds[0], row, out=bounds[0])
+    np.minimum(bounds[1], row, out=bounds[1])
 
 
 def _print_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> None:
@@ -232,70 +240,70 @@ def cmd_extract(args) -> int:
     if not train_recs:
         raise InputError(f"{args.manifest}: no train records")
 
-    if not args.two_stage:
-        bodies = options.bodies
-        layout = feature_layout(config, descriptor.merged(bodies))
-        x_train, y_train = _extract_split(train_recs, descriptor, config, options,
-                                          bodies, augment=True)
-        scaler = fit_scaler(x_train)
-        pio.write_feature_matrix(f"{args.output}.train.feat",
-                                 apply_scaler(scaler, x_train), layout)
-        pio.write_labels(y_train, f"{args.output}.train.labels")
-        if test_recs:
-            x_test, y_test = _extract_split(test_recs, descriptor, config, options,
-                                            bodies, augment=False)
-            pio.write_feature_matrix(f"{args.output}.test.feat",
-                                     apply_scaler(scaler, x_test), layout)
-            pio.write_labels(y_test, f"{args.output}.test.labels")
-        pio.write_scaler(scaler, f"{args.output}.scaler.feat")
-        _print_layout(config, descriptor.merged(bodies))
-        print(f"train rows: {x_train.shape[0]}"
+    # One output matrix per (suffix, bodies, rows its scaler is fit on, label
+    # map).  Two-stage: the gate and multi-body models share rigid two-body
+    # features, the one-body model sees only the most active actor, and each
+    # scaler is fit on its own model's training rows.
+    if args.two_stage:
+        train_labels = np.array([_class_id(r.label_name, descriptor, r.clip_path)
+                                 for r in train_recs], dtype=np.int64)
+        counts = np.array([r.actor_count for r in train_recs], dtype=np.float64)
+        partition = stage_partition(train_labels, counts, len(descriptor.class_names))
+        for side, classes in (("one-body", partition.one_body_classes),
+                              ("multi-body", partition.multi_body_classes)):
+            if classes.size < 2:  # each class model needs two classes
+                raise InputError(f"{args.manifest}: --two-stage needs at least two {side} "
+                                 f"classes, got {classes.tolist()}")
+        pio.write_partition(partition.mean_actor_counts, partition.multi_body,
+                            f"{args.output}.partition.txt")
+        multi = set(partition.multi_body_classes.tolist())
+        outputs = [(".gate", 2, lambda y: True, lambda y: int(y in multi)),
+                   (".one", 1, lambda y: y not in multi, int),
+                   (".multi", 2, lambda y: y in multi, int)]
+    else:
+        outputs = [("", options.bodies, lambda y: True, int)]
+    layouts = [feature_layout(config, descriptor.merged(bodies)) for _, bodies, _, _ in outputs]
+    widths = [sum(block.width for block in layout) for layout in layouts]
+    bounds = [np.array([[-np.inf], [np.inf]]).repeat(width, axis=1) for width in widths]
+    labels = {}
+    # Rows stream to temporary files, published together only when every split
+    # succeeds.  Train rows are written raw and divided in place once their
+    # scaler is known; test rows are scaled as they come.
+    with contextlib.ExitStack() as stack:
+        for split, recs, augment in (("train", train_recs, True), ("test", test_recs, False)):
+            if not recs:
+                continue
+            writers = [stack.enter_context(pio.FeatureMatrixWriter(
+                f"{args.output}{suffix}.{split}.feat", width, layout))
+                for (suffix, *_), width, layout in zip(outputs, widths, layouts)]
+            streams = {bodies: _extract_split(recs, descriptor, config, options, bodies, augment)
+                       for _, bodies, _, _ in outputs}
+            labels[split] = []
+            for pairs in zip(*streams.values()):
+                rows = {bodies: row for bodies, (row, _) in zip(streams, pairs)}
+                label = pairs[0][1]
+                labels[split].append(label)
+                for i, (_, bodies, fit_on, _) in enumerate(outputs):
+                    row = rows[bodies]
+                    if split == "train" and fit_on(label):
+                        _widen(bounds[i], row)
+                    writers[i].write(row if split == "train" else apply_scaler(scalers[i], row))
+            if split == "train":
+                scalers = [fit_scaler(b) for b in bounds]
+                for scaler, writer in zip(scalers, writers):
+                    writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))
+        for (suffix, _, _, label_of), scaler in zip(outputs, scalers):
+            pio.write_scaler(scaler, f"{args.output}{suffix}.scaler.feat")
+            for split, split_labels in labels.items():
+                pio.write_labels([label_of(y) for y in split_labels],
+                                 f"{args.output}{suffix}.{split}.labels")
+    _print_layout(config, descriptor.merged(1 if args.two_stage else options.bodies))
+    if args.two_stage:
+        print(f"one-body classes: {partition.one_body_classes.tolist()}, "
+              f"multi-body classes: {partition.multi_body_classes.tolist()}")
+    else:
+        print(f"train rows: {len(labels['train'])}"
               + (f", test rows: {len(test_recs)}" if test_recs else ""))
-        return 0
-
-    # Two-stage: gate/multi share rigid two-body features; the one-body
-    # stream sees only the most active actor.  Scalers are fit on each
-    # model's own training distribution.
-    train_labels = np.array([_class_id(r.label_name, descriptor, r.clip_path)
-                             for r in train_recs], dtype=np.int64)
-    counts = np.array([r.actor_count for r in train_recs], dtype=np.float64)
-    partition = stage_partition(train_labels, counts, len(descriptor.class_names))
-    for side, classes in (("one-body", partition.one_body_classes),
-                          ("multi-body", partition.multi_body_classes)):
-        if classes.size < 2:  # each class model needs two classes
-            raise InputError(f"{args.manifest}: --two-stage needs at least two {side} "
-                             f"classes, got {classes.tolist()}")
-    pio.write_partition(partition.mean_actor_counts, partition.multi_body,
-                        f"{args.output}.partition.txt")
-    one_layout = feature_layout(config, descriptor)
-    two_layout = feature_layout(config, descriptor.merged(2))
-    multi_classes = partition.multi_body_classes
-    for split, recs, augment in (("train", train_recs, True), ("test", test_recs, False)):
-        if not recs:
-            continue
-        x_two, y = _extract_split(recs, descriptor, config, options, 2, augment)
-        x_one, _ = _extract_split(recs, descriptor, config, options, 1, augment)
-        is_multi = np.isin(y, multi_classes)
-        y_gate = is_multi.astype(np.int64)
-        if split == "train":
-            gate_scaler = fit_scaler(x_two)
-            one_scaler = fit_scaler(x_one[~is_multi])
-            multi_scaler = fit_scaler(x_two[is_multi])
-            pio.write_scaler(gate_scaler, f"{args.output}.gate.scaler.feat")
-            pio.write_scaler(one_scaler, f"{args.output}.one.scaler.feat")
-            pio.write_scaler(multi_scaler, f"{args.output}.multi.scaler.feat")
-        pio.write_feature_matrix(f"{args.output}.gate.{split}.feat",
-                                 apply_scaler(gate_scaler, x_two), two_layout)
-        pio.write_labels(y_gate, f"{args.output}.gate.{split}.labels")
-        pio.write_feature_matrix(f"{args.output}.one.{split}.feat",
-                                 apply_scaler(one_scaler, x_one), one_layout)
-        pio.write_labels(y, f"{args.output}.one.{split}.labels")
-        pio.write_feature_matrix(f"{args.output}.multi.{split}.feat",
-                                 apply_scaler(multi_scaler, x_two), two_layout)
-        pio.write_labels(y, f"{args.output}.multi.{split}.labels")
-    _print_layout(config, descriptor)
-    print(f"one-body classes: {partition.one_body_classes.tolist()}, "
-          f"multi-body classes: {partition.multi_body_classes.tolist()}")
     return 0
 
 
@@ -309,6 +317,18 @@ def _train_config(args) -> TrainConfig:
         drop_rate=args.drop_rate,
         seed=args.seed,
     )
+
+
+def _read_features(path) -> np.ndarray:
+    """The matrix of a SIGFEAT1 file; InputError names the first row with a
+    non-finite entry, found in row blocks so no matrix-sized mask is made."""
+    x, _ = pio.read_feature_matrix(path)
+    step = max(1, (1 << 20) // max(x.shape[1], 1))
+    for start in range(0, x.shape[0], step):
+        finite = np.isfinite(x[start:start + step]).all(axis=1)
+        if not finite.all():
+            raise InputError(f"{path}: row {start + int(finite.argmin())} has a non-finite entry")
+    return x
 
 
 def _write_history(history, path) -> None:
@@ -335,7 +355,7 @@ def cmd_train(args) -> int:
     if not args.two_stage:
         if not args.labels:
             raise InputError("--labels is required without --two-stage")
-        x, _ = pio.read_feature_matrix(args.features)
+        x = _read_features(args.features)
         y = pio.read_labels(args.labels)
         if y.size != x.shape[0]:
             raise InputError(f"{args.labels}: {y.size} labels for {x.shape[0]} feature rows")
@@ -347,17 +367,16 @@ def cmd_train(args) -> int:
     prefix = args.features
     means, multi = pio.read_partition(f"{prefix}.partition.txt")
     partition = StagePartition(means, multi)
-    x_gate, _ = pio.read_feature_matrix(f"{prefix}.gate.train.feat")
-    y_gate = pio.read_labels(f"{prefix}.gate.train.labels")
-    _fit(x_gate, y_gate, 2, config, args.hidden, f"{args.model}.gate.model",
-         f"{args.model}.gate.history.txt")
-    for stage, classes in (("one", partition.one_body_classes),
+    # Every matrix is read, and checked, before any model trains.
+    data = {stage: (_read_features(f"{prefix}.{stage}.train.feat"),
+                    pio.read_labels(f"{prefix}.{stage}.train.labels"))
+            for stage in ("gate", "one", "multi")}
+    for stage, classes in (("gate", np.arange(2)), ("one", partition.one_body_classes),
                            ("multi", partition.multi_body_classes)):
-        x, _ = pio.read_feature_matrix(f"{prefix}.{stage}.train.feat")
-        y = pio.read_labels(f"{prefix}.{stage}.train.labels")
+        x, y = data.pop(stage)
         keep = np.isin(y, classes)
         y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
-        _fit(x[keep], y_local, classes.size, config, args.hidden,
+        _fit(x if keep.all() else x[keep], y_local, classes.size, config, args.hidden,
              f"{args.model}.{stage}.model", f"{args.model}.{stage}.history.txt")
     return 0
 
@@ -391,7 +410,7 @@ def _load_two_stage(model_prefix, extract_prefix):
 def cmd_eval(args) -> int:
     y = pio.read_labels(args.labels)
     if not args.two_stage:
-        x, _ = pio.read_feature_matrix(args.features)
+        x = _read_features(args.features)
         if y.size != x.shape[0]:
             raise InputError(f"{args.labels}: {y.size} labels for {x.shape[0]} feature rows")
         model = load_model(args.model)
@@ -404,9 +423,8 @@ def cmd_eval(args) -> int:
         return 0
 
     split = args.split
-    x_gate, _ = pio.read_feature_matrix(f"{args.features}.gate.{split}.feat")
-    x_one, _ = pio.read_feature_matrix(f"{args.features}.one.{split}.feat")
-    x_multi, _ = pio.read_feature_matrix(f"{args.features}.multi.{split}.feat")
+    x_gate, x_one, x_multi = (_read_features(f"{args.features}.{stage}.{split}.feat")
+                              for stage in ("gate", "one", "multi"))
     if not (x_gate.shape[0] == x_one.shape[0] == x_multi.shape[0] == y.size):
         raise InputError("two-stage feature files and labels disagree on row count")
     gate, one, multi, partition = _load_two_stage(args.model, args.features)

@@ -7,6 +7,15 @@ feature matrix format is binary for bulk float data:
     SIGFEAT1 <rows u64 LE> <cols u64 LE> <rows*cols f64 LE row-major>
     <text footer: one "name offset width" line per layout block>
 
+A non-empty footer tiles ``[0, cols)`` in order.  ``FeatureMatrixWriter``
+is the one SIGFEAT1 writer: it writes the header with a row count of 0,
+appends rows as they come, and can rewrite the rows in place block by
+block (``map_rows``).  On success ``close`` patches the row count,
+appends the footer and renames the temporary file, in the same
+directory, onto the final name; on an exception it deletes the temporary
+file, so a failed run publishes no matrix.  ``write_feature_matrix`` is
+its one-shot caller.
+
 Malformed input raises FormatError naming the file and the line number or
 byte offset.  Every writer/reader pair round-trips bit-exactly.  Binary
 readers check each size from a header against the file size before they
@@ -39,6 +48,7 @@ __all__ = [
     "read_feature_config",
     "write_feature_config",
     "ExtractionOptions",
+    "FeatureMatrixWriter",
     "read_feature_matrix",
     "write_feature_matrix",
     "read_labels",
@@ -50,6 +60,8 @@ __all__ = [
 ]
 
 _FEAT_MAGIC = b"SIGFEAT1"
+_FEAT_HEADER = len(_FEAT_MAGIC) + 16  # magic, rows, cols
+_BLOCK_BYTES = 1 << 18  # map_rows reads blocks of this many bytes, at least one row
 
 
 def _data_lines(path):
@@ -103,14 +115,19 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
 
     Indices are 0-based; entries absent from the file are marked invalid.
     Frame and actor counts come from the largest indices seen
-    (``min_actors`` keeps room for actors that never appear).
+    (``min_actors`` keeps room for actors that never appear).  Frames x
+    actors may not exceed the byte count of the file's joint rows
+    (comments and blank lines do not count), which bounds the dense array
+    by what the file can describe before it is allocated.
     """
     d = descriptor.dim
     N = descriptor.joint_count
     entries = {}
     max_frame = -1
     max_actor = -1
+    size = 0  # bytes of joint rows
     for lineno, text in _data_lines(path):
+        size += len(text) + 1
         fields = text.split(",")
         if len(fields) != 3 + d:
             raise FormatError(
@@ -139,6 +156,11 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
         raise FormatError(f"{path}: no joint rows found")
     F = max_frame + 1
     A = max(max_actor + 1, int(min_actors))
+    if F * A > size:
+        raise FormatError(
+            f"{path}: frame index {max_frame}, actor index {max_actor}: {F} frames x "
+            f"{A} actors is more than the file's {size} bytes of joint rows can describe"
+        )
     joints = np.zeros((F, A, N, d))
     valid = np.zeros((F, A, N), dtype=bool)
     for (frame, actor, joint), coords in entries.items():
@@ -328,17 +350,67 @@ def write_feature_config(config: FeatureConfig, options: ExtractionOptions, path
                 f.write(f"{field.name} = {str(getattr(settings, field.name)).lower()}\n")
 
 
+class FeatureMatrixWriter:
+    """A SIGFEAT1 file written row by row to a temporary file next to ``path``.
+
+    As a context manager it publishes the file under ``path`` (``close``)
+    when the block succeeds, and deletes the temporary file when it raises.
+    """
+
+    def __init__(self, path, cols: int, layout=()):
+        self.path, self.cols, self.layout, self.rows = os.fspath(path), int(cols), layout, 0
+        self._tmp = f"{self.path}.{os.getpid()}.tmp"
+        self._file = open(self._tmp, "w+b")
+        self._file.write(_FEAT_MAGIC + struct.pack("<QQ", 0, self.cols))
+
+    def write(self, rows) -> None:
+        """Append one row, or a (rows, cols) block."""
+        block = np.atleast_2d(np.ascontiguousarray(rows, dtype="<f8"))
+        if block.ndim != 2 or block.shape[1] != self.cols:
+            raise InputError(f"{self.path}: rows of shape {block.shape} need {self.cols} columns")
+        self._file.write(block.data)
+        self.rows += block.shape[0]
+
+    def map_rows(self, fn) -> None:
+        """Replace each block of the rows written so far by ``fn(block)``, in
+        place; every block is read into one reused buffer of at least one row."""
+        step = max(1, _BLOCK_BYTES // max(8 * self.cols, 1))
+        buffer = np.empty((min(step, self.rows), self.cols), dtype="<f8")
+        for start in range(0, self.rows, step):
+            block = buffer[:self.rows - start]
+            self._file.seek(_FEAT_HEADER + 8 * self.cols * start)
+            self._file.readinto(block)
+            self._file.seek(_FEAT_HEADER + 8 * self.cols * start)
+            self._file.write(np.ascontiguousarray(fn(block), dtype="<f8").data)
+        self._file.seek(0, os.SEEK_END)
+
+    def close(self) -> None:
+        """Append the footer, patch the row count and rename onto ``path``."""
+        footer = "".join(f"{b.name} {b.offset} {b.width}\n" for b in self.layout)
+        self._file.write(footer.encode("ascii"))
+        self._file.seek(len(_FEAT_MAGIC))
+        self._file.write(struct.pack("<Q", self.rows))
+        self._file.close()
+        os.replace(self._tmp, self.path)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._file.close()
+            os.remove(self._tmp)
+
+
 def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
     """Write a (rows, cols) float matrix in the SIGFEAT1 layout."""
-    arr = np.ascontiguousarray(matrix, dtype="<f8")
+    arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise InputError(f"feature matrix must be 2-D, got shape {arr.shape}")
-    with open(path, "wb") as f:
-        f.write(_FEAT_MAGIC)
-        f.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        f.write(arr.data)
-        for block in layout:
-            f.write(f"{block.name} {block.offset} {block.width}\n".encode("ascii"))
+    with FeatureMatrixWriter(path, arr.shape[1], layout) as writer:
+        writer.write(arr)
 
 
 def _read_exact(f, count: int, path, what: str, buffer=bytearray):
@@ -367,6 +439,8 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
 
     The declared rows x cols are checked against the file size before any
     payload is read, so a hostile header cannot trigger a huge allocation.
+    A non-empty footer must tile ``[0, cols)`` in order, with no gap or
+    overlap.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, len(_FEAT_MAGIC), path, "magic")
@@ -375,7 +449,7 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
         rows, cols = struct.unpack("<QQ", _read_exact(f, 16, path, "header"))
         matrix = _read_array(f, (rows, cols), path, "data")
         footer = _decode(f.read(), f"{path} footer")
-    blocks = []
+    blocks, end = [], 0
     for lineno, line in enumerate(footer.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -384,9 +458,16 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
         if len(parts) != 3:
             raise FormatError(f"{path}: malformed footer line {lineno}: {line!r}")
         try:
-            blocks.append(Block(parts[0], int(parts[1]), int(parts[2])))
+            block = Block(parts[0], int(parts[1]), int(parts[2]))
         except ValueError:
             raise FormatError(f"{path}: malformed footer line {lineno}: {line!r}") from None
+        if block.offset != end or block.width < 0:
+            raise FormatError(f"{path}: footer line {lineno}: block {line!r} must start at "
+                              f"column {end} and have a width >= 0")
+        end += block.width
+        blocks.append(block)
+    if blocks and end != cols:
+        raise FormatError(f"{path}: footer blocks end at column {end}, not at {cols}")
     return matrix, tuple(blocks)
 
 

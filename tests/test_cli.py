@@ -4,12 +4,17 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathsig.io import ExtractionOptions, write_feature_config, write_feature_matrix
-from pathsig.skeleton import FeatureConfig
+from pathsig import classifier, cli
+from pathsig import io as pio
+from pathsig.errors import InputError
+from pathsig.io import (ExtractionOptions, read_feature_matrix, write_feature_config,
+                        write_feature_matrix)
+from pathsig.skeleton import FeatureConfig, apply_scaler, feature_layout, fit_scaler
 from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
 
 
@@ -333,3 +338,229 @@ def test_two_stage_extract_needs_two_classes_per_side(action_ds, tmp_path):
         assert result.returncode == 1
         assert f"at least two multi-body classes, got {multi}" in result.stderr
         assert not (tmp_path / "f.partition.txt").exists()
+
+
+# ------------------------------------------------------- streamed extraction
+
+
+def _reference_extract(manifest, descriptor_path, config_path, prefix, two_stage):
+    """``features extract`` as it was before rows streamed to disk: every
+    split is one in-memory matrix, scaled by ``apply_scaler`` as a whole."""
+    records = pio.read_manifest(manifest)
+    descriptor = pio.read_descriptor(descriptor_path)
+    config, options = pio.read_feature_config(config_path)
+    splits = [(s, [r for r in records if r.split == s], s == "train") for s in ("train", "test")]
+
+    def matrix(recs, bodies, augment):
+        pairs = list(cli._extract_split(recs, descriptor, config, options, bodies, augment))
+        return np.array([row for row, _ in pairs]), np.array([y for _, y in pairs])
+
+    if not two_stage:
+        layout = feature_layout(config, descriptor.merged(options.bodies))
+        for split, recs, augment in splits:
+            x, y = matrix(recs, options.bodies, augment)
+            scaler = fit_scaler(x) if split == "train" else scaler
+            write_feature_matrix(f"{prefix}.{split}.feat", apply_scaler(scaler, x), layout)
+            pio.write_labels(y, f"{prefix}.{split}.labels")
+        pio.write_scaler(scaler, f"{prefix}.scaler.feat")
+        return
+    train_recs = splits[0][1]
+    partition = classifier.stage_partition(
+        [cli._class_id(r.label_name, descriptor, "") for r in train_recs],
+        [r.actor_count for r in train_recs], len(descriptor.class_names))
+    pio.write_partition(partition.mean_actor_counts, partition.multi_body,
+                        f"{prefix}.partition.txt")
+    one_layout = feature_layout(config, descriptor)
+    two_layout = feature_layout(config, descriptor.merged(2))
+    for split, recs, augment in splits:
+        x_two, y = matrix(recs, 2, augment)
+        x_one, _ = matrix(recs, 1, augment)
+        is_multi = np.isin(y, partition.multi_body_classes)
+        if split == "train":
+            scalers = {"gate": fit_scaler(x_two), "one": fit_scaler(x_one[~is_multi]),
+                       "multi": fit_scaler(x_two[is_multi])}
+            for stage, scaler in scalers.items():
+                pio.write_scaler(scaler, f"{prefix}.{stage}.scaler.feat")
+        for stage, x, layout, labels in (("gate", x_two, two_layout, is_multi.astype(np.int64)),
+                                         ("one", x_one, one_layout, y),
+                                         ("multi", x_two, two_layout, y)):
+            write_feature_matrix(f"{prefix}.{stage}.{split}.feat",
+                                 apply_scaler(scalers[stage], x), layout)
+            pio.write_labels(labels, f"{prefix}.{stage}.{split}.labels")
+
+
+@pytest.fixture(scope="module")
+def interaction_ds(tmp_path_factory):
+    root = tmp_path_factory.mktemp("interaction_ds")
+    train, test, desc = make_interaction_dataset(train_clips=12, test_clips=6,
+                                                 joint_count=5, dim=2, seed=4)
+    manifest, descriptor = write_dataset(train, test, desc, root)
+    config = root / "featcfg.txt"
+    write_feature_config(SMALL_CONFIG, ExtractionOptions(noise_copies=1), config)
+    return {"root": root, "manifest": manifest, "descriptor": descriptor, "config": config}
+
+
+@pytest.mark.parametrize("two_stage", [False, True])
+def test_extract_matches_in_memory_reference(interaction_ds, tmp_path, two_stage):
+    flag = ["--two-stage"] if two_stage else []
+    result = run_cli("features", "extract", "--manifest", interaction_ds["manifest"],
+                     "--descriptor", interaction_ds["descriptor"],
+                     "--config", interaction_ds["config"], "--output", tmp_path / "new", *flag)
+    assert result.returncode == 0, result.stderr
+    _reference_extract(interaction_ds["manifest"], interaction_ds["descriptor"],
+                       interaction_ds["config"], tmp_path / "ref", two_stage)
+    ref = sorted(p.name[len("ref"):] for p in tmp_path.glob("ref.*"))
+    assert sorted(p.name[len("new"):] for p in tmp_path.glob("new.*")) == ref
+    assert len(ref) == (16 if two_stage else 5)
+    for suffix in ref:
+        assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
+        if suffix.endswith(".feat"):  # every written matrix reads back: the footer tiles it
+            read_feature_matrix(tmp_path / f"new{suffix}")
+
+
+def test_streamed_scaler_matches_fit_scaler_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        x = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-3, 4, size=cols)
+        x[:, rng.random(cols) < 0.2] = 0.0
+        x[:, rng.random(cols) < 0.2] = -0.0
+        x[:, rng.random(cols) < 0.2] = -np.abs(x[:, :1])  # non-positive columns
+        zeros = rng.random((rows, cols)) < 0.3
+        x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        bounds = np.array([[-np.inf], [np.inf]]).repeat(cols, axis=1)
+        for row in x:
+            cli._widen(bounds, row)
+        assert fit_scaler(bounds).scale.tobytes() == fit_scaler(x).scale.tobytes(), trial
+    x[rows // 2, cols // 2] = np.nan
+    for row in x:
+        cli._widen(bounds, row)
+    with pytest.raises(InputError, match="positive"):
+        fit_scaler(bounds)
+    with pytest.raises(InputError, match="positive"):
+        fit_scaler(x)
+
+
+def _extract_peak(root, clips):
+    """tracemalloc peak of an in-process extract of ``clips`` train and test clips."""
+    train, test, desc = make_action_dataset(train_clips=clips, test_clips=clips,
+                                            joint_count=5, dim=2, seed=clips)
+    manifest, descriptor = write_dataset(train, test, desc, root)
+    config = root / "featcfg.txt"
+    write_feature_config(FeatureConfig(), ExtractionOptions(noise_copies=1), config)
+    tracemalloc.start()
+    try:
+        code = cli.main(["features", "extract", "--manifest", str(manifest),
+                         "--descriptor", str(descriptor), "--config", str(config),
+                         "--output", str(root / "f")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    rows, cols = read_feature_matrix(root / "f.train.feat")[0].shape
+    assert rows == 3 * clips
+    return peak, 8 * cols
+
+
+def test_extract_memory_does_not_grow_with_clips(tmp_path, capsys):
+    small, row_bytes = _extract_peak(tmp_path / "n", 4)
+    large, _ = _extract_peak(tmp_path / "4n", 16)
+    capsys.readouterr()
+    assert row_bytes > 50_000  # rows wide enough that a held matrix would show
+    assert large < small + row_bytes  # 48 train rows cost what 12 do
+    assert large < 32 * row_bytes  # a whole-matrix path holds 3 copies of 48 rows
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_extract_bad_late_clip_leaves_no_matrix(action_ds, tmp_path, split):
+    lines = (action_ds["root"] / "manifest.txt").read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if f",{split}," in line)
+    bad = tmp_path / "bad.clip"
+    bad.write_text("0,0,0,1.0,not-a-number\n")
+    lines[last] = f"{bad},{lines[last].split(',', 1)[1]}"
+    lines = [l if l.startswith(str(bad)) else f"{action_ds['root']}/{l}" for l in lines]
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    for flag in ([], ["--two-stage"]):
+        result = run_cli("features", "extract", "--manifest", manifest,
+                         "--descriptor", action_ds["descriptor"],
+                         "--config", action_ds["config"], "--output", tmp_path / "f", *flag)
+        assert result.returncode != 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.clip", "manifest.txt"]
+
+
+def test_huge_clip_index_is_exit_2(trained, tmp_path):
+    clip = tmp_path / "huge.clip"
+    clip.write_text("0,0,0,1.0,2.0\n2000000000,0,1,1.0,2.0\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{clip},sway,train,1\n")
+    commands = [
+        ["features", "extract", "--manifest", manifest, "--descriptor", trained["descriptor"],
+         "--output", tmp_path / "f"],
+        ["predict", "--clip", clip, "--descriptor", trained["descriptor"],
+         "--config", trained["config"], "--model", trained["model"],
+         "--scaler", f"{trained['prefix']}.scaler.feat"],
+    ]
+    for argv in commands:
+        result = run_cli(*argv)
+        assert result.returncode == 2, result.stderr
+        assert str(clip) in result.stderr and "frame index 2000000000" in result.stderr
+        assert "Traceback" not in result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.clip", "manifest.txt"]
+
+
+def _corrupt(src, dst, row, value):
+    x, layout = read_feature_matrix(src)
+    x[row, x.shape[1] // 2] = value
+    write_feature_matrix(dst, x, layout)
+
+
+@pytest.fixture
+def no_model_math(monkeypatch):
+    """Make init_model and forward fail if a command reaches them."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached model code with a non-finite matrix")
+
+    for module in (cli, classifier):
+        monkeypatch.setattr(module, "forward", unreachable)
+    monkeypatch.setattr(cli, "init_model", unreachable)
+
+
+def test_train_and_eval_reject_non_finite_matrix(trained, tmp_path, capsys, no_model_math):
+    prefix = trained["prefix"]
+    for split, value in (("train", np.nan), ("test", -np.inf)):
+        _corrupt(f"{prefix}.{split}.feat", tmp_path / f"{split}.feat", 3, value)
+    argvs = [["train", "--features", tmp_path / "train.feat",
+              "--labels", f"{prefix}.train.labels", "--model", tmp_path / "m.model"],
+             ["eval", "--features", tmp_path / "test.feat",
+              "--labels", f"{prefix}.test.labels", "--model", trained["model"]]]
+    for argv, split in zip(argvs, ("train", "test")):
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / f'{split}.feat'}: row 3 has a non-finite entry" in err
+    assert not (tmp_path / "m.model").exists()
+
+
+def test_two_stage_train_and_eval_reject_non_finite_matrix(interaction_ds, tmp_path, capsys,
+                                                           no_model_math):
+    good = tmp_path / "good"
+    result = run_cli("features", "extract", "--manifest", interaction_ds["manifest"],
+                     "--descriptor", interaction_ds["descriptor"],
+                     "--config", interaction_ds["config"], "--output", good, "--two-stage")
+    assert result.returncode == 0, result.stderr
+    result = run_cli("train", "--features", good, "--model", tmp_path / "m",
+                     "--epochs", 1, "--two-stage")
+    assert result.returncode == 0, result.stderr
+    bad = tmp_path / "bad"
+    for path in tmp_path.glob("good.*"):
+        (tmp_path / path.name.replace("good", "bad")).write_bytes(path.read_bytes())
+    _corrupt(f"{good}.multi.train.feat", f"{bad}.multi.train.feat", 2, np.inf)
+    _corrupt(f"{good}.one.test.feat", f"{bad}.one.test.feat", 1, np.nan)
+    cases = [(["train", "--features", bad, "--model", tmp_path / "n", "--two-stage"],
+              f"{bad}.multi.train.feat: row 2"),
+             (["eval", "--features", bad, "--labels", f"{bad}.one.test.labels",
+               "--model", tmp_path / "m", "--two-stage"], f"{bad}.one.test.feat: row 1")]
+    for argv, message in cases:
+        assert cli.main([str(a) for a in argv]) == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "n.multi.model").exists()

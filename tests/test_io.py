@@ -9,6 +9,7 @@ import pytest
 
 from pathsig import (
     Block,
+    InputError,
     DatasetDescriptor,
     FeatureConfig,
     FeatureScaler,
@@ -17,6 +18,7 @@ from pathsig import (
 )
 from pathsig.io import (
     ExtractionOptions,
+    FeatureMatrixWriter,
     ManifestRecord,
     read_clip_file,
     read_descriptor,
@@ -125,6 +127,49 @@ def test_clip_malformed_rows(tmp_path):
     p.write_text("0,-1,0,1.0,2.0\n")
     with pytest.raises(FormatError):
         read_clip_file(p, DESC)
+
+
+@pytest.mark.parametrize("padding, row, index", [
+    ("", "2000000000,0,1,1.0,2.0", "frame index 2000000000"),
+    ("", "0,2000000000,1,1.0,2.0", "actor index 2000000000"),
+    ("#" * 200_000 + "\n\n", "150000,0,1,1.0,2.0", "frame index 150000"),  # comments buy no frames
+], ids=["frame", "actor", "padded"])
+def test_clip_huge_index_rejected_before_allocating(tmp_path, padding, row, index):
+    p = tmp_path / "c.clip"
+    p.write_text(f"{padding}0,0,0,1.0,2.0\n{row}\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            read_clip_file(p, DESC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert str(p) in message and index in message
+    assert f"file's {14 + len(row) + 1} bytes of joint rows" in message  # two rows + newlines
+    assert peak < 1 << 20
+
+
+def test_clip_huge_min_actors_rejected(tmp_path):
+    p = tmp_path / "c.clip"
+    p.write_text("0,0,0,1.0,2.0\n")
+    with pytest.raises(FormatError, match="2000000000 actors"):
+        read_clip_file(p, DESC, min_actors=2_000_000_000)
+
+
+def test_clip_bound_admits_every_synth_clip(tmp_path):
+    from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
+
+    for make in (make_action_dataset, make_interaction_dataset):
+        train, test, desc = make(train_clips=8, test_clips=4, joint_count=5, dim=2, seed=1)
+        manifest, _ = write_dataset(train, test, desc, tmp_path / make.__name__)
+        for rec, clip in zip(read_manifest(manifest), train + test):
+            back = read_clip_file(rec.clip_path, desc, min_actors=rec.actor_count)
+            assert np.array_equal(back.joints[back.valid], clip.joints[clip.valid])
+    sparse = SkeletonClip(np.ones((40, 1, 3, 2)), np.zeros((40, 1, 3), dtype=bool))
+    sparse.valid[[0, 39], 0, :] = True  # 38 of 40 frames missing still fit the bound
+    write_clip_file(sparse, tmp_path / "sparse.clip")
+    assert read_clip_file(tmp_path / "sparse.clip", DESC).frame_count == 40
 
 
 # ----------------------------------------------------------------- manifests
@@ -330,6 +375,75 @@ def test_feature_matrix_non_ascii_footer(tmp_path):
     with pytest.raises(FormatError, match="byte 0xff") as err:
         read_feature_matrix(p)
     assert f"{p} footer" in str(err.value)
+
+
+@pytest.mark.parametrize("blocks, cols, where", [
+    ([("a", 0, 2), ("b", 5, 4)], 6, "must start at column 2"),  # gap
+    ([("a", 0, 4), ("b", 2, 4)], 6, "must start at column 4"),  # overlap
+    ([("a", 0, 4), ("b", 4, 5)], 6, "end at column 9, not at 6"),  # overrun
+    ([("a", 0, 4)], 6, "end at column 4, not at 6"),  # short
+    ([("a", 1, 5)], 6, "must start at column 0"),
+    ([("a", 0, 5), ("b", 5, -2), ("c", 3, 3)], 6, "width >= 0"),
+])
+def test_feature_footer_must_tile_columns(tmp_path, blocks, cols, where):
+    p = tmp_path / "m.feat"
+    footer = "".join(f"{name} {offset} {width}\n" for name, offset, width in blocks)
+    p.write_bytes(b"SIGFEAT1" + struct.pack("<QQ", 1, cols) + np.zeros(cols).tobytes()
+                  + footer.encode("ascii"))
+    with pytest.raises(FormatError, match=where) as err:
+        read_feature_matrix(p)
+    assert str(p) in str(err.value)
+
+
+def test_feature_footer_empty_or_tiling_is_legal(tmp_path):
+    p = tmp_path / "m.feat"
+    write_feature_matrix(p, np.ones((2, 6)))
+    assert read_feature_matrix(p)[1] == ()
+    layout = (Block("a", 0, 2), Block("empty", 2, 0), Block("b", 2, 4))
+    write_feature_matrix(p, np.ones((2, 6)), layout)
+    assert read_feature_matrix(p)[1] == layout
+
+
+def test_feature_matrix_writer_matches_one_shot_write(tmp_path):
+    matrix = np.random.default_rng(6).standard_normal((9, 5))
+    layout = (Block("alpha", 0, 3), Block("beta", 3, 2))
+    write_feature_matrix(tmp_path / "ref.feat", matrix / 3.0, layout)
+    out = tmp_path / "rows.feat"
+    with FeatureMatrixWriter(out, 5, layout) as writer:
+        writer.write(matrix[0])
+        writer.write(matrix[1:4])
+        for row in matrix[4:]:
+            writer.write(row)
+        assert not out.exists()  # published only on close
+        writer.map_rows(lambda block: block / 3.0)
+    assert out.read_bytes() == (tmp_path / "ref.feat").read_bytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["ref.feat", "rows.feat"]
+
+
+def test_feature_matrix_writer_map_rows_uses_bounded_blocks(tmp_path, monkeypatch):
+    import pathsig.io as pio
+
+    monkeypatch.setattr(pio, "_BLOCK_BYTES", 3 * 8 * 4)  # three 4-column rows per block
+    seen = []
+    with FeatureMatrixWriter(tmp_path / "m.feat", 4) as writer:
+        writer.write(np.arange(40.0).reshape(10, 4))
+        writer.map_rows(lambda block: seen.append(block.shape[0]) or -block)
+    assert seen == [3, 3, 3, 1]
+    assert np.array_equal(read_feature_matrix(tmp_path / "m.feat")[0],
+                          -np.arange(40.0).reshape(10, 4))
+
+
+def test_feature_matrix_writer_discards_on_error(tmp_path):
+    out = tmp_path / "m.feat"
+    with pytest.raises(RuntimeError):
+        with FeatureMatrixWriter(out, 3) as writer:
+            writer.write(np.ones(3))
+            raise RuntimeError("extraction failed")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(InputError, match="need 3 columns"):
+        with FeatureMatrixWriter(out, 3) as writer:
+            writer.write(np.ones((2, 4)))
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------ labels, scaler
