@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 import time
 
@@ -57,6 +58,9 @@ from .skeleton import (
 from .transforms import add_time, lead_lag
 
 __all__ = ["main"]
+
+# ``train`` flags whose names differ from their ``TrainConfig`` field.
+_TRAIN_FLAGS = {"learning_rate": "lr", "max_epochs": "epochs"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,14 +111,11 @@ def _build_parser() -> _Parser:
     train_p.add_argument("--classes", type=int, default=0,
                          help="class count (default: 1 + max training label)")
     train_p.add_argument("--hidden", type=int, default=HIDDEN_UNITS, help="hidden units")
-    train_p.add_argument("--batch-size", type=int, default=30)
-    train_p.add_argument("--momentum", type=float, default=0.7)
-    train_p.add_argument("--lr", type=float, default=0.01, help="initial learning rate")
-    train_p.add_argument("--decay", type=float, default=0.005, help="lr decay per epoch")
-    train_p.add_argument("--epochs", type=int, default=200, help="training epochs")
-    train_p.add_argument("--drop-rate", type=float, default=0.95,
-                         help="dropconnect drop probability on the first layer")
-    train_p.add_argument("--seed", type=int, default=0)
+    for field in dataclasses.fields(TrainConfig):
+        flag = _TRAIN_FLAGS.get(field.name, field.name).replace("_", "-")
+        train_p.add_argument(f"--{flag}", dest=field.name, type=type(field.default),
+                             default=field.default, metavar=flag.upper(),
+                             help=f"{field.name.replace('_', ' ')} (default %(default)s)")
     train_p.add_argument("--two-stage", action="store_true",
                          help="train gate/one/multi models from a two-stage extract")
     train_p.set_defaults(func=cmd_train)
@@ -180,23 +181,25 @@ def _class_id(name: str, descriptor: DatasetDescriptor, manifest_path) -> int:
         ) from None
 
 
-def _extract_split(records, descriptor, config, options, bodies, augment):
-    """Yield (feature row, label) for one manifest split, in manifest order."""
-    body_desc = descriptor.merged(bodies)
+def _extract_split(records, descriptor, config, options, body_counts, augment):
+    """Yield ({bodies: feature row}, label) for one manifest split, in manifest
+    order; each clip is read once and prepared once per body count."""
+    body_descs = {bodies: descriptor.merged(bodies) for bodies in body_counts}
     for index, rec in enumerate(records):
         label = _class_id(rec.label_name, descriptor, rec.clip_path)
         clip = pio.read_clip_file(rec.clip_path, descriptor, label=label,
                                   min_actors=rec.actor_count)
-        prepared = prepare_body(clip, bodies)
-        if augment:
-            variants = augment_clips(prepared, body_desc, flip=options.flip,
-                                     noise_copies=options.noise_copies,
-                                     noise_sigma=options.noise_sigma,
-                                     seed=[options.seed, index])
-        else:
-            variants = [prepared]
-        for variant in variants:
-            yield assemble_features(variant.joints[:, 0], config, body_desc).values, label
+        variants = []
+        for bodies, body_desc in body_descs.items():
+            prepared = prepare_body(clip, bodies)
+            variants.append(augment_clips(prepared, body_desc, flip=options.flip,
+                                          noise_copies=options.noise_copies,
+                                          noise_sigma=options.noise_sigma,
+                                          seed=[options.seed, index])
+                            if augment else [prepared])
+        for group in zip(*variants):
+            yield {bodies: assemble_features(v.joints[:, 0], config, body_descs[bodies]).values
+                   for bodies, v in zip(body_descs, group)}, label
 
 
 def _widen(bounds, row) -> None:
@@ -265,33 +268,30 @@ def cmd_extract(args) -> int:
     layouts = [feature_layout(config, descriptor.merged(bodies)) for _, bodies, _, _ in outputs]
     widths = [sum(block.width for block in layout) for layout in layouts]
     bounds = [np.array([[-np.inf], [np.inf]]).repeat(width, axis=1) for width in widths]
-    labels = {}
-    # Rows stream to temporary files, published together only when every split
-    # succeeds.  Train rows are written raw and divided in place once their
-    # scaler is known; test rows are scaled as they come.
+    body_counts = list(dict.fromkeys(bodies for _, bodies, _, _ in outputs))
+    splits = [(split, recs) for split, recs in (("train", train_recs), ("test", test_recs)) if recs]
+    labels = {split: [] for split, _ in splits}
+    # Every matrix streams raw to a temporary file.  After the last split each
+    # output's scaler is fit from the bounds of its training rows and divides
+    # that output's matrices in place; the files are published together only
+    # when everything succeeds.
     with contextlib.ExitStack() as stack:
-        for split, recs, augment in (("train", train_recs, True), ("test", test_recs, False)):
-            if not recs:
-                continue
-            writers = [stack.enter_context(pio.FeatureMatrixWriter(
-                f"{args.output}{suffix}.{split}.feat", width, layout))
-                for (suffix, *_), width, layout in zip(outputs, widths, layouts)]
-            streams = {bodies: _extract_split(recs, descriptor, config, options, bodies, augment)
-                       for _, bodies, _, _ in outputs}
-            labels[split] = []
-            for pairs in zip(*streams.values()):
-                rows = {bodies: row for bodies, (row, _) in zip(streams, pairs)}
-                label = pairs[0][1]
+        writers = {split: [stack.enter_context(pio.FeatureMatrixWriter(
+            f"{args.output}{suffix}.{split}.feat", width, layout))
+            for (suffix, *_), width, layout in zip(outputs, widths, layouts)]
+            for split, _ in splits}
+        for split, recs in splits:
+            for rows, label in _extract_split(recs, descriptor, config, options, body_counts,
+                                              augment=split == "train"):
                 labels[split].append(label)
-                for i, (_, bodies, fit_on, _) in enumerate(outputs):
-                    row = rows[bodies]
+                for (_, bodies, fit_on, _), writer, bound in zip(outputs, writers[split], bounds):
                     if split == "train" and fit_on(label):
-                        _widen(bounds[i], row)
-                    writers[i].write(row if split == "train" else apply_scaler(scalers[i], row))
-            if split == "train":
-                scalers = [fit_scaler(b) for b in bounds]
-                for scaler, writer in zip(scalers, writers):
-                    writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))
+                        _widen(bound, rows[bodies])
+                    writer.write(rows[bodies])
+        scalers = [fit_scaler(b) for b in bounds]
+        for split_writers in writers.values():
+            for writer, scaler in zip(split_writers, scalers):
+                writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))
         for (suffix, _, _, label_of), scaler in zip(outputs, scalers):
             pio.write_scaler(scaler, f"{args.output}{suffix}.scaler.feat")
             for split, split_labels in labels.items():
@@ -305,18 +305,6 @@ def cmd_extract(args) -> int:
         print(f"train rows: {len(labels['train'])}"
               + (f", test rows: {len(test_recs)}" if test_recs else ""))
     return 0
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        batch_size=args.batch_size,
-        momentum=args.momentum,
-        learning_rate=args.lr,
-        decay=args.decay,
-        max_epochs=args.epochs,
-        drop_rate=args.drop_rate,
-        seed=args.seed,
-    )
 
 
 def _read_features(path) -> np.ndarray:
@@ -351,7 +339,7 @@ def _fit(x, y, class_count, config, hidden, model_path, history_path):
 
 
 def cmd_train(args) -> int:
-    config = _train_config(args)
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     if not args.two_stage:
         if not args.labels:
             raise InputError("--labels is required without --two-stage")
@@ -383,8 +371,7 @@ def cmd_train(args) -> int:
 
 def _report_eval(y_true, y_pred, class_count) -> float:
     confusion = np.zeros((class_count, class_count), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        confusion[t, p] += 1
+    np.add.at(confusion, (y_true, y_pred), 1)
     for c in range(class_count):
         total = int(confusion[c].sum())
         correct = int(confusion[c, c])
@@ -398,6 +385,13 @@ def _report_eval(y_true, y_pred, class_count) -> float:
     accuracy = correct / total
     print(f"overall accuracy: {correct}/{total} = {accuracy:.6f}")
     return accuracy
+
+
+def _check_labels(y, class_count, path) -> None:
+    """InputError naming the first label outside 0..class_count-1."""
+    bad = (y < 0) | (y >= class_count)
+    if bad.any():
+        raise InputError(f"{path}: label {int(y[bad.argmax()])} is outside 0..{class_count - 1}")
 
 
 def _load_two_stage(model_prefix, extract_prefix):
@@ -418,6 +412,7 @@ def cmd_eval(args) -> int:
             raise InputError(
                 f"{args.features}: {x.shape[1]} feature dims, model expects {model.input_dim}"
             )
+        _check_labels(y, model.class_count, args.labels)
         pred = forward(model, x).argmax(axis=1)
         _report_eval(y, pred, model.class_count)
         return 0
@@ -428,6 +423,7 @@ def cmd_eval(args) -> int:
     if not (x_gate.shape[0] == x_one.shape[0] == x_multi.shape[0] == y.size):
         raise InputError("two-stage feature files and labels disagree on row count")
     gate, one, multi, partition = _load_two_stage(args.model, args.features)
+    _check_labels(y, partition.multi_body.size, args.labels)
     pred, _ = two_stage_route(gate, one, multi, partition, x_gate, x_one, x_multi)
     _report_eval(y, pred, partition.multi_body.size)
     return 0

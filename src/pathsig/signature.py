@@ -183,21 +183,7 @@ def segment_signature(start, end, level: int) -> TruncatedSignature:
         raise InputError(
             f"segment endpoints must be 1-D and of equal length, got {start.shape} and {end.shape}"
         )
-    if not (np.all(np.isfinite(start)) and np.all(np.isfinite(end))):
-        raise InputError("segment endpoints contain non-finite values")
-    level = _check_level(level)
-    d = start.size
-    if d < 1:
-        raise InputError("segment endpoints need at least one dimension")
-    delta = end - start
-    sig = TruncatedSignature.zeros(d, level)
-    sig.level(1)[:] = delta
-    for k in range(2, level + 1):
-        # level k = (level k-1 tensor delta) / k, flattened in C order
-        np.multiply(
-            sig.level(k - 1)[:, None], delta[None, :] / k, out=sig.level(k).reshape(-1, d)
-        )
-    return sig
+    return path_signature(np.stack([start, end]), level)
 
 
 def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:

@@ -41,22 +41,17 @@ def _pairwise_mirror(joint_count: int) -> tuple[int, ...]:
     return tuple(mirror)
 
 
+def _descriptor(joint_count: int, dim: int, class_names) -> DatasetDescriptor:
+    return DatasetDescriptor(joint_count=joint_count, dim=dim,
+                             mirror=_pairwise_mirror(joint_count), class_names=class_names)
+
+
 def action_descriptor(joint_count: int = 15, dim: int = 2) -> DatasetDescriptor:
-    return DatasetDescriptor(
-        joint_count=joint_count,
-        dim=dim,
-        mirror=_pairwise_mirror(joint_count),
-        class_names=ACTION_CLASSES,
-    )
+    return _descriptor(joint_count, dim, ACTION_CLASSES)
 
 
 def interaction_descriptor(joint_count: int = 5, dim: int = 2) -> DatasetDescriptor:
-    return DatasetDescriptor(
-        joint_count=joint_count,
-        dim=dim,
-        mirror=_pairwise_mirror(joint_count),
-        class_names=INTERACTION_CLASSES,
-    )
+    return _descriptor(joint_count, dim, INTERACTION_CLASSES)
 
 
 def _base_skeleton(rng: np.random.Generator, joint_count: int, dim: int) -> np.ndarray:
@@ -129,29 +124,25 @@ def make_action_clip(class_id: int, seed, joint_count: int = 15, dim: int = 2,
     return SkeletonClip(joints, valid, label=class_id, clip_id=clip_id)
 
 
+def _make_dataset(make_clip, descriptor, train_clips, test_clips, seed, split_ids):
+    """(train, test, descriptor): every clip jitters one canonical pose derived
+    from ``seed``; clip i of a split gets class i % C and the seed
+    [seed, split id, i], so any prefix of a split is stable."""
+    N, d = descriptor.joint_count, descriptor.dim
+    canon = _base_skeleton(np.random.default_rng([seed, 9]), N, d)
+    C = len(descriptor.class_names)
+    train, test = ([make_clip(i % C, [seed, split_id, i], N, d, clip_id=f"{split}{i:04d}",
+                              base_skeleton=canon) for i in range(count)]
+                   for split, count, split_id in (("train", train_clips, split_ids[0]),
+                                                  ("test", test_clips, split_ids[1])))
+    return train, test, descriptor
+
+
 def make_action_dataset(train_clips: int = 200, test_clips: int = 100,
                         joint_count: int = 15, dim: int = 2, seed: int = 0):
-    """Balanced four-class action set; returns (train, test, descriptor).
-
-    All clips share one canonical pose (derived from ``seed``) with
-    per-clip jitter; clip i of a split gets class i % 4 and its own
-    derived seed, so the dataset is deterministic and any prefix of it is
-    stable.
-    """
-    descriptor = action_descriptor(joint_count, dim)
-    canon = _base_skeleton(np.random.default_rng([seed, 9]), joint_count, dim)
-    C = len(ACTION_CLASSES)
-    train = [
-        make_action_clip(i % C, [seed, 0, i], joint_count, dim,
-                         clip_id=f"train{i:04d}", base_skeleton=canon)
-        for i in range(train_clips)
-    ]
-    test = [
-        make_action_clip(i % C, [seed, 1, i], joint_count, dim,
-                         clip_id=f"test{i:04d}", base_skeleton=canon)
-        for i in range(test_clips)
-    ]
-    return train, test, descriptor
+    """Balanced four-class action set; returns (train, test, descriptor)."""
+    return _make_dataset(make_action_clip, action_descriptor(joint_count, dim),
+                         train_clips, test_clips, seed, (0, 1))
 
 
 def make_interaction_clip(class_id: int, seed, joint_count: int = 5, dim: int = 2,
@@ -194,20 +185,8 @@ def make_interaction_clip(class_id: int, seed, joint_count: int = 5, dim: int = 
 def make_interaction_dataset(train_clips: int = 40, test_clips: int = 20,
                              joint_count: int = 5, dim: int = 2, seed: int = 0):
     """Balanced four-class interaction set; returns (train, test, descriptor)."""
-    descriptor = interaction_descriptor(joint_count, dim)
-    canon = _base_skeleton(np.random.default_rng([seed, 9]), joint_count, dim)
-    C = len(INTERACTION_CLASSES)
-    train = [
-        make_interaction_clip(i % C, [seed, 2, i], joint_count, dim,
-                              clip_id=f"train{i:04d}", base_skeleton=canon)
-        for i in range(train_clips)
-    ]
-    test = [
-        make_interaction_clip(i % C, [seed, 3, i], joint_count, dim,
-                              clip_id=f"test{i:04d}", base_skeleton=canon)
-        for i in range(test_clips)
-    ]
-    return train, test, descriptor
+    return _make_dataset(make_interaction_clip, interaction_descriptor(joint_count, dim),
+                         train_clips, test_clips, seed, (2, 3))
 
 
 def write_dataset(train, test, descriptor: DatasetDescriptor, out_dir) -> tuple[str, str]:

@@ -1,5 +1,7 @@
 """Command line surface: output text, exit codes, file-level determinism."""
 
+import dataclasses
+import pathlib
 import re
 import struct
 import subprocess
@@ -10,11 +12,13 @@ import numpy as np
 import pytest
 
 from pathsig import classifier, cli
+from pathsig.classifier import TrainConfig
 from pathsig import io as pio
 from pathsig.errors import InputError
 from pathsig.io import (ExtractionOptions, read_feature_matrix, write_feature_config,
                         write_feature_matrix)
-from pathsig.skeleton import FeatureConfig, apply_scaler, feature_layout, fit_scaler
+from pathsig.skeleton import (FeatureConfig, apply_scaler, assemble_features, augment_clips,
+                              feature_layout, fit_scaler)
 from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
 
 
@@ -343,6 +347,27 @@ def test_two_stage_extract_needs_two_classes_per_side(action_ds, tmp_path):
 # ------------------------------------------------------- streamed extraction
 
 
+def _reference_split(records, descriptor, config, options, bodies, augment):
+    """Yield (feature row, label) for one split and one body count, each clip
+    read and prepared on its own: extraction as it was before one pass
+    served every body count."""
+    body_desc = descriptor.merged(bodies)
+    for index, rec in enumerate(records):
+        label = cli._class_id(rec.label_name, descriptor, rec.clip_path)
+        clip = pio.read_clip_file(rec.clip_path, descriptor, label=label,
+                                  min_actors=rec.actor_count)
+        prepared = classifier.prepare_body(clip, bodies)
+        if augment:
+            variants = augment_clips(prepared, body_desc, flip=options.flip,
+                                     noise_copies=options.noise_copies,
+                                     noise_sigma=options.noise_sigma,
+                                     seed=[options.seed, index])
+        else:
+            variants = [prepared]
+        for variant in variants:
+            yield assemble_features(variant.joints[:, 0], config, body_desc).values, label
+
+
 def _reference_extract(manifest, descriptor_path, config_path, prefix, two_stage):
     """``features extract`` as it was before rows streamed to disk: every
     split is one in-memory matrix, scaled by ``apply_scaler`` as a whole."""
@@ -352,7 +377,7 @@ def _reference_extract(manifest, descriptor_path, config_path, prefix, two_stage
     splits = [(s, [r for r in records if r.split == s], s == "train") for s in ("train", "test")]
 
     def matrix(recs, bodies, augment):
-        pairs = list(cli._extract_split(recs, descriptor, config, options, bodies, augment))
+        pairs = list(_reference_split(recs, descriptor, config, options, bodies, augment))
         return np.array([row for row, _ in pairs]), np.array([y for _, y in pairs])
 
     if not two_stage:
@@ -416,6 +441,25 @@ def test_extract_matches_in_memory_reference(interaction_ds, tmp_path, two_stage
         assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
         if suffix.endswith(".feat"):  # every written matrix reads back: the footer tiles it
             read_feature_matrix(tmp_path / f"new{suffix}")
+
+
+def test_two_stage_extract_reads_each_clip_once(interaction_ds, tmp_path, monkeypatch, capsys):
+    reads, read = [], pio.read_clip_file
+
+    def counting_read(path, *args, **kwargs):
+        reads.append(path)
+        return read(path, *args, **kwargs)
+
+    monkeypatch.setattr(pio, "read_clip_file", counting_read)
+    assert cli.main(["features", "extract", "--manifest", str(interaction_ds["manifest"]),
+                     "--descriptor", str(interaction_ds["descriptor"]),
+                     "--config", str(interaction_ds["config"]),
+                     "--output", str(tmp_path / "f"), "--two-stage"]) == 0
+    capsys.readouterr()
+    records = pio.read_manifest(interaction_ds["manifest"])
+    assert len(records) == 18
+    assert reads == [r.clip_path for r in records if r.split == "train"] + \
+        [r.clip_path for r in records if r.split == "test"]
 
 
 def test_streamed_scaler_matches_fit_scaler_bit_for_bit():
@@ -564,3 +608,61 @@ def test_two_stage_train_and_eval_reject_non_finite_matrix(interaction_ds, tmp_p
         assert cli.main([str(a) for a in argv]) == 1
         assert message in capsys.readouterr().err
     assert not (tmp_path / "n.multi.model").exists()
+
+
+# ------------------------------------------------------------ train and eval
+
+
+def test_train_flag_defaults_are_train_config(extracted, tmp_path, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "_fit", lambda x, y, count, config, *rest: configs.append(config))
+    prefix = extracted["prefix"]
+    argv = ["train", "--features", f"{prefix}.train.feat", "--labels", f"{prefix}.train.labels",
+            "--model", str(tmp_path / "m.model")]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--lr", "0.5", "--epochs", "3", "--batch-size", "7",
+                            "--drop-rate", "0.5", "--seed", "9"]) == 0
+    assert configs == [TrainConfig(), TrainConfig(learning_rate=0.5, max_epochs=3, batch_size=7,
+                                                  drop_rate=0.5, seed=9)]
+    for config in configs:
+        assert [type(getattr(config, f.name)) for f in dataclasses.fields(TrainConfig)] == \
+            [type(f.default) for f in dataclasses.fields(TrainConfig)]
+
+
+def _bad_label_cases(labels_path, tmp_path, class_count):
+    """Copies of a labels file with its first label set to -1 and to ``class_count``."""
+    lines = labels_path.read_text().splitlines()
+    for bad in (-1, class_count):
+        path = tmp_path / f"bad{bad}.labels"
+        path.write_text("\n".join([str(bad)] + lines[1:]) + "\n")
+        yield path, bad
+
+
+def test_eval_rejects_out_of_range_labels(trained, tmp_path, capsys, no_model_math):
+    prefix = trained["prefix"]
+    for labels, bad in _bad_label_cases(pathlib.Path(f"{prefix}.test.labels"), tmp_path, 4):
+        assert cli.main(["eval", "--features", f"{prefix}.test.feat", "--labels", str(labels),
+                         "--model", str(trained["model"])]) == 1
+        assert f"{labels}: label {bad} is outside 0..3" in capsys.readouterr().err
+
+
+def test_two_stage_eval_rejects_out_of_range_labels(interaction_ds, tmp_path, capsys,
+                                                    monkeypatch):
+    prefix = tmp_path / "f"
+    result = run_cli("features", "extract", "--manifest", interaction_ds["manifest"],
+                     "--descriptor", interaction_ds["descriptor"],
+                     "--config", interaction_ds["config"], "--output", prefix, "--two-stage")
+    assert result.returncode == 0, result.stderr
+    result = run_cli("train", "--features", prefix, "--model", tmp_path / "m",
+                     "--epochs", 1, "--two-stage")
+    assert result.returncode == 0, result.stderr
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran a model on out-of-range labels")
+
+    monkeypatch.setattr(cli, "two_stage_route", unreachable)
+    labels_path = pathlib.Path(f"{prefix}.one.test.labels")
+    for labels, bad in _bad_label_cases(labels_path, tmp_path, 4):
+        assert cli.main(["eval", "--features", str(prefix), "--labels", str(labels),
+                         "--model", str(tmp_path / "m"), "--two-stage"]) == 1
+        assert f"{labels}: label {bad} is outside 0..3" in capsys.readouterr().err

@@ -40,7 +40,8 @@ def test_import_loads_no_scipy():
 
 
 @pytest.mark.parametrize("demo", ["01_signature_basics.py", "02_path_transforms.py",
-                                  "03_skeleton_features.py"])
+                                  "03_skeleton_features.py", "04_training_demo.py",
+                                  "05_benchmark.py"])
 def test_demo_runs(demo):
     result = run_python(str(REPO / "demos" / demo))
     assert result.returncode == 0, result.stderr
