@@ -11,12 +11,12 @@ expected value of the training-time mask.
 A batch's mask is held as the sorted flat indices of the kept W1 entries,
 drawn as cumulative geometric gaps (about (1 - drop_rate) * W1.size draws,
 not one per entry).  The masked product x @ (W1 * mask) and the momentum
-update walk W1 in row chunks of ``_CHUNK_ROWS`` rows: the forward pass
-scatters each chunk's kept weights into a zeroed chunk buffer, and the
-update computes the chunk's gradient into a second buffer and applies it
-at the kept entries only.  Besides the weights, training holds one
-W1-sized array, the momentum; the rest is two chunk buffers and the kept
-indices.
+update walk W1 in row chunks of ``_CHUNK_ROWS`` rows and take the batch's
+rows of the matching feature columns only: the forward pass scatters each
+chunk's kept weights into a zeroed chunk buffer, and the update computes
+the chunk's gradient into a second buffer and applies it at the kept
+entries only.  Besides the features and weights, training holds the
+momentum, two chunk buffers, one chunk of batch rows and the kept indices.
 
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
@@ -255,7 +255,8 @@ def _kept_entries(rng: np.random.Generator, size: int, keep: float) -> np.ndarra
     last = -1
     while last < size - 1:
         expected = (size - 1 - last) * keep
-        kept = np.cumsum(rng.geometric(keep, size=int(expected + 6.0 * np.sqrt(expected)) + 16))
+        kept = rng.geometric(keep, size=int(expected + 6.0 * np.sqrt(expected)) + 16)
+        np.cumsum(kept, out=kept)
         kept += last
         blocks.append(kept)
         last = int(kept[-1])
@@ -271,8 +272,9 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
     Mini-batches are drawn from a fresh seeded shuffle each epoch; every
     batch gets its own dropconnect mask over w1, held as the sorted flat
     indices of its kept entries (see ``_kept_entries``).  The masked
-    product and the update walk w1 in row chunks, so apart from the
-    weights the only W1-sized array held is the momentum; masked-out
+    product and the update walk w1 in row chunks and take the batch's rows
+    one chunk of columns at a time, so no batch-sized copy of the features
+    is made and the only W1-sized array is the momentum; masked-out
     entries move by their momentum alone (v <- mu*v).  Loss and accuracy
     are accumulated from the same masked forward passes the updates use.
     Deterministic: same model, data, and config give bit-identical
@@ -321,20 +323,20 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
         correct = 0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start:start + config.batch_size]
-            xb, yb = x[batch], y[batch]
+            yb = y[batch]
             if masked:
                 kept = _kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)
                 bounds = np.searchsorted(kept, chunk_edges)
-            h = np.zeros((xb.shape[0], H))
+            h = np.zeros((batch.size, H))
             for c, (r0, r1) in enumerate(chunks):
                 if masked:
                     idx = kept[bounds[c]:bounds[c + 1]]
                     local = idx - r0 * H
                     w_buf_flat[local] = w1_flat[idx]
-                    h += xb[:, r0:r1] @ w_buf[:r1 - r0]
+                    h += x[batch, r0:r1] @ w_buf[:r1 - r0]
                     w_buf_flat[local] = 0.0
                 else:
-                    h += xb[:, r0:r1] @ model.w1[r0:r1]
+                    h += x[batch, r0:r1] @ model.w1[r0:r1]
             h += model.b1
             loss, probs, g_h, g_b1, g_w2, g_b2 = _softmax_head(h, yb, model.w2, model.b2)
             if not np.isfinite(loss):
@@ -344,7 +346,7 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
             loss_sum += loss
             correct += int((probs.argmax(axis=1) == yb).sum())
             for c, (r0, r1) in enumerate(chunks):
-                g = np.matmul(xb[:, r0:r1].T, g_h, out=g_buf[:r1 - r0])
+                g = np.matmul(x[batch, r0:r1].T, g_h, out=g_buf[:r1 - r0])
                 v = v_w1[r0:r1]
                 v *= config.momentum
                 if masked:
@@ -354,15 +356,10 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
                     g *= lr
                     v -= g
                 model.w1[r0:r1] += v
-            v_b1 *= config.momentum
-            v_b1 -= lr * g_b1
-            model.b1 += v_b1
-            v_w2 *= config.momentum
-            v_w2 -= lr * g_w2
-            model.w2 += v_w2
-            v_b2 *= config.momentum
-            v_b2 -= lr * g_b2
-            model.b2 += v_b2
+            for param, vel, grad in ((model.b1, v_b1, g_b1), (model.w2, v_w2, g_w2), (model.b2, v_b2, g_b2)):
+                vel *= config.momentum
+                vel -= lr * grad
+                param += vel
         history.append(EpochStats(epoch, lr, loss_sum / n, correct / n))
     parts = [model.w1[r0:r1] for r0, r1 in chunks] + [model.b1, model.w2, model.b2]
     if not all(np.isfinite(a).all() for a in parts):
@@ -564,7 +561,7 @@ def save_model(model: LinearNetModel, path) -> None:
         f.write(struct.pack("<B", _MODEL_VERSION))
         f.write(struct.pack("<QQQ", model.input_dim, model.hidden_dim, model.class_count))
         for arr in (model.w1, model.b1, model.w2, model.b2):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
         f.write(struct.pack("<Q", len(config_text)))
         f.write(config_text)
 

@@ -31,7 +31,8 @@ from pathsig import (
     two_stage_predict,
     two_stage_route,
 )
-from pathsig.classifier import _CHUNK_ROWS, _kept_entries
+from pathsig import classifier
+from pathsig.classifier import _CHUNK_ROWS, _kept_entries, _softmax_head
 
 
 def blobs(rng, per_class=40, dim=10, gap=4.0):
@@ -359,6 +360,16 @@ def test_kept_entries_keep_all():
         assert np.array_equal(_kept_entries(np.random.default_rng(0), size, 1.0), np.arange(size))
 
 
+def test_kept_entries_hold_one_index_array():
+    tracemalloc.start()
+    try:
+        kept = _kept_entries(np.random.default_rng(16), 2_000_000, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * kept.nbytes
+
+
 def test_train_holds_one_w1_sized_array():
     rng = np.random.default_rng(13)
     D, H = 200_000, 64
@@ -373,6 +384,116 @@ def test_train_holds_one_w1_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 2 * model.w1.nbytes
+
+
+def test_train_takes_batch_rows_one_chunk_at_a_time():
+    # a 30-row batch copy (48 MB) is 3.75x w1 here: taking the rows per
+    # chunk keeps the peak at the momentum, the two chunk buffers, the kept
+    # indices and one chunk of batch rows, which grows only by that chunk
+    D, H = 200_000, 8
+    peaks = {}
+    for rows in (30, 60):
+        rng = np.random.default_rng(14)
+        model = LinearNetModel(rng.standard_normal((D, H)) / math.sqrt(D), np.zeros(H),
+                               rng.standard_normal((H, 3)), np.zeros(3), TrainConfig())
+        x = rng.standard_normal((rows, D))
+        cfg = TrainConfig(batch_size=rows, max_epochs=1, drop_rate=0.5)
+        tracemalloc.start()
+        try:
+            train(model, x, np.arange(rows) % 3, cfg)
+            _, peaks[rows] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept_bytes = (1.0 - cfg.drop_rate) * model.w1.size * 8
+        buffers = 2 * _CHUNK_ROWS * H * 8
+        row_chunk = rows * _CHUNK_ROWS * 8
+        assert peaks[rows] < model.w1.nbytes + kept_bytes + buffers + 2 * row_chunk
+    assert peaks[60] - peaks[30] < 30 * _CHUNK_ROWS * 8 + model.w1.nbytes / 8
+
+
+def batch_copy_reference_train(model, x, y, config):
+    """The chunked training loop as it was before rows were taken per chunk.
+
+    It copies each mini-batch whole (``xb = x[batch]``) and slices the
+    copy's columns in both chunk loops.
+    """
+    n = x.shape[0]
+    D, H = model.w1.shape
+    masked = config.drop_rate > 0.0
+    rng = np.random.default_rng([config.seed, 1])
+    v_w1 = np.zeros_like(model.w1)
+    v_b1 = np.zeros_like(model.b1)
+    v_w2 = np.zeros_like(model.w2)
+    v_b2 = np.zeros_like(model.b2)
+    chunk_rows = min(classifier._CHUNK_ROWS, D)
+    chunks = [(r0, min(r0 + chunk_rows, D)) for r0 in range(0, D, chunk_rows)]
+    chunk_edges = np.array([r0 for r0, _ in chunks] + [D]) * H
+    w_buf = np.zeros((chunk_rows, H))
+    g_buf = np.empty((chunk_rows, H))
+    w_buf_flat, g_buf_flat = w_buf.reshape(-1), g_buf.reshape(-1)
+    w1_flat, v_flat = model.w1.reshape(-1), v_w1.reshape(-1)
+    history = []
+    for epoch in range(config.max_epochs):
+        lr = lr_schedule(epoch, config)
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        correct = 0
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            xb, yb = x[batch], y[batch]
+            if masked:
+                kept = _kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)
+                bounds = np.searchsorted(kept, chunk_edges)
+            h = np.zeros((xb.shape[0], H))
+            for c, (r0, r1) in enumerate(chunks):
+                if masked:
+                    idx = kept[bounds[c]:bounds[c + 1]]
+                    local = idx - r0 * H
+                    w_buf_flat[local] = w1_flat[idx]
+                    h += xb[:, r0:r1] @ w_buf[:r1 - r0]
+                    w_buf_flat[local] = 0.0
+                else:
+                    h += xb[:, r0:r1] @ model.w1[r0:r1]
+            h += model.b1
+            loss, probs, g_h, g_b1, g_w2, g_b2 = _softmax_head(h, yb, model.w2, model.b2)
+            loss_sum += loss
+            correct += int((probs.argmax(axis=1) == yb).sum())
+            for c, (r0, r1) in enumerate(chunks):
+                g = np.matmul(xb[:, r0:r1].T, g_h, out=g_buf[:r1 - r0])
+                v = v_w1[r0:r1]
+                v *= config.momentum
+                if masked:
+                    idx = kept[bounds[c]:bounds[c + 1]]
+                    v_flat[idx] -= lr * g_buf_flat[idx - r0 * H]
+                else:
+                    g *= lr
+                    v -= g
+                model.w1[r0:r1] += v
+            for param, vel, grad in ((model.b1, v_b1, g_b1), (model.w2, v_w2, g_w2),
+                                     (model.b2, v_b2, g_b2)):
+                vel *= config.momentum
+                vel -= lr * grad
+                param += vel
+        history.append((epoch, lr, loss_sum / n, correct / n))
+    return history
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.5, 0.95])
+def test_chunk_rows_training_matches_batch_copy_loop(monkeypatch, drop_rate):
+    # five chunks of 50 w1 rows plus a ragged one of 7; batches of 16, 16, 8
+    monkeypatch.setattr(classifier, "_CHUNK_ROWS", 50)
+    D = 5 * 50 + 7
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((40, D))
+    y = rng.integers(0, 3, size=40)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=6)
+    model = init_model(D, 3, cfg, hidden_dim=5)
+    reference = init_model(D, 3, cfg, hidden_dim=5)
+    history = train(model, x, y, cfg)
+    expect = batch_copy_reference_train(reference, x, y, cfg)
+    for k in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(model, k), getattr(reference, k))
+    assert [(s.epoch, s.lr, s.loss, s.accuracy) for s in history] == expect
 
 
 def test_train_stops_on_non_finite_loss():
@@ -423,6 +544,25 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert loaded.config == cfg
     x = np.random.default_rng(0).standard_normal(9)
     assert np.array_equal(forward(loaded, x), forward(model, x))
+
+
+def test_save_model_writes_the_arrays_without_copying(tmp_path):
+    rng = np.random.default_rng(22)
+    D, H = 200_000, 64
+    model = LinearNetModel(rng.standard_normal((D, H)), rng.standard_normal(H),
+                           rng.standard_normal((H, 3)), np.zeros(3), TrainConfig())
+    path = tmp_path / "wide.model"
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < model.w1.nbytes / 4
+    with open(path, "rb") as f:
+        f.seek(32)  # magic, version byte, three u64 sizes
+        assert f.read(model.w1.nbytes) == model.w1.astype("<f8").tobytes()
+        assert f.read(model.b1.nbytes) == model.b1.astype("<f8").tobytes()
 
 
 def test_load_rejects_wrong_magic(tmp_path):
