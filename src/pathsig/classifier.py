@@ -25,11 +25,11 @@ counting completed epochs.  Everything random (init, shuffling, masks)
 flows from the seed in TrainConfig, so a given (data, config) pair always
 produces the same model bit for bit.
 
-The two-stage composition routes clips through a binary body-count gate
-and then one of two class models, for datasets that mix single-actor and
-two-actor action classes; ``two_stage_route`` does it for batches of
-scaled rows and serves both ``eval`` and ``predict``.  SIGNET1 model files
-are read with the size-checked readers and key-value parser of ``io``.
+Two-stage routing (a binary body-count gate, then one of two class
+models) serves datasets that mix single-actor and two-actor classes;
+``two_stage_route``, its one router, takes a batch of scaled rows per
+model for both ``eval`` and ``predict``.  SIGNET1 model files are read
+with the size-checked readers and key-value parser of ``io``.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ from .io import _decode, _parse_key_values, _read_array, _read_exact
 from .skeleton import (
     DatasetDescriptor,
     FeatureConfig,
-    FeatureScaler,
     SkeletonClip,
-    apply_scaler,
     assemble_features,
     fill_clip,
     merge_actors,
@@ -60,7 +58,6 @@ __all__ = [
     "LinearNetModel",
     "EpochStats",
     "StagePartition",
-    "TwoStageModel",
     "init_model",
     "forward",
     "lr_schedule",
@@ -71,7 +68,6 @@ __all__ = [
     "prepare_body",
     "extract_body_features",
     "two_stage_route",
-    "two_stage_predict",
     "save_model",
     "load_model",
 ]
@@ -469,25 +465,6 @@ def stage_partition(labels, actor_counts, class_count: int) -> StagePartition:
     return StagePartition(means, means > 1.5)
 
 
-@dataclass
-class TwoStageModel:
-    """Gate plus the two second-stage models and their scalers.
-
-    The gate sees every clip as a rigid two-body skeleton and predicts
-    one-body vs multi-body; the matching second-stage model then predicts
-    the class among its own subset.  ``partition`` maps the subset-local
-    outputs back to original class ids.
-    """
-
-    gate: LinearNetModel
-    one_body: LinearNetModel
-    multi_body: LinearNetModel
-    partition: StagePartition
-    gate_scaler: FeatureScaler
-    one_scaler: FeatureScaler
-    multi_scaler: FeatureScaler
-
-
 def prepare_body(clip: SkeletonClip, bodies: int) -> SkeletonClip:
     """The clip's top ``bodies`` actors, ranked by movement, as one rigid body.
 
@@ -530,25 +507,6 @@ def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: 
         labels[rows] = classes[p.argmax(axis=1)]
         probs[rows] = p.max(axis=1)
     return labels, probs
-
-
-def two_stage_predict(
-    model: TwoStageModel,
-    clip: SkeletonClip,
-    config: FeatureConfig,
-    descriptor: DatasetDescriptor,
-) -> tuple[int, float]:
-    """Route a clip through the gate, then the matching class model.
-
-    Returns (class id, probability) in the original class numbering.
-    """
-    two = extract_body_features(clip, 2, config, descriptor)[None, :]
-    one = extract_body_features(clip, 1, config, descriptor)[None, :]
-    labels, probs = two_stage_route(
-        model.gate, model.one_body, model.multi_body, model.partition,
-        apply_scaler(model.gate_scaler, two), apply_scaler(model.one_scaler, one),
-        apply_scaler(model.multi_scaler, two))
-    return int(labels[0]), float(probs[0])
 
 
 def save_model(model: LinearNetModel, path) -> None:

@@ -29,7 +29,6 @@ from . import io as pio
 from .classifier import (
     HIDDEN_UNITS,
     TrainConfig,
-    TwoStageModel,
     StagePartition,
     extract_body_features,
     forward,
@@ -40,7 +39,6 @@ from .classifier import (
     save_model,
     stage_partition,
     train,
-    two_stage_predict,
     two_stage_route,
 )
 from .signature import path_signature, signature_dimension
@@ -61,6 +59,10 @@ __all__ = ["main"]
 
 # ``train`` flags whose names differ from their ``TrainConfig`` field.
 _TRAIN_FLAGS = {"learning_rate": "lr", "max_epochs": "epochs"}
+
+# The two-stage models in the order ``two_stage_route`` takes them: the name
+# in their file names and how many ranked actors their features merge.
+_STAGES = (("gate", 2), ("one", 1), ("multi", 2))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,22 +233,31 @@ def _print_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> None:
     print(f"  total dimension: {D}")
 
 
+def _stage_labels(partition: StagePartition):
+    """Per ``_STAGES`` entry: the label count its labels files may hold, the
+    labels its model separates, and the map from a class id to its label."""
+    C = partition.multi_body.size
+    return ((2, np.arange(2), lambda y: int(partition.multi_body[y])),
+            (C, partition.one_body_classes, int),
+            (C, partition.multi_body_classes, int))
+
+
+def _feature_config(path):
+    return pio.read_feature_config(path) if path else (FeatureConfig(), pio.ExtractionOptions())
+
+
 def cmd_extract(args) -> int:
     records = pio.read_manifest(args.manifest)
     descriptor = pio.read_descriptor(args.descriptor)
-    if args.config:
-        config, options = pio.read_feature_config(args.config)
-    else:
-        config, options = FeatureConfig(), pio.ExtractionOptions()
+    config, options = _feature_config(args.config)
     train_recs = [r for r in records if r.split == "train"]
     test_recs = [r for r in records if r.split == "test"]
     if not train_recs:
         raise InputError(f"{args.manifest}: no train records")
 
-    # One output matrix per (suffix, bodies, rows its scaler is fit on, label
-    # map).  Two-stage: the gate and multi-body models share rigid two-body
-    # features, the one-body model sees only the most active actor, and each
-    # scaler is fit on its own model's training rows.
+    # One output matrix per (suffix, bodies, labels of the rows its scaler is
+    # fit on, label map).  Two-stage: each scaler is fit on its own model's
+    # training rows.
     if args.two_stage:
         train_labels = np.array([_class_id(r.label_name, descriptor, r.clip_path)
                                  for r in train_recs], dtype=np.int64)
@@ -259,12 +270,11 @@ def cmd_extract(args) -> int:
                                  f"classes, got {classes.tolist()}")
         pio.write_partition(partition.mean_actor_counts, partition.multi_body,
                             f"{args.output}.partition.txt")
-        multi = set(partition.multi_body_classes.tolist())
-        outputs = [(".gate", 2, lambda y: True, lambda y: int(y in multi)),
-                   (".one", 1, lambda y: y not in multi, int),
-                   (".multi", 2, lambda y: y in multi, int)]
+        outputs = [(f".{stage}", bodies, classes, label_of)
+                   for (stage, bodies), (_, classes, label_of)
+                   in zip(_STAGES, _stage_labels(partition))]
     else:
-        outputs = [("", options.bodies, lambda y: True, int)]
+        outputs = [("", options.bodies, range(len(descriptor.class_names)), int)]
     layouts = [feature_layout(config, descriptor.merged(bodies)) for _, bodies, _, _ in outputs]
     widths = [sum(block.width for block in layout) for layout in layouts]
     bounds = [np.array([[-np.inf], [np.inf]]).repeat(width, axis=1) for width in widths]
@@ -284,8 +294,9 @@ def cmd_extract(args) -> int:
             for rows, label in _extract_split(recs, descriptor, config, options, body_counts,
                                               augment=split == "train"):
                 labels[split].append(label)
-                for (_, bodies, fit_on, _), writer, bound in zip(outputs, writers[split], bounds):
-                    if split == "train" and fit_on(label):
+                for (_, bodies, classes, label_of), writer, bound in zip(outputs, writers[split],
+                                                                         bounds):
+                    if split == "train" and label_of(label) in classes:
                         _widen(bound, rows[bodies])
                     writer.write(rows[bodies])
         scalers = [fit_scaler(b) for b in bounds]
@@ -297,7 +308,7 @@ def cmd_extract(args) -> int:
             for split, split_labels in labels.items():
                 pio.write_labels([label_of(y) for y in split_labels],
                                  f"{args.output}{suffix}.{split}.labels")
-    _print_layout(config, descriptor.merged(1 if args.two_stage else options.bodies))
+    _print_layout(config, descriptor.merged(min(bodies for _, bodies, _, _ in outputs)))
     if args.two_stage:
         print(f"one-body classes: {partition.one_body_classes.tolist()}, "
               f"multi-body classes: {partition.multi_body_classes.tolist()}")
@@ -317,6 +328,15 @@ def _read_features(path) -> np.ndarray:
         if not finite.all():
             raise InputError(f"{path}: row {start + int(finite.argmin())} has a non-finite entry")
     return x
+
+
+def _read_labeled(features_path, labels_path):
+    """``_read_features`` and ``read_labels``; InputError when their row counts differ."""
+    x = _read_features(features_path)
+    y = pio.read_labels(labels_path)
+    if y.size != x.shape[0]:
+        raise InputError(f"{labels_path}: {y.size} labels for {x.shape[0]} feature rows")
+    return x, y
 
 
 def _write_history(history, path) -> None:
@@ -343,25 +363,22 @@ def cmd_train(args) -> int:
     if not args.two_stage:
         if not args.labels:
             raise InputError("--labels is required without --two-stage")
-        x = _read_features(args.features)
-        y = pio.read_labels(args.labels)
-        if y.size != x.shape[0]:
-            raise InputError(f"{args.labels}: {y.size} labels for {x.shape[0]} feature rows")
+        x, y = _read_labeled(args.features, args.labels)
         class_count = args.classes or int(y.max()) + 1
         _fit(x, y, class_count, config, args.hidden, args.model,
              args.history or f"{args.model}.history.txt")
         return 0
 
     prefix = args.features
-    means, multi = pio.read_partition(f"{prefix}.partition.txt")
-    partition = StagePartition(means, multi)
-    # Every matrix is read, and checked, before any model trains.
-    data = {stage: (_read_features(f"{prefix}.{stage}.train.feat"),
-                    pio.read_labels(f"{prefix}.{stage}.train.labels"))
-            for stage in ("gate", "one", "multi")}
-    for stage, classes in (("gate", np.arange(2)), ("one", partition.one_body_classes),
-                           ("multi", partition.multi_body_classes)):
-        x, y = data.pop(stage)
+    stages = _stage_labels(StagePartition(*pio.read_partition(f"{prefix}.partition.txt")))
+    # Every matrix and labels file is read, and checked, before any model trains.
+    data = []
+    for (stage, _), (label_count, _, _) in zip(_STAGES, stages):
+        labels_path = f"{prefix}.{stage}.train.labels"
+        data.append(_read_labeled(f"{prefix}.{stage}.train.feat", labels_path))
+        _check_labels(data[-1][1], label_count, labels_path)
+    for (stage, _), (_, classes, _) in zip(_STAGES, stages):
+        x, y = data.pop(0)
         keep = np.isin(y, classes)
         y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
         _fit(x if keep.all() else x[keep], y_local, classes.size, config, args.hidden,
@@ -395,18 +412,14 @@ def _check_labels(y, class_count, path) -> None:
 
 
 def _load_two_stage(model_prefix, extract_prefix):
-    """Gate, one-body and multi-body models of a two-stage train, and the class partition."""
-    means, multi = pio.read_partition(f"{extract_prefix}.partition.txt")
-    return (load_model(f"{model_prefix}.gate.model"), load_model(f"{model_prefix}.one.model"),
-            load_model(f"{model_prefix}.multi.model"), StagePartition(means, multi))
+    """The models of a two-stage train, in ``_STAGES`` order, and the class partition."""
+    partition = StagePartition(*pio.read_partition(f"{extract_prefix}.partition.txt"))
+    return [load_model(f"{model_prefix}.{stage}.model") for stage, _ in _STAGES], partition
 
 
 def cmd_eval(args) -> int:
-    y = pio.read_labels(args.labels)
     if not args.two_stage:
-        x = _read_features(args.features)
-        if y.size != x.shape[0]:
-            raise InputError(f"{args.labels}: {y.size} labels for {x.shape[0]} feature rows")
+        x, y = _read_labeled(args.features, args.labels)
         model = load_model(args.model)
         if x.shape[1] != model.input_dim:
             raise InputError(
@@ -417,24 +430,20 @@ def cmd_eval(args) -> int:
         _report_eval(y, pred, model.class_count)
         return 0
 
-    split = args.split
-    x_gate, x_one, x_multi = (_read_features(f"{args.features}.{stage}.{split}.feat")
-                              for stage in ("gate", "one", "multi"))
-    if not (x_gate.shape[0] == x_one.shape[0] == x_multi.shape[0] == y.size):
+    y = pio.read_labels(args.labels)
+    xs = [_read_features(f"{args.features}.{stage}.{args.split}.feat") for stage, _ in _STAGES]
+    if any(x.shape[0] != y.size for x in xs):
         raise InputError("two-stage feature files and labels disagree on row count")
-    gate, one, multi, partition = _load_two_stage(args.model, args.features)
+    models, partition = _load_two_stage(args.model, args.features)
     _check_labels(y, partition.multi_body.size, args.labels)
-    pred, _ = two_stage_route(gate, one, multi, partition, x_gate, x_one, x_multi)
+    pred, _ = two_stage_route(*models, partition, *xs)
     _report_eval(y, pred, partition.multi_body.size)
     return 0
 
 
 def cmd_predict(args) -> int:
     descriptor = pio.read_descriptor(args.descriptor)
-    if args.config:
-        config, options = pio.read_feature_config(args.config)
-    else:
-        config, options = FeatureConfig(), pio.ExtractionOptions()
+    config, options = _feature_config(args.config)
     clip = pio.read_clip_file(args.clip, descriptor)
 
     if not args.two_stage:
@@ -445,28 +454,23 @@ def cmd_predict(args) -> int:
         label = int(probs.argmax())
         prob = float(probs[label])
     else:
-        gate, one, multi, partition = _load_two_stage(args.model, args.scaler)
-        model = TwoStageModel(
-            gate=gate, one_body=one, multi_body=multi, partition=partition,
-            gate_scaler=pio.read_scaler(f"{args.scaler}.gate.scaler.feat"),
-            one_scaler=pio.read_scaler(f"{args.scaler}.one.scaler.feat"),
-            multi_scaler=pio.read_scaler(f"{args.scaler}.multi.scaler.feat"),
-        )
-        label, prob = two_stage_predict(model, clip, config, descriptor)
+        models, partition = _load_two_stage(args.model, args.scaler)
+        scalers = [pio.read_scaler(f"{args.scaler}.{stage}.scaler.feat") for stage, _ in _STAGES]
+        rows = {bodies: extract_body_features(clip, bodies, config, descriptor)[None, :]
+                for bodies in dict.fromkeys(bodies for _, bodies in _STAGES)}
+        labels, probs = two_stage_route(*models, partition, *(
+            apply_scaler(scaler, rows[bodies]) for scaler, (_, bodies) in zip(scalers, _STAGES)))
+        label, prob = int(labels[0]), float(probs[0])
 
-    if label < len(descriptor.class_names):
-        name = descriptor.class_names[label]
-    else:
-        name = str(label)
-    print(f"{name} {prob:.6f}")
+    names = descriptor.class_names
+    print(f"{names[label] if label < len(names) else label} {prob:.6f}")
     return 0
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise InputError(f"--repeats must be >= 1, got {args.repeats}")
-    if args.points < 1:
-        raise InputError(f"--points must be >= 1, got {args.points}")
+    for name in ("repeats", "points", "dim"):
+        if getattr(args, name) < 1:
+            raise InputError(f"--{name} must be >= 1, got {getattr(args, name)}")
     rng = np.random.default_rng(args.seed)
     path = rng.standard_normal((args.points, args.dim))
     times = []

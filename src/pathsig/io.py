@@ -62,6 +62,7 @@ __all__ = [
 _FEAT_MAGIC = b"SIGFEAT1"
 _FEAT_HEADER = len(_FEAT_MAGIC) + 16  # magic, rows, cols
 _BLOCK_BYTES = 1 << 18  # map_rows reads blocks of this many bytes, at least one row
+_MAX_JOINTS = 1000  # descriptor checks build lists this long; NTU RGB+D has 25 a body
 
 
 def _data_lines(path):
@@ -252,7 +253,7 @@ def _parse_int_list(value: str):
 def read_descriptor(path) -> DatasetDescriptor:
     """Read a skeleton descriptor key-value file.
 
-    Required keys: joints, dims, classes.  Optional: priority, mirror
+    Required keys: joints (2 to 1000), dims, classes.  Optional: priority, mirror
     (identity when omitted), horizontal_axis (0 when omitted).
     """
     fields = _parse_key_values(_data_lines(path), path)
@@ -264,6 +265,8 @@ def read_descriptor(path) -> DatasetDescriptor:
         raise FormatError(f"{path}: missing required descriptor key {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"{path}: malformed descriptor value: {exc}") from exc
+    if joints > _MAX_JOINTS:
+        raise FormatError(f"{path}: {joints} joints is more than the {_MAX_JOINTS} allowed")
     try:
         priority = tuple(_parse_int_list(fields.get("priority", "")))
         mirror = tuple(_parse_int_list(fields.get("mirror", "")))
@@ -428,8 +431,11 @@ def _read_exact(f, count: int, path, what: str, buffer=bytearray):
 
 
 def _read_array(f, shape, path, what: str) -> np.ndarray:
-    """Read a row-major little-endian f64 array of ``shape`` into a fresh array."""
+    """Read a row-major little-endian f64 array of ``shape`` into a fresh array;
+    a shape numpy cannot make, even one with no entries, is a FormatError."""
     shape = tuple(int(n) for n in shape)  # Python ints: a hostile product cannot wrap
+    if 8 * math.prod(n for n in shape if n) > np.iinfo(np.intp).max:
+        raise FormatError(f"{path}: {what} shape {shape} is too large for an array")
     return _read_exact(f, 8 * math.prod(shape), path, what,
                        lambda _: np.empty(shape, dtype="<f8"))
 

@@ -17,7 +17,8 @@ from pathsig import (
     SkeletonClip,
     StagePartition,
     TrainConfig,
-    TwoStageModel,
+    apply_scaler,
+    extract_body_features,
     feature_layout,
     forward,
     gradient_check,
@@ -28,10 +29,10 @@ from pathsig import (
     save_model,
     stage_partition,
     train,
-    two_stage_predict,
     two_stage_route,
 )
-from pathsig import classifier
+from pathsig import classifier, cli
+from pathsig import io as pio
 from pathsig.classifier import _CHUNK_ROWS, _kept_entries, _softmax_head
 
 
@@ -606,6 +607,14 @@ def test_load_rejects_oversized_header_before_allocating(tmp_path):
     assert str(8 * 64 * 10**12) in message and str(path.stat().st_size) in message
 
 
+def test_load_rejects_zero_hidden_hostile_width(tmp_path):
+    path = tmp_path / "hostile.model"
+    path.write_bytes(b"SIGNET1" + struct.pack("<B", 1)
+                     + struct.pack("<QQQ", 2**62, 0, 3) + b"\x00" * 64)  # w1 holds 0 bytes
+    with pytest.raises(FormatError, match=rf"w1 shape \({2**62}, 0\) is too large"):
+        load_model(path)
+
+
 def test_load_rejects_oversized_config_length(tmp_path):
     model = init_model(4, 2, TrainConfig(), hidden_dim=3)
     path = tmp_path / "m.model"
@@ -695,14 +704,48 @@ def biased_gate(input_dim, pick):
                           np.zeros((2, 2)), b2, TrainConfig())
 
 
-def test_two_stage_routing_both_paths():
-    desc = DatasetDescriptor(joint_count=3, dim=2)
-    config = FeatureConfig(sampled_frames=2, pair_level=1, triple_level=1,
-                           joint_level=2, evolution_level=1)
-    d_one = sum(b.width for b in feature_layout(config, desc))
-    d_two = sum(b.width for b in feature_layout(config, desc.merged(2)))
+def reference_two_stage_predict(models, partition, scalers, clip, config, descriptor):
+    """(class id, probability) of one clip, as ``two_stage_predict`` gave them
+    before ``pathsig predict --two-stage`` called ``two_stage_route`` itself."""
+    gate, one_body, multi_body = models
+    gate_scaler, one_scaler, multi_scaler = scalers
+    two = extract_body_features(clip, 2, config, descriptor)[None, :]
+    one = extract_body_features(clip, 1, config, descriptor)[None, :]
+    labels, probs = two_stage_route(
+        gate, one_body, multi_body, partition,
+        apply_scaler(gate_scaler, two), apply_scaler(one_scaler, one),
+        apply_scaler(multi_scaler, two))
+    return int(labels[0]), float(probs[0])
+
+
+TWO_STAGE_DESC = DatasetDescriptor(joint_count=3, dim=2, class_names=("a", "b", "c", "d"))
+TWO_STAGE_CONFIG = FeatureConfig(sampled_frames=2, pair_level=1, triple_level=1,
+                                 joint_level=2, evolution_level=1)
+D_ONE = sum(b.width for b in feature_layout(TWO_STAGE_CONFIG, TWO_STAGE_DESC))
+D_TWO = sum(b.width for b in feature_layout(TWO_STAGE_CONFIG, TWO_STAGE_DESC.merged(2)))
+
+
+def predict_two_stage(root, models, partition, scalers, clip, capsys):
+    """Exit status, stdout and stderr of ``pathsig predict --two-stage`` on files
+    written from the three models, the partition and the three scalers."""
+    for (stage, _), model, scaler in zip(cli._STAGES, models, scalers):
+        save_model(model, root / f"m.{stage}.model")
+        pio.write_scaler(scaler, root / f"f.{stage}.scaler.feat")
+    pio.write_partition(partition.mean_actor_counts, partition.multi_body,
+                        root / "f.partition.txt")
+    pio.write_descriptor(TWO_STAGE_DESC, root / "d.txt")
+    pio.write_feature_config(TWO_STAGE_CONFIG, pio.ExtractionOptions(), root / "c.txt")
+    pio.write_clip_file(clip, root / "c.clip")
+    code = cli.main(["predict", "--clip", str(root / "c.clip"), "--descriptor",
+                     str(root / "d.txt"), "--config", str(root / "c.txt"), "--model",
+                     str(root / "m"), "--scaler", str(root / "f"), "--two-stage"])
+    return (code, *capsys.readouterr())
+
+
+def test_two_stage_routing_both_paths(tmp_path, capsys):
     partition = StagePartition(np.array([1.0, 1.1, 1.9, 2.0]),
                                np.array([False, False, True, True]))
+    ones = [FeatureScaler(np.ones(d)) for d in (D_TWO, D_ONE, D_TWO)]
 
     def second_stage(input_dim, favored):
         b2 = np.zeros(2)
@@ -714,38 +757,45 @@ def test_two_stage_routing_both_paths():
     clip = SkeletonClip(rng.standard_normal((5, 2, 3, 2)),
                         np.ones((5, 2, 3), dtype=bool))
     for gate_pick, favored, expect in ((0, 1, 1), (1, 0, 2), (1, 1, 3)):
-        model = TwoStageModel(
-            gate=biased_gate(d_two, gate_pick),
-            one_body=second_stage(d_one, favored),
-            multi_body=second_stage(d_two, favored),
-            partition=partition,
-            gate_scaler=FeatureScaler(np.ones(d_two)),
-            one_scaler=FeatureScaler(np.ones(d_one)),
-            multi_scaler=FeatureScaler(np.ones(d_two)),
-        )
-        label, prob = two_stage_predict(model, clip, config, desc)
-        assert label == expect
-        assert 0.5 < prob <= 1.0
+        models = (biased_gate(D_TWO, gate_pick), second_stage(D_ONE, favored),
+                  second_stage(D_TWO, favored))
+        code, out, _ = predict_two_stage(tmp_path, models, partition, ones, clip, capsys)
+        assert code == 0
+        name, prob = out.split()
+        assert name == TWO_STAGE_DESC.class_names[expect]
+        assert 0.5 < float(prob) <= 1.0
+
+    # seeded models and scalers: the CLI line is the old two_stage_predict's
+    routes = set()
+    for seed in range(6):
+        rng = np.random.default_rng([seed, 40])
+        models = (init_model(D_TWO, 2, TrainConfig(seed=seed), hidden_dim=5),
+                  init_model(D_ONE, 2, TrainConfig(seed=seed + 10), hidden_dim=5),
+                  init_model(D_TWO, 2, TrainConfig(seed=seed + 20), hidden_dim=5))
+        scalers = [FeatureScaler(rng.uniform(0.5, 2.0, d)) for d in (D_TWO, D_ONE, D_TWO)]
+        clip = SkeletonClip(rng.standard_normal((6, 2, 3, 2)), np.ones((6, 2, 3), dtype=bool))
+        code, out, _ = predict_two_stage(tmp_path, models, partition, scalers, clip, capsys)
+        read_back = pio.read_clip_file(tmp_path / "c.clip", TWO_STAGE_DESC)
+        label, prob = reference_two_stage_predict(models, partition, scalers, read_back,
+                                                  TWO_STAGE_CONFIG, TWO_STAGE_DESC)
+        assert code == 0
+        assert out == f"{TWO_STAGE_DESC.class_names[label]} {prob:.6f}\n"
+        routes.add(bool(partition.multi_body[label]))
+    assert routes == {False, True}
 
 
-def test_two_stage_rejects_empty_clip():
-    desc = DatasetDescriptor(joint_count=3, dim=2)
-    config = FeatureConfig(sampled_frames=2, pair_level=1, triple_level=1,
-                           joint_level=2, evolution_level=1)
-    d_two = sum(b.width for b in feature_layout(config, desc.merged(2)))
-    d_one = sum(b.width for b in feature_layout(config, desc))
-    model = TwoStageModel(
-        gate=biased_gate(d_two, 0),
-        one_body=biased_gate(d_one, 0),
-        multi_body=biased_gate(d_two, 0),
-        partition=StagePartition(np.array([1.0, 2.0]), np.array([False, True])),
-        gate_scaler=FeatureScaler(np.ones(d_two)),
-        one_scaler=FeatureScaler(np.ones(d_one)),
-        multi_scaler=FeatureScaler(np.ones(d_two)),
-    )
+def test_two_stage_rejects_empty_clip(tmp_path, capsys, monkeypatch):
+    models = (biased_gate(D_TWO, 0), biased_gate(D_ONE, 0), biased_gate(D_TWO, 0))
+    scalers = [FeatureScaler(np.ones(d)) for d in (D_TWO, D_ONE, D_TWO)]
+    partition = StagePartition(np.array([1.0, 2.0]), np.array([False, True]))
     empty = SkeletonClip(np.zeros((3, 1, 3, 2)), np.zeros((3, 1, 3), dtype=bool))
     with pytest.raises(InputError):
-        two_stage_predict(model, empty, config, desc)
+        extract_body_features(empty, 1, TWO_STAGE_CONFIG, TWO_STAGE_DESC)
+    # a clip file always holds a valid joint, so the reader hands over the empty clip
+    monkeypatch.setattr(pio, "read_clip_file", lambda *args, **kwargs: empty)
+    code, _, err = predict_two_stage(tmp_path, models, partition, scalers, empty, capsys)
+    assert code == 1
+    assert "clip has no valid joints" in err
 
 
 def per_row_route(gate, one, multi, partition, x_gate, x_one, x_multi):

@@ -142,6 +142,9 @@ def test_bench_rejects_zero_repeats():
     result = run_cli("bench", "--dim", 2, "--level", 2, "--points", 5,
                      "--repeats", 0)
     assert result.returncode == 1
+    result = run_cli("bench", "--dim", -1, "--level", 2, "--points", 5)
+    assert result.returncode == 1
+    assert "--dim must be >= 1, got -1" in result.stderr
 
 
 # ------------------------------------------------------------------- extract
@@ -253,6 +256,18 @@ def test_eval_oversized_header_is_exit_2(trained, tmp_path):
                      "--model", trained["model"])
     assert result.returncode == 2
     assert str(feat) in result.stderr and "88 bytes" in result.stderr
+
+
+def test_train_zero_row_hostile_width_is_exit_2(tmp_path):
+    feat = tmp_path / "hostile.feat"
+    feat.write_bytes(b"SIGFEAT1" + struct.pack("<QQ", 0, 2**62))  # 0 payload bytes
+    labels = tmp_path / "y.labels"
+    labels.write_text("0\n")
+    result = run_cli("train", "--features", feat, "--labels", labels,
+                     "--model", tmp_path / "m.model")
+    assert result.returncode == 2
+    assert f"{feat}: data shape (0, {2**62}) is too large" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_eval_non_ascii_model_config_is_exit_2(trained, tmp_path):
@@ -608,6 +623,46 @@ def test_two_stage_train_and_eval_reject_non_finite_matrix(interaction_ds, tmp_p
         assert cli.main([str(a) for a in argv]) == 1
         assert message in capsys.readouterr().err
     assert not (tmp_path / "n.multi.model").exists()
+
+
+@pytest.fixture(scope="module")
+def two_stage_prefix(interaction_ds):
+    prefix = interaction_ds["root"] / "two"
+    result = run_cli("features", "extract", "--manifest", interaction_ds["manifest"],
+                     "--descriptor", interaction_ds["descriptor"],
+                     "--config", interaction_ds["config"], "--output", prefix, "--two-stage")
+    assert result.returncode == 0, result.stderr
+    return prefix
+
+
+def _two_stage_train_with_labels(prefix, tmp_path, stage, edit, capsys):
+    """Exit status and stderr of a two-stage train on a copy of ``prefix``
+    whose ``stage`` train labels are ``edit(labels)``, and that labels file."""
+    for path in prefix.parent.glob(f"{prefix.name}.*"):
+        (tmp_path / path.name.replace(prefix.name, "bad", 1)).write_bytes(path.read_bytes())
+    labels = tmp_path / f"bad.{stage}.train.labels"
+    labels.write_text("".join(f"{v}\n" for v in edit(labels.read_text().split())))
+    code = cli.main(["train", "--features", str(tmp_path / "bad"), "--model",
+                     str(tmp_path / "m"), "--epochs", "1", "--two-stage"])
+    return code, capsys.readouterr().err, labels
+
+
+def test_two_stage_train_rejects_short_labels_before_training(two_stage_prefix, tmp_path,
+                                                              capsys):
+    rows = len(pathlib.Path(f"{two_stage_prefix}.one.train.labels").read_text().split())
+    code, err, labels = _two_stage_train_with_labels(two_stage_prefix, tmp_path, "one",
+                                                     lambda y: y[:-1], capsys)
+    assert code == 1
+    assert f"{labels}: {rows - 1} labels for {rows} feature rows" in err
+    assert not list(tmp_path.glob("m.*"))
+
+
+def test_two_stage_train_rejects_out_of_range_gate_label(two_stage_prefix, tmp_path, capsys):
+    code, err, labels = _two_stage_train_with_labels(two_stage_prefix, tmp_path, "gate",
+                                                     lambda y: ["7"] + y[1:], capsys)
+    assert code == 1
+    assert f"{labels}: label 7 is outside 0..1" in err
+    assert not list(tmp_path.glob("m.*"))
 
 
 # ------------------------------------------------------------ train and eval

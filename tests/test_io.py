@@ -231,6 +231,15 @@ def test_descriptor_defaults(tmp_path):
     assert desc.class_names == ("a", "b", "c")
 
 
+def test_descriptor_joint_count_is_capped(tmp_path):
+    p = tmp_path / "desc.txt"
+    p.write_text("joints = 1000\ndims = 2\nclasses = a\n")
+    assert read_descriptor(p).priority == tuple(range(1000))
+    p.write_text("joints = 1001\ndims = 2\nclasses = a\n")  # checking it would build 1001-long lists
+    with pytest.raises(FormatError, match="1001 joints is more than the 1000 allowed"):
+        read_descriptor(p)
+
+
 def test_descriptor_missing_key(tmp_path):
     p = tmp_path / "desc.txt"
     p.write_text("joints = 4\nclasses = a\n")

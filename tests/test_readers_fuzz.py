@@ -1,0 +1,120 @@
+"""Every reader, fed byte-mutated copies of a file its writer wrote, raises
+only FormatError or InputError and holds memory on the order of the file."""
+
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from pathsig import io as pio  # noqa: E402
+from pathsig.classifier import TrainConfig, init_model, load_model, save_model  # noqa: E402
+from pathsig.errors import FormatError, InputError  # noqa: E402
+from pathsig.skeleton import (Block, DatasetDescriptor, FeatureConfig,  # noqa: E402
+                              FeatureScaler, SkeletonClip)
+
+# The clip reader's dense arrays hold 8 * joints * dims + joints bytes per
+# (frame, actor), and frames x actors may not exceed the file's size, so
+# 3 joints in 2-D stay within 51 bytes of array per byte of file.
+DESC = DatasetDescriptor(joint_count=3, dim=2, priority=(2, 0, 1), mirror=(1, 0, 2),
+                         class_names=("a", "b"))
+MiB = 1 << 20
+
+
+def _seed_files(root):
+    """{reader name: (bytes of a small valid file its writer wrote, the reader)}."""
+    rng = np.random.default_rng(11)
+    valid = rng.random((4, 2, 3)) < 0.8
+    valid[0, 0, 0] = True
+    clip = SkeletonClip(rng.standard_normal((4, 2, 3, 2)), valid)
+    records = [pio.ManifestRecord(str(root / f"c{i}.clip"), "ab"[i % 2], ("train", "test")[i // 2],
+                                  1 + i % 2) for i in range(3)]
+    writers = {
+        "path": (lambda p: p.write_text("0,0\n1,0.5\n2,2.25\n-1e3,4\n"), pio.read_path_file),
+        "clip": (lambda p: pio.write_clip_file(clip, p),
+                 lambda p: pio.read_clip_file(p, DESC, min_actors=2)),
+        "manifest": (lambda p: pio.write_manifest(records, p), pio.read_manifest),
+        "descriptor": (lambda p: pio.write_descriptor(DESC, p), pio.read_descriptor),
+        "feature_config": (lambda p: pio.write_feature_config(FeatureConfig(),
+                                                              pio.ExtractionOptions(), p),
+                           pio.read_feature_config),
+        "sigfeat1": (lambda p: pio.write_feature_matrix(
+            p, rng.standard_normal((3, 4)), (Block("a", 0, 1), Block("b", 1, 3))),
+            pio.read_feature_matrix),
+        "scaler": (lambda p: pio.write_scaler(FeatureScaler(rng.uniform(0.5, 2, 4)), p),
+                   pio.read_scaler),
+        "labels": (lambda p: pio.write_labels([0, 3, 1, 2, 0], p), pio.read_labels),
+        "partition": (lambda p: pio.write_partition([1.0, 1.75, 1.25], [False, True, False], p),
+                      pio.read_partition),
+        "signet1": (lambda p: save_model(init_model(4, 2, TrainConfig(), hidden_dim=3), p),
+                    load_model),
+    }
+    seeds = {}
+    for name, (write, read) in writers.items():
+        path = root / f"seed.{name}"
+        write(path)
+        read(path)  # the seed itself is valid
+        seeds[name] = (path.read_bytes(), read)
+    return seeds
+
+
+@pytest.fixture(scope="module")
+def seeds(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, _seed_files(root)
+
+
+# Values for whole u64 fields: the binary headers' counts and lengths.
+_EDGES = (0, 1, 2, 255, 2**31, 2**32 - 1, 2**40, 2**59, 2**62, 2**63 - 1, 2**64 - 1)
+_POS = st.integers(0, 40) | st.integers(0, 1 << 12)
+_MUTATION = st.one_of(
+    st.tuples(st.just("set"), _POS, st.integers(0, 255)),
+    st.tuples(st.just("insert"), _POS, st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("insert"), _POS,
+              st.text("0123456789-+.,e=\n #", min_size=1, max_size=12).map(str.encode)),
+    st.tuples(st.just("delete"), _POS, st.integers(1, 16)),
+    st.tuples(st.just("truncate"), _POS, st.just(0)),
+    st.tuples(st.just("u64"), st.sampled_from((8, 16, 24)) | _POS,  # header fields, or anywhere
+              st.sampled_from(_EDGES) | st.integers(0, 2**64 - 1)),
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    buf = bytearray(data)
+    for kind, pos, arg in mutations:
+        pos %= len(buf) + 1
+        if kind == "set" and pos < len(buf):
+            buf[pos] = arg
+        elif kind == "insert":
+            buf[pos:pos] = arg
+        elif kind == "delete":
+            del buf[pos:pos + arg]
+        elif kind == "truncate":
+            del buf[pos:]
+        elif kind == "u64":
+            buf[pos:pos + 8] = struct.pack("<Q", arg)
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("name", ["path", "clip", "manifest", "descriptor", "feature_config",
+                                  "sigfeat1", "scaler", "labels", "partition", "signet1"])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=4))
+def test_reader_rejects_mutated_files_cleanly(seeds, name, mutations):
+    root, files = seeds
+    data, read = files[name]
+    path = root / f"mutant.{name}"
+    path.write_bytes(_mutate(data, mutations))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        read(path)
+    except (FormatError, InputError):
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak < 64 * size + MiB, f"{name}: peak {peak} bytes for a {size}-byte file"
