@@ -60,6 +60,10 @@ __all__ = ["main"]
 # ``train`` flags whose names differ from their ``TrainConfig`` field.
 _TRAIN_FLAGS = {"learning_rate": "lr", "max_epochs": "epochs"}
 
+# Rows per ``forward`` call in ``eval`` (all rows when there are fewer): the
+# row count of ``x @ W1`` can change its bits, so it stays fixed.
+_EVAL_ROWS = 64
+
 # The two-stage models in the order ``two_stage_route`` takes them: the name
 # in their file names and how many ranked actors their features merge.
 _STAGES = (("gate", 2), ("one", 1), ("multi", 2))
@@ -242,14 +246,24 @@ def _stage_labels(partition: StagePartition):
             (C, partition.multi_body_classes, int))
 
 
-def _feature_config(path):
-    return pio.read_feature_config(path) if path else (FeatureConfig(), pio.ExtractionOptions())
+def _feature_config(path, descriptor: DatasetDescriptor):
+    """The settings of a feature config file, or the defaults; FormatError,
+    before anything is built from them, when the merged skeleton of
+    ``bodies`` bodies would have more joints than a descriptor may."""
+    if not path:
+        return FeatureConfig(), pio.ExtractionOptions()
+    config, options = pio.read_feature_config(path)
+    joints = descriptor.joint_count * options.bodies
+    if joints > pio._MAX_JOINTS:
+        raise FormatError(f"{path}: bodies = {options.bodies} merges {joints} joints, more than "
+                          f"the {pio._MAX_JOINTS} allowed")
+    return config, options
 
 
 def cmd_extract(args) -> int:
     records = pio.read_manifest(args.manifest)
     descriptor = pio.read_descriptor(args.descriptor)
-    config, options = _feature_config(args.config)
+    config, options = _feature_config(args.config, descriptor)
     train_recs = [r for r in records if r.split == "train"]
     test_recs = [r for r in records if r.split == "test"]
     if not train_recs:
@@ -318,21 +332,22 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _read_features(path) -> np.ndarray:
-    """The matrix of a SIGFEAT1 file; InputError names the first row with a
-    non-finite entry, found in row blocks so no matrix-sized mask is made."""
-    x, _ = pio.read_feature_matrix(path)
-    step = max(1, (1 << 20) // max(x.shape[1], 1))
-    for start in range(0, x.shape[0], step):
-        finite = np.isfinite(x[start:start + step]).all(axis=1)
-        if not finite.all():
-            raise InputError(f"{path}: row {start + int(finite.argmin())} has a non-finite entry")
+def _read_features(path, stack: contextlib.ExitStack) -> pio.FeatureRows:
+    """The rows of a SIGFEAT1 file, open until ``stack`` closes; InputError
+    names the first row with a non-finite entry, found block by block."""
+    x = stack.enter_context(pio.FeatureRows(path))
+    start = 0
+    for block in x.blocks():
+        if not np.isfinite(block).all():
+            row = start + int(np.isfinite(block).all(axis=1).argmin())
+            raise InputError(f"{path}: row {row} has a non-finite entry")
+        start += block.shape[0]
     return x
 
 
-def _read_labeled(features_path, labels_path):
+def _read_labeled(features_path, labels_path, stack: contextlib.ExitStack):
     """``_read_features`` and ``read_labels``; InputError when their row counts differ."""
-    x = _read_features(features_path)
+    x = _read_features(features_path, stack)
     y = pio.read_labels(labels_path)
     if y.size != x.shape[0]:
         raise InputError(f"{labels_path}: {y.size} labels for {x.shape[0]} feature rows")
@@ -360,29 +375,29 @@ def _fit(x, y, class_count, config, hidden, model_path, history_path):
 
 def cmd_train(args) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
-    if not args.two_stage:
-        if not args.labels:
-            raise InputError("--labels is required without --two-stage")
-        x, y = _read_labeled(args.features, args.labels)
-        class_count = args.classes or int(y.max()) + 1
-        _fit(x, y, class_count, config, args.hidden, args.model,
-             args.history or f"{args.model}.history.txt")
-        return 0
+    if not args.two_stage and not args.labels:
+        raise InputError("--labels is required without --two-stage")
+    with contextlib.ExitStack() as stack:
+        if not args.two_stage:
+            x, y = _read_labeled(args.features, args.labels, stack)
+            class_count = args.classes or int(y.max()) + 1
+            _fit(x, y, class_count, config, args.hidden, args.model,
+                 args.history or f"{args.model}.history.txt")
+            return 0
 
-    prefix = args.features
-    stages = _stage_labels(StagePartition(*pio.read_partition(f"{prefix}.partition.txt")))
-    # Every matrix and labels file is read, and checked, before any model trains.
-    data = []
-    for (stage, _), (label_count, _, _) in zip(_STAGES, stages):
-        labels_path = f"{prefix}.{stage}.train.labels"
-        data.append(_read_labeled(f"{prefix}.{stage}.train.feat", labels_path))
-        _check_labels(data[-1][1], label_count, labels_path)
-    for (stage, _), (_, classes, _) in zip(_STAGES, stages):
-        x, y = data.pop(0)
-        keep = np.isin(y, classes)
-        y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
-        _fit(x if keep.all() else x[keep], y_local, classes.size, config, args.hidden,
-             f"{args.model}.{stage}.model", f"{args.model}.{stage}.history.txt")
+        prefix = args.features
+        stages = _stage_labels(StagePartition(*pio.read_partition(f"{prefix}.partition.txt")))
+        # Every matrix and labels file is read, and checked, before any model trains.
+        data = []
+        for (stage, _), (label_count, _, _) in zip(_STAGES, stages):
+            labels_path = f"{prefix}.{stage}.train.labels"
+            data.append(_read_labeled(f"{prefix}.{stage}.train.feat", labels_path, stack))
+            _check_labels(data[-1][1], label_count, labels_path)
+        for (stage, _), (_, classes, _), (x, y) in zip(_STAGES, stages, data):
+            keep = np.flatnonzero(np.isin(y, classes))
+            y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
+            _fit(x.select(keep), y_local, classes.size, config, args.hidden,
+                 f"{args.model}.{stage}.model", f"{args.model}.{stage}.history.txt")
     return 0
 
 
@@ -418,32 +433,36 @@ def _load_two_stage(model_prefix, extract_prefix):
 
 
 def cmd_eval(args) -> int:
-    if not args.two_stage:
-        x, y = _read_labeled(args.features, args.labels)
-        model = load_model(args.model)
-        if x.shape[1] != model.input_dim:
-            raise InputError(
-                f"{args.features}: {x.shape[1]} feature dims, model expects {model.input_dim}"
-            )
-        _check_labels(y, model.class_count, args.labels)
-        pred = forward(model, x).argmax(axis=1)
-        _report_eval(y, pred, model.class_count)
-        return 0
+    with contextlib.ExitStack() as stack:
+        if not args.two_stage:
+            x, y = _read_labeled(args.features, args.labels, stack)
+            model = load_model(args.model)
+            if x.shape[1] != model.input_dim:
+                raise InputError(
+                    f"{args.features}: {x.shape[1]} feature dims, model expects {model.input_dim}"
+                )
+            _check_labels(y, model.class_count, args.labels)
+            pred = np.concatenate([forward(model, block).argmax(axis=1)
+                                   for block in x.blocks(_EVAL_ROWS)])
+            _report_eval(y, pred, model.class_count)
+            return 0
 
-    y = pio.read_labels(args.labels)
-    xs = [_read_features(f"{args.features}.{stage}.{args.split}.feat") for stage, _ in _STAGES]
-    if any(x.shape[0] != y.size for x in xs):
-        raise InputError("two-stage feature files and labels disagree on row count")
-    models, partition = _load_two_stage(args.model, args.features)
-    _check_labels(y, partition.multi_body.size, args.labels)
-    pred, _ = two_stage_route(*models, partition, *xs)
-    _report_eval(y, pred, partition.multi_body.size)
+        y = pio.read_labels(args.labels)
+        xs = [_read_features(f"{args.features}.{stage}.{args.split}.feat", stack)
+              for stage, _ in _STAGES]
+        if any(x.shape[0] != y.size for x in xs):
+            raise InputError("two-stage feature files and labels disagree on row count")
+        models, partition = _load_two_stage(args.model, args.features)
+        _check_labels(y, partition.multi_body.size, args.labels)
+        pred = np.concatenate([two_stage_route(*models, partition, *blocks)[0]
+                               for blocks in zip(*(x.blocks(_EVAL_ROWS) for x in xs))])
+        _report_eval(y, pred, partition.multi_body.size)
     return 0
 
 
 def cmd_predict(args) -> int:
     descriptor = pio.read_descriptor(args.descriptor)
-    config, options = _feature_config(args.config)
+    config, options = _feature_config(args.config, descriptor)
     clip = pio.read_clip_file(args.clip, descriptor)
 
     if not args.two_stage:

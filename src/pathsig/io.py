@@ -14,7 +14,9 @@ block (``map_rows``).  On success ``close`` patches the row count,
 appends the footer and renames the temporary file, in the same
 directory, onto the final name; on an exception it deletes the temporary
 file, so a failed run publishes no matrix.  ``write_feature_matrix`` is
-its one-shot caller.
+its one-shot caller.  ``FeatureRows`` is the one SIGFEAT1 reader:
+``read_feature_matrix``, ``read_scaler``, ``map_rows`` and the CLI's
+``train`` and ``eval`` read through it, a block or a batch at a time.
 
 Malformed input raises FormatError naming the file and the line number or
 byte offset.  Every writer/reader pair round-trips bit-exactly.  Binary
@@ -25,6 +27,7 @@ allocate, and read arrays in place; the SIGNET1 model reader in
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
@@ -49,6 +52,7 @@ __all__ = [
     "write_feature_config",
     "ExtractionOptions",
     "FeatureMatrixWriter",
+    "FeatureRows",
     "read_feature_matrix",
     "write_feature_matrix",
     "read_labels",
@@ -61,7 +65,7 @@ __all__ = [
 
 _FEAT_MAGIC = b"SIGFEAT1"
 _FEAT_HEADER = len(_FEAT_MAGIC) + 16  # magic, rows, cols
-_BLOCK_BYTES = 1 << 18  # map_rows reads blocks of this many bytes, at least one row
+_BLOCK_BYTES = 1 << 18  # FeatureRows.blocks reads this many bytes at a time, at least one row
 _MAX_JOINTS = 1000  # descriptor checks build lists this long; NTU RGB+D has 25 a body
 
 
@@ -376,23 +380,26 @@ class FeatureMatrixWriter:
 
     def map_rows(self, fn) -> None:
         """Replace each block of the rows written so far by ``fn(block)``, in
-        place; every block is read into one reused buffer of at least one row."""
-        step = max(1, _BLOCK_BYTES // max(8 * self.cols, 1))
-        buffer = np.empty((min(step, self.rows), self.cols), dtype="<f8")
-        for start in range(0, self.rows, step):
-            block = buffer[:self.rows - start]
-            self._file.seek(_FEAT_HEADER + 8 * self.cols * start)
-            self._file.readinto(block)
-            self._file.seek(_FEAT_HEADER + 8 * self.cols * start)
-            self._file.write(np.ascontiguousarray(fn(block), dtype="<f8").data)
+        place; the blocks are ``FeatureRows.blocks`` of the temporary file."""
+        self._patch_rows()  # the temporary file is now a SIGFEAT1 file without a footer
+        with FeatureRows(self._tmp) as rows:
+            offset = _FEAT_HEADER
+            for block in rows.blocks():
+                self._file.seek(offset)
+                self._file.write(np.ascontiguousarray(fn(block), dtype="<f8").data)
+                offset += block.nbytes
         self._file.seek(0, os.SEEK_END)
+
+    def _patch_rows(self) -> None:
+        self._file.seek(len(_FEAT_MAGIC))
+        self._file.write(struct.pack("<Q", self.rows))
+        self._file.flush()
 
     def close(self) -> None:
         """Append the footer, patch the row count and rename onto ``path``."""
         footer = "".join(f"{b.name} {b.offset} {b.width}\n" for b in self.layout)
         self._file.write(footer.encode("ascii"))
-        self._file.seek(len(_FEAT_MAGIC))
-        self._file.write(struct.pack("<Q", self.rows))
+        self._patch_rows()
         self._file.close()
         os.replace(self._tmp, self.path)
 
@@ -416,6 +423,13 @@ def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
         writer.write(arr)
 
 
+def _truncated(path, what: str, offset: int, count: int, size: int) -> FormatError:
+    return FormatError(
+        f"{path}: truncated while reading {what}: wanted {count} bytes at offset "
+        f"{offset}, up to byte {offset + count}, but the file has {size} bytes"
+    )
+
+
 def _read_exact(f, count: int, path, what: str, buffer=bytearray):
     """Read ``count`` bytes into ``buffer(count)``, allocated only once the file is
     known to hold them, so a count from a hostile header is never allocated."""
@@ -423,38 +437,27 @@ def _read_exact(f, count: int, path, what: str, buffer=bytearray):
     size = os.fstat(f.fileno()).st_size
     data = buffer(count) if offset + count <= size else None
     if data is None or f.readinto(data) != count:
-        raise FormatError(
-            f"{path}: truncated while reading {what}: wanted {count} bytes at offset "
-            f"{offset}, up to byte {offset + count}, but the file has {size} bytes"
-        )
+        raise _truncated(path, what, offset, count, size)
     return data
 
 
-def _read_array(f, shape, path, what: str) -> np.ndarray:
-    """Read a row-major little-endian f64 array of ``shape`` into a fresh array;
-    a shape numpy cannot make, even one with no entries, is a FormatError."""
-    shape = tuple(int(n) for n in shape)  # Python ints: a hostile product cannot wrap
+def _array_bytes(shape, path, what: str) -> int:
+    """Bytes of a float64 array of ``shape``; a shape numpy cannot make, even
+    one with no entries, is a FormatError."""
     if 8 * math.prod(n for n in shape if n) > np.iinfo(np.intp).max:
         raise FormatError(f"{path}: {what} shape {shape} is too large for an array")
-    return _read_exact(f, 8 * math.prod(shape), path, what,
+    return 8 * math.prod(shape)
+
+
+def _read_array(f, shape, path, what: str) -> np.ndarray:
+    """Read a row-major little-endian f64 array of ``shape`` into a fresh array."""
+    shape = tuple(int(n) for n in shape)  # Python ints: a hostile product cannot wrap
+    return _read_exact(f, _array_bytes(shape, path, what), path, what,
                        lambda _: np.empty(shape, dtype="<f8"))
 
 
-def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
-    """Read a SIGFEAT1 file; returns (matrix, layout blocks).
-
-    The declared rows x cols are checked against the file size before any
-    payload is read, so a hostile header cannot trigger a huge allocation.
-    A non-empty footer must tile ``[0, cols)`` in order, with no gap or
-    overlap.
-    """
-    with open(path, "rb") as f:
-        magic = _read_exact(f, len(_FEAT_MAGIC), path, "magic")
-        if magic != _FEAT_MAGIC:
-            raise FormatError(f"{path}: bad magic {bytes(magic)!r}, expected {_FEAT_MAGIC!r}")
-        rows, cols = struct.unpack("<QQ", _read_exact(f, 16, path, "header"))
-        matrix = _read_array(f, (rows, cols), path, "data")
-        footer = _decode(f.read(), f"{path} footer")
+def _parse_footer(footer: str, cols: int, path) -> tuple[Block, ...]:
+    """The layout blocks of a SIGFEAT1 footer, which must tile ``[0, cols)`` in order."""
     blocks, end = [], 0
     for lineno, line in enumerate(footer.splitlines(), start=1):
         line = line.strip()
@@ -474,7 +477,119 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
         blocks.append(block)
     if blocks and end != cols:
         raise FormatError(f"{path}: footer blocks end at column {end}, not at {cols}")
-    return matrix, tuple(blocks)
+    return tuple(blocks)
+
+
+class FeatureRows:
+    """A SIGFEAT1 file open for positional reads of its rows.
+
+    Opening checks the magic, the header, the payload size and the footer
+    once, before anything sized from the header is allocated: the declared
+    rows x cols must fit the file, and a non-empty footer must tile
+    ``[0, cols)`` in order.  ``shape`` is (rows, cols) and ``layout`` the
+    footer's blocks.  ``read``, ``blocks`` and ``take`` then fill buffers
+    with ``os.preadv``; a file cut short since it was opened is a
+    FormatError.  The file is read, not mapped: mapped pages that a
+    process touches count toward its resident memory, page-cache pages
+    filled by a read do not.  As a context manager it closes the file.
+    """
+
+    def __init__(self, path):
+        self.path, self._rows = path, None  # _rows: file row of each row of a ``select`` view
+        self._file = open(path, "rb")
+        try:
+            f = self._file
+            magic = _read_exact(f, len(_FEAT_MAGIC), path, "magic")
+            if magic != _FEAT_MAGIC:
+                raise FormatError(f"{path}: bad magic {bytes(magic)!r}, expected {_FEAT_MAGIC!r}")
+            self.shape = struct.unpack("<QQ", _read_exact(f, 16, path, "header"))
+            count = _array_bytes(self.shape, path, "data")
+            size = os.fstat(f.fileno()).st_size
+            if _FEAT_HEADER + count > size:
+                raise _truncated(path, "data", _FEAT_HEADER, count, size)
+            f.seek(_FEAT_HEADER + count)
+            self.layout = _parse_footer(_decode(f.read(), f"{path} footer"), self.shape[1], path)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def _pread(self, out: np.ndarray, offset: int) -> None:
+        view = memoryview(out).cast("B") if out.size else memoryview(b"")  # no cast of empty shapes
+        while view.nbytes:
+            got = os.preadv(self._file.fileno(), [view], offset)
+            if not got:
+                raise FormatError(f"{self.path}: the file ends at byte {offset}, inside its rows")
+            view, offset = view[got:], offset + got
+
+    def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows [start, stop), every column, into ``out`` (a C-contiguous
+        (stop - start, cols) float64 array) or a fresh array."""
+        if out is None:
+            out = np.empty((stop - start, self.shape[1]), dtype="<f8")
+        if self._rows is not None:
+            return self.take(range(start, stop), 0, self.shape[1], out)
+        self._pread(out, _FEAT_HEADER + 8 * self.shape[1] * start)
+        return out
+
+    def blocks(self, step: int | None = None):
+        """Yield the rows in order, ``step`` rows at a time (by default about
+        ``_BLOCK_BYTES``, at least one row), each block read into one reused
+        buffer that the next block overwrites."""
+        rows, cols = self.shape
+        if step is None:
+            step = max(1, _BLOCK_BYTES // (8 * cols)) if cols else max(1, rows)
+        buffer = np.empty((min(step, rows), cols), dtype="<f8")
+        for start in range(0, rows, step):
+            yield self.read(start, min(start + step, rows), buffer[:rows - start])
+
+    def take(self, rows, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, a (len(rows), r1 - r0) float64 array with contiguous
+        rows, with columns [r0, r1) of the given rows; one read per row."""
+        file_rows = self._check_rows(rows)
+        if not 0 <= r0 <= r1 <= self.shape[1] or out.shape != (file_rows.size, r1 - r0) \
+                or out.dtype != np.float64:
+            raise InputError(f"{self.path}: cannot read columns [{r0}, {r1}) of "
+                             f"{file_rows.size} rows into an array of shape {out.shape}")
+        if self._rows is not None:
+            file_rows = self._rows[file_rows]
+        stride, first = 8 * self.shape[1], _FEAT_HEADER + 8 * r0
+        for i, row in enumerate(file_rows.tolist()):
+            self._pread(out[i], first + stride * row)
+        return out
+
+    def select(self, rows) -> FeatureRows:
+        """The given rows, in that order, as a view that shares this file."""
+        view = copy.copy(self)
+        view._rows = self._check_rows(rows)
+        if self._rows is not None:
+            view._rows = self._rows[view._rows]
+        view.shape = (view._rows.size, self.shape[1])
+        return view
+
+    def _check_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or rows.size and not 0 <= rows.min() <= rows.max() < self.shape[0]:
+            raise InputError(f"{self.path}: row indices must be a list within 0..{self.shape[0] - 1}")
+        return rows
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close()
+
+
+def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
+    """Read a SIGFEAT1 file whole; returns (matrix, layout blocks).
+
+    ``FeatureRows`` checks the header against the file size before any
+    payload is read, so a hostile header cannot trigger a huge allocation.
+    """
+    with FeatureRows(path) as rows:
+        return rows.read(0, rows.shape[0]), rows.layout
 
 
 def read_labels(path) -> np.ndarray:
@@ -502,11 +617,12 @@ def write_scaler(scaler: FeatureScaler, path) -> None:
 
 
 def read_scaler(path) -> FeatureScaler:
-    matrix, _ = read_feature_matrix(path)
-    if matrix.shape[0] != 1:
-        raise FormatError(f"{path}: scaler file must have exactly one row, got {matrix.shape[0]}")
+    with FeatureRows(path) as rows:
+        if rows.shape[0] != 1:
+            raise FormatError(f"{path}: scaler file must have exactly one row, got {rows.shape[0]}")
+        scale = rows.read(0, 1)[0]
     try:
-        return FeatureScaler(matrix[0])
+        return FeatureScaler(scale)
     except InputError as exc:
         raise FormatError(f"{path}: invalid scaler: {exc}") from exc
 

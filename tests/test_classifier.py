@@ -497,6 +497,80 @@ def test_chunk_rows_training_matches_batch_copy_loop(monkeypatch, drop_rate):
     assert [(s.epoch, s.lr, s.loss, s.accuracy) for s in history] == expect
 
 
+def _history(history):
+    return [(s.epoch, s.lr, s.loss, s.accuracy) for s in history]
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.5, 0.95])
+def test_streamed_training_matches_in_memory(tmp_path, monkeypatch, drop_rate):
+    # five chunks of 50 w1 rows plus a ragged one of 7; batches of 16, 16, 8
+    monkeypatch.setattr(classifier, "_CHUNK_ROWS", 50)
+    D = 5 * 50 + 7
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal((40, D))
+    y = rng.integers(0, 3, size=40)
+    pio.write_feature_matrix(tmp_path / "x.feat", x)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=7)
+    streamed, in_memory = (init_model(D, 3, cfg, hidden_dim=5) for _ in range(2))
+    with pio.FeatureRows(tmp_path / "x.feat") as rows:
+        history = train(streamed, rows, y, cfg)
+    expect = train(in_memory, x, y, cfg)
+    for k in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(streamed, k), getattr(in_memory, k))
+    assert _history(history) == _history(expect)
+
+
+def test_streamed_training_of_selected_rows_matches_row_copy(tmp_path, monkeypatch):
+    # a two-stage model trains on the rows of its classes: a view of the file
+    # stands in for the copy x[keep]
+    monkeypatch.setattr(classifier, "_CHUNK_ROWS", 40)
+    D = 3 * 40 + 11
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((50, D))
+    y = rng.integers(0, 4, size=50)
+    keep = np.flatnonzero(np.isin(y, [1, 3]))
+    pio.write_feature_matrix(tmp_path / "x.feat", x)
+    cfg = TrainConfig(batch_size=7, max_epochs=2, drop_rate=0.5, seed=8)
+    streamed, copied = (init_model(D, 2, cfg, hidden_dim=4) for _ in range(2))
+    y_local = np.searchsorted([1, 3], y[keep])
+    with pio.FeatureRows(tmp_path / "x.feat") as rows:
+        history = train(streamed, rows.select(keep), y_local, cfg)
+    expect = train(copied, x[keep], y_local, cfg)
+    for k in ("w1", "b1", "w2", "b2"):
+        assert np.array_equal(getattr(streamed, k), getattr(copied, k))
+    assert _history(history) == _history(expect)
+
+
+def test_streamed_training_memory_does_not_grow_with_rows(tmp_path):
+    # the matrices (48 and 96 MB) stay on disk: the peak is the momentum, the
+    # kept indices (the next batch's are drawn while the last batch's are
+    # held), the two chunk buffers and one chunk of batch rows, for 30 rows
+    # and for 60
+    D, H = 200_000, 8
+    cfg = TrainConfig(batch_size=15, max_epochs=1, drop_rate=0.5)
+    peaks = {}
+    for rows in (30, 60):
+        rng = np.random.default_rng(18)
+        model = LinearNetModel(rng.standard_normal((D, H)) / math.sqrt(D), np.zeros(H),
+                               rng.standard_normal((H, 3)), np.zeros(3), cfg)
+        path = tmp_path / f"x{rows}.feat"
+        with pio.FeatureMatrixWriter(path, D) as writer:
+            for _ in range(rows):
+                writer.write(rng.standard_normal(D))
+        with pio.FeatureRows(path) as x:
+            tracemalloc.start()
+            try:
+                train(model, x, np.arange(rows) % 3, cfg)
+                _, peaks[rows] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        kept_bytes = (1.0 - cfg.drop_rate) * model.w1.size * 8
+        buffers = 2 * _CHUNK_ROWS * H * 8
+        row_chunk = cfg.batch_size * _CHUNK_ROWS * 8
+        assert peaks[rows] < model.w1.nbytes + 2 * kept_bytes + buffers + 2 * row_chunk
+    assert peaks[60] - peaks[30] < row_chunk
+
+
 def test_train_stops_on_non_finite_loss():
     cfg = TrainConfig(batch_size=2, max_epochs=3, seed=0)
     model = init_model(5, 2, cfg, hidden_dim=3)

@@ -17,7 +17,7 @@ from pathsig import io as pio
 from pathsig.errors import InputError
 from pathsig.io import (ExtractionOptions, read_feature_matrix, write_feature_config,
                         write_feature_matrix)
-from pathsig.skeleton import (FeatureConfig, apply_scaler, assemble_features, augment_clips,
+from pathsig.skeleton import (DatasetDescriptor, FeatureConfig, apply_scaler, assemble_features, augment_clips,
                               feature_layout, fit_scaler)
 from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
 
@@ -268,6 +268,18 @@ def test_train_zero_row_hostile_width_is_exit_2(tmp_path):
     assert result.returncode == 2
     assert f"{feat}: data shape (0, {2**62}) is too large" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_train_zero_column_huge_row_count_ends_quickly(tmp_path):
+    # 2^59 rows of no columns fill no bytes: the non-finite check takes them
+    # as one empty block, and the labels file decides
+    feat = tmp_path / "wide.feat"
+    feat.write_bytes(b"SIGFEAT1" + struct.pack("<QQ", 2**59, 0))
+    (tmp_path / "y.labels").write_text("0\n1\n")
+    result = run_cli("train", "--features", feat, "--labels", tmp_path / "y.labels",
+                     "--model", tmp_path / "m.model", timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert f"2 labels for {2**59} feature rows" in result.stderr
 
 
 def test_eval_non_ascii_model_config_is_exit_2(trained, tmp_path):
@@ -663,6 +675,112 @@ def test_two_stage_train_rejects_out_of_range_gate_label(two_stage_prefix, tmp_p
     assert code == 1
     assert f"{labels}: label 7 is outside 0..1" in err
     assert not list(tmp_path.glob("m.*"))
+
+
+# ------------------------------------------------- streamed train and eval
+
+
+def _in_memory_fit(x, y, class_count, config, path):
+    """``pathsig train`` as it was before rows streamed: the matrix in memory."""
+    model = classifier.init_model(x.shape[1], class_count, config,
+                                  hidden_dim=classifier.HIDDEN_UNITS)
+    history = classifier.train(model, x, y, config)
+    classifier.save_model(model, path)
+    cli._write_history(history, f"{path}.history.txt")
+    return model
+
+
+def test_train_streams_the_same_model_as_in_memory(extracted, tmp_path, monkeypatch, capsys):
+    # 48 rows in batches of 30 and 18; W1 rows in chunks of 500 and a ragged one
+    monkeypatch.setattr(classifier, "_CHUNK_ROWS", 500)
+    prefix = extracted["prefix"]
+    feat, labels = f"{prefix}.train.feat", f"{prefix}.train.labels"
+    assert cli.main(["train", "--features", feat, "--labels", labels,
+                     "--model", str(tmp_path / "m.model"), "--epochs", "3"]) == 0
+    x, y = read_feature_matrix(feat)[0], pio.read_labels(labels)
+    assert x.shape[1] % 500 and x.shape[0] % 30
+    _in_memory_fit(x, y, 4, TrainConfig(max_epochs=3), tmp_path / "ref.model")
+    for suffix in (".model", ".model.history.txt"):
+        assert (tmp_path / f"m{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
+
+
+def test_eval_in_blocks_prints_the_whole_matrix_report(trained, monkeypatch, capsys):
+    prefix = trained["prefix"]
+    x, y = read_feature_matrix(f"{prefix}.test.feat")[0], pio.read_labels(f"{prefix}.test.labels")
+    model = classifier.load_model(trained["model"])
+    cli._report_eval(y, classifier.forward(model, x).argmax(axis=1), model.class_count)
+    expect = capsys.readouterr().out
+    for rows in (64, 3):  # 8 rows: one block, then blocks of 3, 3 and 2
+        monkeypatch.setattr(cli, "_EVAL_ROWS", rows)
+        assert cli.main(["eval", "--features", f"{prefix}.test.feat", "--labels",
+                         f"{prefix}.test.labels", "--model", str(trained["model"])]) == 0
+        assert capsys.readouterr().out == expect
+
+
+def test_two_stage_train_and_eval_stream_the_same_results(two_stage_prefix, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.setattr(classifier, "_CHUNK_ROWS", 700)
+    prefix = two_stage_prefix
+    assert cli.main(["train", "--features", str(prefix), "--model", str(tmp_path / "m"),
+                     "--epochs", "2", "--two-stage"]) == 0
+    capsys.readouterr()
+    partition = classifier.StagePartition(*pio.read_partition(f"{prefix}.partition.txt"))
+    models, xs = [], []
+    for (stage, _), (_, classes, _) in zip(cli._STAGES, cli._stage_labels(partition)):
+        x = read_feature_matrix(f"{prefix}.{stage}.train.feat")[0]
+        y = pio.read_labels(f"{prefix}.{stage}.train.labels")
+        keep = np.isin(y, classes)
+        ref = tmp_path / f"ref.{stage}.model"
+        models.append(_in_memory_fit(x[keep], np.searchsorted(classes, y[keep]), classes.size,
+                                     TrainConfig(max_epochs=2), ref))
+        assert (tmp_path / f"m.{stage}.model").read_bytes() == ref.read_bytes(), stage
+        xs.append(read_feature_matrix(f"{prefix}.{stage}.test.feat")[0])
+    y = pio.read_labels(f"{prefix}.one.test.labels")
+    pred, _ = classifier.two_stage_route(*models, partition, *xs)
+    cli._report_eval(y, pred, partition.multi_body.size)
+    expect = capsys.readouterr().out
+    monkeypatch.setattr(cli, "_EVAL_ROWS", 4)  # 6 rows: blocks of 4 and 2
+    assert cli.main(["eval", "--features", str(prefix), "--labels",
+                     f"{prefix}.one.test.labels", "--model", str(tmp_path / "m"),
+                     "--two-stage"]) == 0
+    assert capsys.readouterr().out == expect
+
+
+def test_train_does_not_load_the_matrix(tmp_path, capsys):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((60, 100_000))
+    write_feature_matrix(tmp_path / "x.feat", x)
+    pio.write_labels(np.arange(60) % 3, tmp_path / "x.labels")
+    tracemalloc.start()
+    try:
+        assert cli.main(["train", "--features", str(tmp_path / "x.feat"), "--labels",
+                         str(tmp_path / "x.labels"), "--model", str(tmp_path / "m.model"),
+                         "--epochs", "1", "--hidden", "4"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # w1, its momentum, one chunk of 30 batch rows and the buffers: under a
+    # quarter of the 48 MB matrix
+    assert peak < x.nbytes / 4
+
+
+def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("merged a skeleton past the joint cap")
+
+    monkeypatch.setattr(DatasetDescriptor, "merged", unreachable)
+    config = tmp_path / "bodies.cfg"
+    config.write_text("bodies = 201\n")  # 201 bodies of 5 joints
+    clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
+    argvs = [["features", "extract", "--manifest", trained["manifest"], "--descriptor",
+              trained["descriptor"], "--config", config, "--output", tmp_path / "f"],
+             ["predict", "--clip", trained["root"] / clip_rel, "--descriptor",
+              trained["descriptor"], "--config", config, "--model", trained["model"],
+              "--scaler", f"{trained['prefix']}.scaler.feat"]]
+    for argv in argvs:
+        assert cli.main([str(a) for a in argv]) == 2
+        assert f"{config}: bodies = 201 merges 1005 joints" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bodies.cfg"]
 
 
 # ------------------------------------------------------------ train and eval

@@ -19,6 +19,7 @@ from pathsig import (
 from pathsig.io import (
     ExtractionOptions,
     FeatureMatrixWriter,
+    FeatureRows,
     ManifestRecord,
     read_clip_file,
     read_descriptor,
@@ -453,6 +454,72 @@ def test_feature_matrix_writer_discards_on_error(tmp_path):
         with FeatureMatrixWriter(out, 3) as writer:
             writer.write(np.ones((2, 4)))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_feature_rows_read_blocks_and_take(tmp_path, monkeypatch):
+    import pathsig.io as pio
+
+    matrix = np.random.default_rng(7).standard_normal((7, 5))
+    layout = (Block("a", 0, 2), Block("b", 2, 3))
+    write_feature_matrix(tmp_path / "m.feat", matrix, layout)
+    monkeypatch.setattr(pio, "_BLOCK_BYTES", 2 * 8 * 5)  # two rows per block
+    with FeatureRows(tmp_path / "m.feat") as rows:
+        assert rows.shape == (7, 5) and rows.layout == layout
+        assert np.array_equal(rows.read(2, 6), matrix[2:6])
+        assert [b.shape[0] for b in rows.blocks()] == [2, 2, 2, 1]
+        assert np.array_equal(np.vstack([b.copy() for b in rows.blocks(3)]), matrix)
+        picked = np.array([6, 0, 3, 3])
+        out = rows.take(picked, 1, 4, np.empty((4, 3)))
+        assert np.array_equal(out, matrix[picked, 1:4])
+        view = rows.select([5, 1, 4]).select([2, 0])
+        assert view.shape == (2, 5)
+        assert np.array_equal(view.read(0, 2), matrix[[4, 5]])
+        assert np.array_equal(view.take([1], 0, 5, np.empty((1, 5))), matrix[[5]])
+        for bad in (lambda: rows.take([7], 0, 5, np.empty((1, 5))),
+                    lambda: rows.take([0], 3, 6, np.empty((1, 3))),
+                    lambda: rows.take([0, 1], 0, 2, np.empty((1, 2))),
+                    lambda: rows.select([-1])):
+            with pytest.raises(InputError):
+                bad()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+def test_feature_rows_empty_shapes(tmp_path, shape):
+    p = tmp_path / "m.feat"
+    write_feature_matrix(p, np.zeros(shape))
+    assert read_feature_matrix(p)[0].shape == shape
+    with FeatureRows(p) as rows:
+        assert [b.shape for b in rows.blocks()] == ([shape] if shape[0] else [])
+        assert rows.take([0] * shape[0], 0, 0, np.empty((shape[0], 0))).shape == (shape[0], 0)
+
+
+def test_feature_rows_file_cut_short_after_opening(tmp_path):
+    p = tmp_path / "m.feat"
+    write_feature_matrix(p, np.ones((4, 3)))
+    with FeatureRows(p) as rows:
+        with open(p, "r+b") as f:
+            f.truncate(24 + 8 * 3 * 2)
+        with pytest.raises(FormatError, match="ends at byte"):
+            rows.read(0, 4)
+
+
+@pytest.mark.parametrize("rows, cols, payload", [
+    (0, 2**62, 0),  # no entries, but no array can have this shape
+    (10**6, 10**6, 64),  # more bytes than the file holds
+    (3, 2**61 + 1, 64),  # rows x cols past the file size, product past 2^64
+])
+def test_feature_rows_reject_hostile_header_before_allocating(tmp_path, rows, cols, payload):
+    p = tmp_path / "m.feat"
+    p.write_bytes(b"SIGFEAT1" + struct.pack("<QQ", rows, cols) + b"\x00" * payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            FeatureRows(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(p) in str(err.value)
+    assert peak < 64 * 1024
 
 
 # ------------------------------------------------------------ labels, scaler

@@ -24,6 +24,18 @@ DESC = DatasetDescriptor(joint_count=3, dim=2, priority=(2, 0, 1), mirror=(1, 0,
 MiB = 1 << 20
 
 
+def _read_rows(path):
+    """Every read ``FeatureRows`` offers, over a whole file: blocks of all
+    columns, then one column range of the last and first rows."""
+    with pio.FeatureRows(path) as rows:
+        n, cols = rows.shape
+        for _ in rows.blocks():
+            pass
+        picked = rows.select([n - 1, 0] if n else [])
+        picked.take(range(picked.shape[0]), cols // 2, cols,
+                    np.empty((picked.shape[0], cols - cols // 2)))
+
+
 def _seed_files(root):
     """{reader name: (bytes of a small valid file its writer wrote, the reader)}."""
     rng = np.random.default_rng(11)
@@ -51,6 +63,9 @@ def _seed_files(root):
                       pio.read_partition),
         "signet1": (lambda p: save_model(init_model(4, 2, TrainConfig(), hidden_dim=3), p),
                     load_model),
+        # last, so the readers above keep the seed files they had before it
+        "sigfeat1_rows": (lambda p: pio.write_feature_matrix(
+            p, rng.standard_normal((3, 4)), (Block("a", 0, 1), Block("b", 1, 3))), _read_rows),
     }
     seeds = {}
     for name, (write, read) in writers.items():
@@ -100,7 +115,8 @@ def _mutate(data: bytes, mutations) -> bytes:
 
 
 @pytest.mark.parametrize("name", ["path", "clip", "manifest", "descriptor", "feature_config",
-                                  "sigfeat1", "scaler", "labels", "partition", "signet1"])
+                                  "sigfeat1", "sigfeat1_rows", "scaler", "labels", "partition",
+                                  "signet1"])
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=4))
 def test_reader_rejects_mutated_files_cleanly(seeds, name, mutations):
