@@ -19,8 +19,8 @@ entries only.  Features come as an in-memory matrix or as an
 ``io.FeatureRows`` file, whose batch rows of each chunk are read into one
 reused buffer (this is how ``pathsig train`` runs), with the same
 products and the same bits either way.  Streamed, training holds the
-weights, the momentum, two chunk buffers, one chunk of batch rows and the
-kept indices, whatever the number of rows.
+weights, the momentum, two chunk buffers, one chunk of batch rows and one
+batch's kept indices, whatever the number of rows.
 
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
@@ -337,6 +337,7 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
             batch = order[start:start + config.batch_size]
             yb = y[batch]
             if masked:
+                kept = idx = local = None  # drop the last batch's mask before drawing the next
                 kept = _kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)
                 bounds = np.searchsorted(kept, chunk_edges)
             h = np.zeros((batch.size, H))

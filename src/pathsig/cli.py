@@ -7,11 +7,12 @@ Subcommands:
 * ``train``            feature matrix -> model file (+ history)
 * ``eval``             model + labeled features -> accuracy report
 * ``predict``          model + one clip -> class name and probability
-* ``bench``            timing harness for large signature computations
+* ``bench``            time and peak RSS of one large signature computation
 
-Exit status: 0 on success, 1 on input/usage errors, 2 on file format
-errors.  Every command is deterministic given its seed flags; rerunning
-``features extract`` with the same inputs rewrites byte-identical files.
+Exit status: 0 on success, 1 on input/usage errors (and on a result too
+large to allocate), 2 on file format errors.  Every command is
+deterministic given its seed flags; rerunning ``features extract`` with
+the same inputs rewrites byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import resource
 import sys
 import time
 
@@ -502,6 +504,7 @@ def cmd_bench(args) -> int:
     print(f"coefficients: {count:,}")
     print(f"time over {args.repeats} run(s): min {min(times):.3f}s "
           f"mean {sum(times) / len(times):.3f}s max {max(times):.3f}s")
+    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
     return 0
 
 
@@ -518,6 +521,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

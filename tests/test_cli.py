@@ -147,6 +147,23 @@ def test_bench_rejects_zero_repeats():
     assert "--dim must be >= 1, got -1" in result.stderr
 
 
+def test_bench_reports_peak_rss():
+    # dimension 60, level 4: the 13,179,660-coefficient output alone is 100.6 MiB
+    result = run_cli("bench", "--dim", 60, "--level", 4, "--points", 2)
+    assert result.returncode == 0, result.stderr
+    match = re.search(r"^peak RSS: (\d+\.\d) MiB$", result.stdout, re.MULTILINE)
+    assert match, result.stdout
+    assert float(match.group(1)) >= 13_179_660 * 8 / 2**20
+
+
+def test_bench_too_large_to_allocate_is_exit_1():
+    # 72.8 PiB of coefficients: numpy refuses the allocation up front
+    result = run_cli("bench", "--dim", 60, "--level", 9, "--points", 2)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in result.stderr
+
+
 # ------------------------------------------------------------------- extract
 
 

@@ -1,6 +1,8 @@
 """Core signature algebra: closed forms, Chen concatenation, invariances."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from pathsig import (
     signature_bruteforce,
     signature_dimension,
 )
-from pathsig.signature import _chen_product
+from pathsig import signature, skeleton
+from pathsig.signature import _chen_product, _horner_fold, _level_blocks
+from pathsig.skeleton import FeatureConfig
 
 
 def random_path(rng, length, dim, scale=1.0):
@@ -426,3 +430,110 @@ def test_chen_product_matches_chen_concat_column_by_column():
                 expect = reference_chen_concat(sa, sb).data
                 assert np.array_equal(chen_concat(sa, sb).data, expect), (d, level)
                 assert np.array_equal(product[:, col], expect), (d, level, col)
+
+
+# ------------------------------------------- row-blocked outer-product adds
+
+
+def reference_horner_fold(increments, level):
+    """The fold before row blocking: level k's last product built whole, then added."""
+    _, d, B = increments.shape
+    out = np.zeros((signature_dimension(d, level), B))
+    levels = _level_blocks(out, d, level)
+    q = [np.empty((d ** (j + 1), B)) for j in range(level)]
+    dscaled = np.empty((level, d, B))
+    divisors = np.arange(1.0, level + 1)[:, None, None]
+    for delta in increments:
+        np.divide(delta, divisors, out=dscaled)
+        for k in range(level, 0, -1):
+            acc = dscaled[k - 1]
+            for j in range(1, k):
+                np.add(acc, levels[j - 1], out=q[j - 1])
+                np.multiply(q[j - 1][:, None], dscaled[k - j - 1], out=q[j].reshape(-1, d, B))
+                acc = q[j]
+            levels[k - 1] += acc
+    return out
+
+
+def reference_chen_product(a, b, d, level):
+    """The Chen product before row blocking: each a_m (x) b_{k-m} built whole, then added."""
+    out = a + b
+    blocks_a, blocks_b, blocks_out = (_level_blocks(x, d, level) for x in (a, b, out))
+    for k in range(2, level + 1):
+        for m in range(1, k):
+            outer = blocks_a[m - 1][:, None] * blocks_b[k - m - 1][None]
+            blocks_out[k - 1] += outer.reshape(d ** k, -1)
+    return out
+
+
+# (M, d, B, level): B = 1 and B > 1, level 1, d = 1, M = 0, and with the
+# default block size d = 60, level 3, B = 1 takes its top level in three
+# 1,092-row blocks and a short 324-row one
+BLOCKED_CASES = [(5, 3, 1, 4), (5, 3, 2, 4), (4, 3, 7, 5), (6, 4, 1, 1), (6, 1, 5, 6),
+                 (0, 3, 2, 3), (1, 2, 1, 2), (3, 60, 1, 3)]
+
+
+@pytest.mark.parametrize("block_entries", [50, signature._BLOCK_ENTRIES])
+def test_blocked_fold_is_byte_identical_to_unblocked(monkeypatch, block_entries):
+    # 50 entries: d = 3, B = 2 splits level 4's 27 rows as 8 + 8 + 8 + 3, and
+    # d = 3, B = 7 splits level 5's 81 rows into 40 blocks of 2 and one of 1
+    monkeypatch.setattr(signature, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(61)
+    for M, d, B, level in BLOCKED_CASES:
+        increments = rng.standard_normal((M, d, B))
+        got = _horner_fold(increments, level)
+        assert got.tobytes() == reference_horner_fold(increments, level).tobytes(), (M, d, B, level)
+        paths = np.concatenate([np.zeros((B, 1, d)), np.cumsum(increments.transpose(2, 0, 1), axis=1)],
+                               axis=1)
+        batch = path_signature_batch(paths, level)
+        assert batch.tobytes() == reference_horner_fold(
+            np.ascontiguousarray(np.diff(paths, axis=1).transpose(1, 2, 0)), level).T.tobytes()
+
+
+@pytest.mark.parametrize("block_entries", [50, signature._BLOCK_ENTRIES])
+def test_blocked_chen_product_is_byte_identical_to_unblocked(monkeypatch, block_entries):
+    monkeypatch.setattr(signature, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(67)
+    for _, d, B, level in BLOCKED_CASES:
+        a, b = rng.standard_normal((2, signature_dimension(d, level), B))
+        got = _chen_product(a, b, d, level)
+        assert got.tobytes() == reference_chen_product(a, b, d, level).tobytes(), (d, B, level)
+    sa, sb = (path_signature(rng.standard_normal((4, 60)), 3) for _ in range(2))
+    expect = reference_chen_product(sa.data[:, None], sb.data[:, None], 60, 3)[:, 0]
+    assert chen_concat(sa, sb).data.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("block_entries", [50, signature._BLOCK_ENTRIES])
+def test_blocked_dyadic_chen_fold_is_byte_identical_to_unblocked(monkeypatch, block_entries):
+    monkeypatch.setattr(signature, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(71)
+    config = replace(FeatureConfig(), dyadic=True, dyadic_depth=3)
+    increments = rng.standard_normal((17, 3, 6))
+    got = skeleton._temporal_signatures(increments, 4, config)
+    monkeypatch.setattr(skeleton, "_horner_fold", reference_horner_fold)
+    monkeypatch.setattr(skeleton, "_chen_product", reference_chen_product)
+    assert got.tobytes() == skeleton._temporal_signatures(increments, 4, config).tobytes()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_path_signature_holds_little_beyond_its_output():
+    # d = 40, level 4: the output is 21.0 MB; the unblocked fold also held a
+    # level-4-sized product, about twice the output in all
+    path = np.random.default_rng(73).standard_normal((5, 40))
+    sig, peak = traced_peak(path_signature, path, 4)
+    assert peak < sig.data.nbytes + 2 * 2**20
+
+
+def test_chen_concat_holds_little_beyond_its_output():
+    rng = np.random.default_rng(79)
+    a, b = (path_signature(rng.standard_normal((3, 40)), 4) for _ in range(2))
+    c, peak = traced_peak(chen_concat, a, b)
+    assert peak < c.data.nbytes + 2 * 2**20
