@@ -16,11 +16,11 @@ rows of the matching feature columns only: the forward pass scatters each
 chunk's kept weights into a zeroed chunk buffer, and the update computes
 the chunk's gradient into a second buffer and applies it at the kept
 entries only.  Features come as an in-memory matrix or as an
-``io.FeatureRows`` file, whose batch rows of each chunk are read into one
-reused buffer (this is how ``pathsig train`` runs), with the same
-products and the same bits either way.  Streamed, training holds the
-weights, the momentum, two chunk buffers, one chunk of batch rows and one
-batch's kept indices, whatever the number of rows.
+``io.FeatureRows`` file (this is how ``pathsig train`` runs), and both
+answer ``x[batch, r0:r1]`` with the same array, so the products and the
+bits are the same either way.  From a file, training holds the weights,
+the momentum, two chunk buffers, one chunk of batch rows and one batch's
+kept indices, whatever the number of rows.
 
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
@@ -274,10 +274,10 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
     batch gets its own dropconnect mask over w1, held as the sorted flat
     indices of its kept entries (see ``_kept_entries``).  The masked
     product and the update walk w1 in row chunks and take the batch's rows
-    one chunk of columns at a time (from a file, read into one reused
-    (batch, chunk) buffer), so no batch-sized copy of the features is made
-    and the only W1-sized array is the momentum; masked-out entries move
-    by their momentum alone (v <- mu*v).  Loss and accuracy
+    one chunk of columns at a time (``x[batch, r0:r1]``, which a file
+    answers with one read per row), so no batch-sized copy of the features
+    is made and the only W1-sized array is the momentum; masked-out entries
+    move by their momentum alone (v <- mu*v).  Loss and accuracy
     are accumulated from the same masked forward passes the updates use.
     Deterministic: same model, data, and config give bit-identical
     results.  Raises InputError, naming the epoch and batch, when a batch
@@ -285,8 +285,7 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
     the final weights are not finite.
     """
     config = config or model.config
-    streamed = isinstance(features, FeatureRows)
-    x = features if streamed else np.asarray(features, dtype=np.float64)
+    x = features if isinstance(features, FeatureRows) else np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if len(x.shape) != 2 or x.shape[0] < 1:
         raise InputError(f"features must be a non-empty (rows, dims) matrix, got shape {x.shape}")
@@ -317,16 +316,6 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
     g_buf = np.empty((chunk_rows, H))
     w_buf_flat, g_buf_flat = w_buf.reshape(-1), g_buf.reshape(-1)
     w1_flat, v_flat = model.w1.reshape(-1), v_w1.reshape(-1)
-    if streamed:
-        row_buf = np.empty(min(config.batch_size, n) * chunk_rows)
-
-        def batch_rows(batch, r0, r1):  # contiguous, as the matrix's fancy index would be
-            out = row_buf[:batch.size * (r1 - r0)].reshape(batch.size, r1 - r0)
-            return x.take(batch, r0, r1, out)
-    else:
-        def batch_rows(batch, r0, r1):
-            return x[batch, r0:r1]
-
     history = []
     for epoch in range(config.max_epochs):
         lr = lr_schedule(epoch, config)
@@ -346,10 +335,10 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
                     idx = kept[bounds[c]:bounds[c + 1]]
                     local = idx - r0 * H
                     w_buf_flat[local] = w1_flat[idx]
-                    h += batch_rows(batch, r0, r1) @ w_buf[:r1 - r0]
+                    h += x[batch, r0:r1] @ w_buf[:r1 - r0]
                     w_buf_flat[local] = 0.0
                 else:
-                    h += batch_rows(batch, r0, r1) @ model.w1[r0:r1]
+                    h += x[batch, r0:r1] @ model.w1[r0:r1]
             h += model.b1
             loss, probs, g_h, g_b1, g_w2, g_b2 = _softmax_head(h, yb, model.w2, model.b2)
             if not np.isfinite(loss):
@@ -359,7 +348,7 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
             loss_sum += loss
             correct += int((probs.argmax(axis=1) == yb).sum())
             for c, (r0, r1) in enumerate(chunks):
-                g = np.matmul(batch_rows(batch, r0, r1).T, g_h, out=g_buf[:r1 - r0])
+                g = np.matmul(x[batch, r0:r1].T, g_h, out=g_buf[:r1 - r0])
                 v = v_w1[r0:r1]
                 v *= config.momentum
                 if masked:

@@ -284,8 +284,6 @@ def cmd_extract(args) -> int:
             if classes.size < 2:  # each class model needs two classes
                 raise InputError(f"{args.manifest}: --two-stage needs at least two {side} "
                                  f"classes, got {classes.tolist()}")
-        pio.write_partition(partition.mean_actor_counts, partition.multi_body,
-                            f"{args.output}.partition.txt")
         outputs = [(f".{stage}", bodies, classes, label_of)
                    for (stage, bodies), (_, classes, label_of)
                    in zip(_STAGES, _stage_labels(partition))]
@@ -319,6 +317,9 @@ def cmd_extract(args) -> int:
         for split_writers in writers.values():
             for writer, scaler in zip(split_writers, scalers):
                 writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))
+        if args.two_stage:
+            pio.write_partition(partition.mean_actor_counts, partition.multi_body,
+                                f"{args.output}.partition.txt")
         for (suffix, _, _, label_of), scaler in zip(outputs, scalers):
             pio.write_scaler(scaler, f"{args.output}{suffix}.scaler.feat")
             for split, split_labels in labels.items():

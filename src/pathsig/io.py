@@ -67,6 +67,8 @@ _FEAT_MAGIC = b"SIGFEAT1"
 _FEAT_HEADER = len(_FEAT_MAGIC) + 16  # magic, rows, cols
 _BLOCK_BYTES = 1 << 18  # FeatureRows.blocks reads this many bytes at a time, at least one row
 _MAX_JOINTS = 1000  # descriptor checks build lists this long; NTU RGB+D has 25 a body
+_MAX_SAMPLED_FRAMES = 1000  # a feature layout lists 3 blocks per sampled frame
+_MAX_NOISE_COPIES = 100  # extract holds 1 + flip + noise_copies clips per training clip
 
 
 def _data_lines(path):
@@ -325,7 +327,8 @@ def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
 
     The keys are the field names of FeatureConfig and ExtractionOptions,
     each parsed by the type of its default.  Every key is optional;
-    omitted keys keep their defaults.
+    omitted keys keep their defaults.  ``sampled_frames`` may be at most
+    1000 and ``noise_copies`` at most 100.
     """
     schema = {f.name: (cls, type(f.default))
               for cls in (FeatureConfig, ExtractionOptions) for f in dataclasses.fields(cls)}
@@ -343,6 +346,9 @@ def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
                 parsed = kind(value)  # int or float
         except ValueError as exc:
             raise FormatError(f"{path}: malformed value for {key!r}: {exc}") from None
+        cap = {"sampled_frames": _MAX_SAMPLED_FRAMES, "noise_copies": _MAX_NOISE_COPIES}.get(key)
+        if cap is not None and parsed > cap:
+            raise FormatError(f"{path}: {key} = {parsed} is more than the {cap} allowed")
         kwargs[cls][key] = parsed
     try:
         return FeatureConfig(**kwargs[FeatureConfig]), ExtractionOptions(**kwargs[ExtractionOptions])
@@ -487,8 +493,8 @@ class FeatureRows:
     once, before anything sized from the header is allocated: the declared
     rows x cols must fit the file, and a non-empty footer must tile
     ``[0, cols)`` in order.  ``shape`` is (rows, cols) and ``layout`` the
-    footer's blocks.  ``read``, ``blocks`` and ``take`` then fill buffers
-    with ``os.preadv``; a file cut short since it was opened is a
+    footer's blocks.  ``read``, ``blocks`` and ``rows[batch, r0:r1]`` then
+    read with ``os.preadv``; a file cut short since it was opened is a
     FormatError.  The file is read, not mapped: mapped pages that a
     process touches count toward its resident memory, page-cache pages
     filled by a read do not.  As a context manager it closes the file.
@@ -524,10 +530,12 @@ class FeatureRows:
     def read(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows [start, stop), every column, into ``out`` (a C-contiguous
         (stop - start, cols) float64 array) or a fresh array."""
+        if not 0 <= start <= stop <= self.shape[0]:
+            raise InputError(f"{self.path}: cannot read rows [{start}, {stop}) of {self.shape[0]}")
         if out is None:
             out = np.empty((stop - start, self.shape[1]), dtype="<f8")
         if self._rows is not None:
-            return self.take(range(start, stop), 0, self.shape[1], out)
+            return self._pread_rows(self._rows[start:stop], 0, out)
         self._pread(out, _FEAT_HEADER + 8 * self.shape[1] * start)
         return out
 
@@ -542,16 +550,20 @@ class FeatureRows:
         for start in range(0, rows, step):
             yield self.read(start, min(start + step, rows), buffer[:rows - start])
 
-    def take(self, rows, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out``, a (len(rows), r1 - r0) float64 array with contiguous
-        rows, with columns [r0, r1) of the given rows; one read per row."""
-        file_rows = self._check_rows(rows)
-        if not 0 <= r0 <= r1 <= self.shape[1] or out.shape != (file_rows.size, r1 - r0) \
-                or out.dtype != np.float64:
-            raise InputError(f"{self.path}: cannot read columns [{r0}, {r1}) of "
-                             f"{file_rows.size} rows into an array of shape {out.shape}")
-        if self._rows is not None:
-            file_rows = self._rows[file_rows]
+    def __getitem__(self, key) -> np.ndarray:
+        """``rows[batch, r0:r1]``: columns [r0, r1) of the given rows, as the
+        same fancy index of the matrix gives them (a fresh C-contiguous
+        float64 array); one read per row.  The column slice follows numpy's
+        rules with a step of 1; any other key is an InputError."""
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], slice)
+                and key[1].step in (None, 1)):
+            raise InputError(f"{self.path}: rows are indexed as rows[batch, r0:r1], got {key!r}")
+        r0, r1, _ = key[1].indices(self.shape[1])
+        file_rows = self._file_rows(key[0])
+        return self._pread_rows(file_rows, r0, np.empty((file_rows.size, max(r1 - r0, 0))))
+
+    def _pread_rows(self, file_rows: np.ndarray, r0: int, out: np.ndarray) -> np.ndarray:
+        """Fill row i of ``out`` from column r0 on of file row ``file_rows[i]``."""
         stride, first = 8 * self.shape[1], _FEAT_HEADER + 8 * r0
         for i, row in enumerate(file_rows.tolist()):
             self._pread(out[i], first + stride * row)
@@ -560,17 +572,18 @@ class FeatureRows:
     def select(self, rows) -> FeatureRows:
         """The given rows, in that order, as a view that shares this file."""
         view = copy.copy(self)
-        view._rows = self._check_rows(rows)
-        if self._rows is not None:
-            view._rows = self._rows[view._rows]
+        view._rows = self._file_rows(rows)
         view.shape = (view._rows.size, self.shape[1])
         return view
 
-    def _check_rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or rows.size and not 0 <= rows.min() <= rows.max() < self.shape[0]:
-            raise InputError(f"{self.path}: row indices must be a list within 0..{self.shape[0] - 1}")
-        return rows
+    def _file_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu"
+                                            or not 0 <= rows.min() <= rows.max() < self.shape[0]):
+            raise InputError(f"{self.path}: row indices must be a list of integers within "
+                             f"0..{self.shape[0] - 1}")
+        rows = rows.astype(np.int64)
+        return rows if self._rows is None else self._rows[rows]
 
     def close(self) -> None:
         self._file.close()

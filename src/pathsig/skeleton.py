@@ -227,15 +227,8 @@ class FeatureVector:
                 f"values shape {self.values.shape} does not match layout total {expected}"
             )
 
-    @property
-    def dimension(self) -> int:
-        return self.values.size
-
     def blocks(self, name: str) -> list[Block]:
         return [b for b in self.layout if b.name == name]
-
-    def block_width(self, name: str) -> int:
-        return sum(b.width for b in self.layout if b.name == name)
 
 
 @dataclass
@@ -248,8 +241,8 @@ class FeatureScaler:
         self.scale = np.asarray(self.scale, dtype=np.float64)
         if self.scale.ndim != 1 or self.scale.size < 1:
             raise InputError(f"scale must be a non-empty 1-D array, got shape {self.scale.shape}")
-        if not np.all(self.scale > 0):
-            raise InputError("scale entries must be positive")
+        if not np.all((self.scale > 0) & np.isfinite(self.scale)):
+            raise InputError("scale entries must be finite and positive")
 
 
 def normalize_clip(clip: SkeletonClip) -> SkeletonClip:
@@ -397,14 +390,8 @@ def temporal_joint_features(actor_joints, config: FeatureConfig) -> np.ndarray:
     coordinate appended and is signed at ``joint_level``; blocks are
     concatenated joint by joint.  A single-frame clip yields zeros.
     """
-    arr = np.asarray(actor_joints, dtype=np.float64)
-    if arr.ndim != 3:
-        raise InputError(f"actor joints must have shape (frames, joints, dim), got {arr.shape}")
+    arr = _check_actor_array(actor_joints)
     F, N, d = arr.shape
-    if F < 1 or N < 1:
-        raise InputError(f"actor joints need at least one frame and one joint, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("actor joints contain non-finite values")
     lifted = np.empty((F, d + 1, N))
     lifted[:, :d] = arr.transpose(0, 2, 1)
     lifted[:, d] = np.linspace(0.0, 1.0, F)[:, None]
@@ -545,14 +532,14 @@ def fill_clip(clip: SkeletonClip) -> SkeletonClip:
     return replace(clip, joints=joints, valid=valid)
 
 
-def _check_actor_array(actor_joints, descriptor: DatasetDescriptor) -> np.ndarray:
+def _check_actor_array(actor_joints, descriptor: DatasetDescriptor | None = None) -> np.ndarray:
     arr = np.asarray(actor_joints, dtype=np.float64)
     if arr.ndim != 3:
         raise InputError(f"actor joints must have shape (frames, joints, dim), got {arr.shape}")
     F, N, d = arr.shape
-    if F < 1:
-        raise InputError("actor joints need at least one frame")
-    if N != descriptor.joint_count or d != descriptor.dim:
+    if F < 1 or N < 1:
+        raise InputError(f"actor joints need at least one frame and one joint, got {arr.shape}")
+    if descriptor is not None and (N != descriptor.joint_count or d != descriptor.dim):
         raise InputError(
             f"actor joints ({N} joints, dim {d}) do not match descriptor "
             f"({descriptor.joint_count} joints, dim {descriptor.dim})"

@@ -326,6 +326,19 @@ def test_predict_prints_class_and_probability(trained):
     assert 0.25 <= float(prob) <= 1.0
 
 
+def test_predict_rejects_non_finite_scaler(trained, tmp_path, capsys):
+    # an infinite scale would zero its column of every predicted row
+    scaler = tmp_path / "inf.scaler.feat"
+    x, layout = read_feature_matrix(f"{trained['prefix']}.scaler.feat")
+    x[0, 3] = np.inf
+    write_feature_matrix(scaler, x, layout)
+    clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
+    argv = ["predict", "--clip", trained["root"] / clip_rel, "--descriptor", trained["descriptor"],
+            "--config", trained["config"], "--model", trained["model"], "--scaler", scaler]
+    assert cli.main([str(a) for a in argv]) == 2
+    assert f"{scaler}: invalid scaler: scale entries must be finite" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- two-stage
 
 
@@ -560,20 +573,22 @@ def test_extract_memory_does_not_grow_with_clips(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
-def test_extract_bad_late_clip_leaves_no_matrix(action_ds, tmp_path, split):
-    lines = (action_ds["root"] / "manifest.txt").read_text().splitlines()
-    last = max(i for i, line in enumerate(lines) if f",{split}," in line)
+def test_extract_bad_late_clip_leaves_no_matrix(action_ds, interaction_ds, tmp_path, split):
+    # two-stage extract needs two one-body and two multi-body classes, which
+    # the interaction set has
     bad = tmp_path / "bad.clip"
     bad.write_text("0,0,0,1.0,not-a-number\n")
-    lines[last] = f"{bad},{lines[last].split(',', 1)[1]}"
-    lines = [l if l.startswith(str(bad)) else f"{action_ds['root']}/{l}" for l in lines]
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n")
-    for flag in ([], ["--two-stage"]):
+    for ds, flag in ((action_ds, []), (interaction_ds, ["--two-stage"])):
+        lines = (ds["root"] / "manifest.txt").read_text().splitlines()
+        last = max(i for i, line in enumerate(lines) if f",{split}," in line)
+        lines[last] = f"{bad},{lines[last].split(',', 1)[1]}"
+        lines = [l if l.startswith(str(bad)) else f"{ds['root']}/{l}" for l in lines]
+        manifest.write_text("\n".join(lines) + "\n")
         result = run_cli("features", "extract", "--manifest", manifest,
-                         "--descriptor", action_ds["descriptor"],
-                         "--config", action_ds["config"], "--output", tmp_path / "f", *flag)
-        assert result.returncode != 0
+                         "--descriptor", ds["descriptor"],
+                         "--config", ds["config"], "--output", tmp_path / "f", *flag)
+        assert result.returncode == 2, result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.clip", "manifest.txt"]
 
 
@@ -787,16 +802,19 @@ def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, monkeypat
 
     monkeypatch.setattr(DatasetDescriptor, "merged", unreachable)
     config = tmp_path / "bodies.cfg"
-    config.write_text("bodies = 201\n")  # 201 bodies of 5 joints
     clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
     argvs = [["features", "extract", "--manifest", trained["manifest"], "--descriptor",
               trained["descriptor"], "--config", config, "--output", tmp_path / "f"],
              ["predict", "--clip", trained["root"] / clip_rel, "--descriptor",
               trained["descriptor"], "--config", config, "--model", trained["model"],
               "--scaler", f"{trained['prefix']}.scaler.feat"]]
-    for argv in argvs:
-        assert cli.main([str(a) for a in argv]) == 2
-        assert f"{config}: bodies = 201 merges 1005 joints" in capsys.readouterr().err
+    for body, message in (("bodies = 201", "bodies = 201 merges 1005 joints"),  # 5 joints each
+                          ("sampled_frames = 100000000", "sampled_frames = 100000000 is more"),
+                          ("noise_copies = 100000000", "noise_copies = 100000000 is more")):
+        config.write_text(body + "\n")
+        for argv in argvs:
+            assert cli.main([str(a) for a in argv]) == 2
+            assert f"{config}: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bodies.cfg"]
 
 

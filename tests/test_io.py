@@ -469,15 +469,21 @@ def test_feature_rows_read_blocks_and_take(tmp_path, monkeypatch):
         assert [b.shape[0] for b in rows.blocks()] == [2, 2, 2, 1]
         assert np.array_equal(np.vstack([b.copy() for b in rows.blocks(3)]), matrix)
         picked = np.array([6, 0, 3, 3])
-        out = rows.take(picked, 1, 4, np.empty((4, 3)))
-        assert np.array_equal(out, matrix[picked, 1:4])
+        for cols in (slice(1, 4), slice(3, None), slice(-2, 9), slice(4, 2)):
+            out = rows[picked, cols]
+            assert np.array_equal(out, matrix[picked, cols])
+            assert out.flags.c_contiguous and out.dtype == np.float64
         view = rows.select([5, 1, 4]).select([2, 0])
         assert view.shape == (2, 5)
         assert np.array_equal(view.read(0, 2), matrix[[4, 5]])
-        assert np.array_equal(view.take([1], 0, 5, np.empty((1, 5))), matrix[[5]])
-        for bad in (lambda: rows.take([7], 0, 5, np.empty((1, 5))),
-                    lambda: rows.take([0], 3, 6, np.empty((1, 3))),
-                    lambda: rows.take([0, 1], 0, 2, np.empty((1, 2))),
+        assert np.array_equal(view[[1], 0:5], matrix[[5]])
+        for bad in (lambda: rows[[7], 0:5],
+                    lambda: rows[[0], 0:4:2],
+                    lambda: rows[0],
+                    lambda: rows[[0], 1],
+                    lambda: rows[[True], 0:5],
+                    lambda: list(rows),
+                    lambda: rows.read(5, 8),
                     lambda: rows.select([-1])):
             with pytest.raises(InputError):
                 bad()
@@ -490,7 +496,7 @@ def test_feature_rows_empty_shapes(tmp_path, shape):
     assert read_feature_matrix(p)[0].shape == shape
     with FeatureRows(p) as rows:
         assert [b.shape for b in rows.blocks()] == ([shape] if shape[0] else [])
-        assert rows.take([0] * shape[0], 0, 0, np.empty((shape[0], 0))).shape == (shape[0], 0)
+        assert rows[[0] * shape[0], 0:0].shape == (shape[0], 0)
 
 
 def test_feature_rows_file_cut_short_after_opening(tmp_path):
