@@ -56,11 +56,11 @@ def main():
     # run one synthetic clip through the full preprocessing chain
     clip = make_action_clip(class_id=0, seed=3)
     prepared = fill_clip(normalize_clip(clip))
-    vec = assemble_features(prepared.joints[:, 0], config, desc)
-    print(f"\none clip ({clip.frame_count} frames) -> vector of {vec.values.size:,}")
+    row = assemble_features(prepared.joints[:, 0], config, desc)
+    print(f"\none clip ({clip.frame_count} frames) -> vector of {row.size:,}")
     print("  coordinates now centered, max |value| =",
           round(float(np.abs(prepared.joints).max()), 4))
-    sl = vec.blocks("joint_motion_sig")[0]
+    sl = next(b for b in layout if b.name == "joint_motion_sig")
     print("  joint_motion_sig starts at offset", sl.offset,
           "with width", sl.width)
 

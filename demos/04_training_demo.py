@@ -29,7 +29,7 @@ from pathsig.synth import ACTION_CLASSES, make_action_dataset
 
 def extract(clips, config, desc):
     rows = [
-        assemble_features(fill_clip(normalize_clip(c)).joints[:, 0], config, desc).values
+        assemble_features(fill_clip(normalize_clip(c)).joints[:, 0], config, desc)
         for c in clips
     ]
     return np.array(rows), np.array([c.label for c in clips])

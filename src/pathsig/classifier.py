@@ -490,9 +490,9 @@ def extract_body_features(
     config: FeatureConfig,
     descriptor: DatasetDescriptor,
 ) -> np.ndarray:
-    """Feature vector of the clip's top ``bodies`` actors as one rigid body."""
+    """The feature row of the clip's top ``bodies`` actors as one rigid body."""
     prepared = prepare_body(clip, bodies)
-    return assemble_features(prepared.joints[:, 0], config, descriptor.merged(bodies)).values
+    return assemble_features(prepared.joints[:, 0], config, descriptor.merged(bodies))
 
 
 def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: LinearNetModel,

@@ -206,7 +206,7 @@ def _extract_split(records, descriptor, config, options, body_counts, augment):
                                           seed=[options.seed, index])
                             if augment else [prepared])
         for group in zip(*variants):
-            yield {bodies: assemble_features(v.joints[:, 0], config, body_descs[bodies]).values
+            yield {bodies: assemble_features(v.joints[:, 0], config, body_descs[bodies])
                    for bodies, v in zip(body_descs, group)}, label
 
 
@@ -250,15 +250,18 @@ def _stage_labels(partition: StagePartition):
 
 def _feature_config(path, descriptor: DatasetDescriptor):
     """The settings of a feature config file, or the defaults; FormatError,
-    before anything is built from them, when the merged skeleton of
-    ``bodies`` bodies would have more joints than a descriptor may."""
-    if not path:
-        return FeatureConfig(), pio.ExtractionOptions()
-    config, options = pio.read_feature_config(path)
+    before anything is built from them, when the merged skeleton of ``bodies``
+    bodies would have more joints, or its feature rows more columns, than allowed."""
+    config, options = (pio.read_feature_config(path) if path
+                       else (FeatureConfig(), pio.ExtractionOptions()))
     joints = descriptor.joint_count * options.bodies
     if joints > pio._MAX_JOINTS:
         raise FormatError(f"{path}: bodies = {options.bodies} merges {joints} joints, more than "
                           f"the {pio._MAX_JOINTS} allowed")
+    width = sum(b.width for b in feature_layout(config, DatasetDescriptor(joints, descriptor.dim)))
+    if width > pio._MAX_COLUMNS:
+        raise FormatError(f"{path or 'default feature config'}: the feature rows would have "
+                          f"{width} columns, more than the {pio._MAX_COLUMNS} allowed")
     return config, options
 
 
@@ -430,9 +433,16 @@ def _check_labels(y, class_count, path) -> None:
 
 
 def _load_two_stage(model_prefix, extract_prefix):
-    """The models of a two-stage train, in ``_STAGES`` order, and the class partition."""
-    partition = StagePartition(*pio.read_partition(f"{extract_prefix}.partition.txt"))
-    return [load_model(f"{model_prefix}.{stage}.model") for stage, _ in _STAGES], partition
+    """The models of a two-stage train, in ``_STAGES`` order, and the class
+    partition; InputError names a model whose class count is not its stage's."""
+    path = f"{extract_prefix}.partition.txt"
+    partition = StagePartition(*pio.read_partition(path))
+    models = [load_model(f"{model_prefix}.{stage}.model") for stage, _ in _STAGES]
+    for (stage, _), (_, classes, _), model in zip(_STAGES, _stage_labels(partition), models):
+        if model.class_count != classes.size:
+            raise InputError(f"{model_prefix}.{stage}.model: {model.class_count} classes, but "
+                             f"{path} gives the {stage} stage {classes.size}")
+    return models, partition
 
 
 def cmd_eval(args) -> int:

@@ -69,6 +69,9 @@ _BLOCK_BYTES = 1 << 18  # FeatureRows.blocks reads this many bytes at a time, at
 _MAX_JOINTS = 1000  # descriptor checks build lists this long; NTU RGB+D has 25 a body
 _MAX_SAMPLED_FRAMES = 1000  # a feature layout lists 3 blocks per sampled frame
 _MAX_NOISE_COPIES = 100  # extract holds 1 + flip + noise_copies clips per training clip
+_MAX_LEVEL = 32  # caps the *_level keys and dyadic_depth: the layout's widths stay small ints
+_MAX_LEAD_LAG_DIM = 1000  # channels of each lead-lag lift in the spatial-evolution block
+_MAX_COLUMNS = 1 << 26  # widest feature row a config may ask for: about 10x NTU RGB+D's 6,186,050
 
 
 def _data_lines(path):
@@ -320,6 +323,9 @@ class ExtractionOptions:
 
 
 _CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False}
+_CONFIG_CAPS = {"sampled_frames": _MAX_SAMPLED_FRAMES, "noise_copies": _MAX_NOISE_COPIES,
+                "lead_lag_dim": _MAX_LEAD_LAG_DIM, "dyadic_depth": _MAX_LEVEL,
+                **{f"{k}_level": _MAX_LEVEL for k in ("pair", "triple", "joint", "evolution")}}
 
 
 def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
@@ -328,7 +334,8 @@ def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
     The keys are the field names of FeatureConfig and ExtractionOptions,
     each parsed by the type of its default.  Every key is optional;
     omitted keys keep their defaults.  ``sampled_frames`` may be at most
-    1000 and ``noise_copies`` at most 100.
+    1000, ``noise_copies`` at most 100, each ``*_level`` key and
+    ``dyadic_depth`` at most 32, and ``lead_lag_dim`` at most 1000.
     """
     schema = {f.name: (cls, type(f.default))
               for cls in (FeatureConfig, ExtractionOptions) for f in dataclasses.fields(cls)}
@@ -346,7 +353,7 @@ def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
                 parsed = kind(value)  # int or float
         except ValueError as exc:
             raise FormatError(f"{path}: malformed value for {key!r}: {exc}") from None
-        cap = {"sampled_frames": _MAX_SAMPLED_FRAMES, "noise_copies": _MAX_NOISE_COPIES}.get(key)
+        cap = _CONFIG_CAPS.get(key)
         if cap is not None and parsed > cap:
             raise FormatError(f"{path}: {key} = {parsed} is more than the {cap} allowed")
         kwargs[cls][key] = parsed

@@ -1,7 +1,7 @@
-"""Skeleton clips to fixed-length signature feature vectors.
+"""Skeleton clips to fixed-length signature feature rows.
 
 The feature stack turns a variable-length clip of joint coordinates into
-one dense vector with five kinds of blocks:
+one float64 row of five kinds of blocks, placed as ``feature_layout`` says:
 
 * joints: raw coordinates of one frame, width N*d.
 * pair_sig: per frame, the signature of every ordered joint pair treated
@@ -14,11 +14,13 @@ one dense vector with five kinds of blocks:
   triple signature blocks, the signature of its lead-lag lifted evolution
   over all frames, truncated at ``evolution_level``.
 
-The three spatial blocks enter the final vector once per sampled frame
-(``sampled_frames`` frames chosen by ``uniform_sample``); the two temporal
-blocks always see every frame, so the output width does not depend on clip
-length.  With ``dyadic`` enabled, each temporal signature is replaced by
-the concatenation of signatures over ``dyadic_windows``, multiplying the
+The three spatial blocks are built once, as one row per frame, and enter
+the final row once per sampled frame (``sampled_frames`` frames chosen by
+``uniform_sample``); the spatial-evolution block reads the pair and triple
+columns of those same rows.  The two temporal blocks always see every
+frame, so the output width does not depend on clip length.  With
+``dyadic`` enabled, each temporal signature is replaced by the
+concatenation of signatures over ``dyadic_windows``, multiplying the
 temporal widths by 2**depth - 1.  Each temporal block builds its
 increments once, channel-first; only the finest windows are signed, and
 every coarser window is the Chen product of its two halves.
@@ -44,7 +46,6 @@ __all__ = [
     "DatasetDescriptor",
     "FeatureConfig",
     "Block",
-    "FeatureVector",
     "FeatureScaler",
     "normalize_clip",
     "horizontal_flip",
@@ -208,30 +209,6 @@ class Block:
 
 
 @dataclass
-class FeatureVector:
-    """A dense feature vector plus the layout of its blocks."""
-
-    values: np.ndarray
-    layout: tuple[Block, ...]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.layout = tuple(self.layout)
-        expected = 0
-        for block in self.layout:
-            if block.offset != expected:
-                raise InputError(f"block {block.name} at offset {block.offset}, expected {expected}")
-            expected += block.width
-        if self.values.shape != (expected,):
-            raise InputError(
-                f"values shape {self.values.shape} does not match layout total {expected}"
-            )
-
-    def blocks(self, name: str) -> list[Block]:
-        return [b for b in self.layout if b.name == name]
-
-
-@dataclass
 class FeatureScaler:
     """Per-dimension max-abs scale learned on the training set."""
 
@@ -342,22 +319,22 @@ def enumerate_pathlets(joint_count: int, size: int, priority=None) -> list[tuple
     return list(itertools.combinations(order, size))
 
 
-def _frame_spatial_blocks(frames: np.ndarray, config: FeatureConfig, descriptor: DatasetDescriptor):
-    """Spatial blocks for every frame of one actor.
+def _spatial_rows(frames: np.ndarray, config: FeatureConfig, descriptor: DatasetDescriptor):
+    """Every frame's spatial blocks, one row per frame.
 
-    frames: (F, N, d).  Returns (joints (F, N*d), pair (F, Wp),
-    triple (F, Wt)); the pathlet signatures for all frames are computed in
-    one batched call per pathlet size.
+    frames: (F, N, d).  Returns the (F, N*d + Wp + Wt) array whose row f
+    is frame f's joints | pair_sig | triple_sig blocks in layout order.
+    Each pathlet size is signed for all frames in one batched call; a size
+    with no pathlets (two joints make no triple) adds no columns.
     """
     F, N, d = frames.shape
-    pairs = np.array(enumerate_pathlets(N, 2, descriptor.priority), dtype=np.intp)
-    triples = np.array(enumerate_pathlets(N, 3, descriptor.priority), dtype=np.intp)
-    sj = frames.reshape(F, N * d)
-    pair_paths = frames[:, pairs, :].reshape(F * len(pairs), 2, d)
-    pair = path_signature_batch(pair_paths, config.pair_level).reshape(F, -1)
-    triple_paths = frames[:, triples, :].reshape(F * len(triples), 3, d)
-    triple = path_signature_batch(triple_paths, config.triple_level).reshape(F, -1)
-    return sj, pair, triple
+    blocks = [frames.reshape(F, N * d)]
+    for size, level in ((2, config.pair_level), (3, config.triple_level)):
+        pathlets = enumerate_pathlets(N, size, descriptor.priority)
+        if pathlets:
+            paths = frames[:, np.array(pathlets, dtype=np.intp)].reshape(-1, size, d)
+            blocks.append(path_signature_batch(paths, level).reshape(F, -1))
+    return np.concatenate(blocks, axis=1)
 
 
 def _temporal_signatures(increments: np.ndarray, level: int, config: FeatureConfig) -> np.ndarray:
@@ -398,33 +375,20 @@ def temporal_joint_features(actor_joints, config: FeatureConfig) -> np.ndarray:
     return _temporal_signatures(np.diff(lifted, axis=0), config.joint_level, config)
 
 
-def temporal_spatial_features(
-    actor_joints,
-    config: FeatureConfig,
-    descriptor: DatasetDescriptor,
-    spatial_psf: np.ndarray | None = None,
-) -> np.ndarray:
+def temporal_spatial_features(spatial, config: FeatureConfig) -> np.ndarray:
     """Evolution signatures of every pair/triple signature dimension.
 
-    The per-frame pair and triple blocks (raw joints excluded) are
-    computed for all frames, each scalar dimension's evolution is lifted
-    by lead-lag to ``lead_lag_dim`` and signed at ``evolution_level``.
-    ``spatial_psf`` may pass in the precomputed (F, D_S) block to avoid
-    recomputation; blocks are concatenated dimension by dimension.
+    spatial: the (F, D_S) pair and triple blocks of every frame (raw
+    joints excluded).  Each scalar dimension's evolution is lifted by
+    lead-lag to ``lead_lag_dim`` and signed at ``evolution_level``; blocks
+    are concatenated dimension by dimension.
     """
-    frames = _check_actor_array(actor_joints, descriptor)
-    if spatial_psf is None:
-        _, pair, triple = _frame_spatial_blocks(frames, config, descriptor)
-        spatial_psf = np.concatenate([pair, triple], axis=1)
-    F = frames.shape[0]
-    series = np.asarray(spatial_psf, dtype=np.float64)
-    if series.ndim != 2 or series.shape[0] != F:
-        raise InputError(
-            f"spatial block must have shape ({F}, dims), got {series.shape}"
-        )
+    series = np.asarray(spatial, dtype=np.float64)
+    if series.ndim != 2 or series.shape[0] < 1:
+        raise InputError(f"spatial block must have shape (frames >= 1, dims), got {series.shape}")
     if not np.all(np.isfinite(series)):
         raise InputError("spatial block contains non-finite values")
-    k = config.lead_lag_dim
+    F, k = series.shape[0], config.lead_lag_dim
     lifted = np.zeros((F, k, series.shape[1]))
     for j in range(k):
         lifted[j:, j] = series[: F - j]
@@ -442,39 +406,29 @@ def feature_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> tupl
         factor = 2 ** config.dyadic_depth - 1
         joint_w *= factor
         evo_w *= factor
-    blocks = []
-    offset = 0
-    for _ in range(config.sampled_frames):
-        for name, width in (("joints", N * d), ("pair_sig", pair_w), ("triple_sig", triple_w)):
-            blocks.append(Block(name, offset, width))
-            offset += width
-    blocks.append(Block("joint_motion_sig", offset, joint_w))
-    offset += joint_w
-    blocks.append(Block("spatial_evolution_sig", offset, evo_w))
-    return tuple(blocks)
+    widths = [("joints", N * d), ("pair_sig", pair_w), ("triple_sig", triple_w)] * config.sampled_frames
+    widths += [("joint_motion_sig", joint_w), ("spatial_evolution_sig", evo_w)]
+    offsets = itertools.accumulate((width for _, width in widths), initial=0)
+    return tuple(Block(name, offset, width) for (name, width), offset in zip(widths, offsets))
 
 
-def assemble_features(actor_joints, config: FeatureConfig, descriptor: DatasetDescriptor) -> FeatureVector:
-    """Full feature vector of one actor's (frames, joints, dim) trajectory.
+def assemble_features(actor_joints, config: FeatureConfig, descriptor: DatasetDescriptor) -> np.ndarray:
+    """The 1-D float64 feature row of one actor's (frames, joints, dim) trajectory.
 
     Concatenates, in order: the three spatial blocks for each of the
     ``sampled_frames`` uniformly sampled frames, then the joint-motion
-    block, then the spatial-evolution block.  The output width depends
-    only on the configuration and descriptor, never on the frame count
-    (dyadic windowing fixes its window count up front).
+    block, then the spatial-evolution block.  ``feature_layout`` gives
+    each block's offset and width.  The output width depends only on the
+    configuration and descriptor, never on the frame count (dyadic
+    windowing fixes its window count up front).
     """
     frames = _check_actor_array(actor_joints, descriptor)
-    F = frames.shape[0]
-    sj, pair, triple = _frame_spatial_blocks(frames, config, descriptor)
-    spatial_psf = np.concatenate([pair, triple], axis=1)
-    sample = uniform_sample(F, config.sampled_frames)
-    parts = []
-    for i in sample:
-        parts.extend([sj[i], pair[i], triple[i]])
-    parts.append(temporal_joint_features(frames, config))
-    parts.append(temporal_spatial_features(frames, config, descriptor, spatial_psf))
-    values = np.concatenate(parts)
-    return FeatureVector(values, feature_layout(config, descriptor))
+    F, N, d = frames.shape
+    spatial = _spatial_rows(frames, config, descriptor)
+    return np.concatenate([spatial[i] for i in uniform_sample(F, config.sampled_frames)] + [
+        temporal_joint_features(frames, config),
+        temporal_spatial_features(spatial[:, N * d:], config),
+    ])
 
 
 def fit_scaler(features: np.ndarray) -> FeatureScaler:

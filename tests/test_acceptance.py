@@ -196,7 +196,7 @@ def test_criterion_10_end_to_end_synthetic_classification():
     def rows(clips):
         feats = [
             assemble_features(fill_clip(normalize_clip(c)).joints[:, 0],
-                              config, DESC15).values
+                              config, DESC15)
             for c in clips
         ]
         labels = np.array([c.label for c in clips], dtype=np.int64)

@@ -861,7 +861,8 @@ def test_two_stage_routing_both_paths(tmp_path, capsys):
 def test_two_stage_rejects_empty_clip(tmp_path, capsys, monkeypatch):
     models = (biased_gate(D_TWO, 0), biased_gate(D_ONE, 0), biased_gate(D_TWO, 0))
     scalers = [FeatureScaler(np.ones(d)) for d in (D_TWO, D_ONE, D_TWO)]
-    partition = StagePartition(np.array([1.0, 2.0]), np.array([False, True]))
+    partition = StagePartition(np.array([1.0, 1.1, 1.9, 2.0]),
+                               np.array([False, False, True, True]))
     empty = SkeletonClip(np.zeros((3, 1, 3, 2)), np.zeros((3, 1, 3), dtype=bool))
     with pytest.raises(InputError):
         extract_body_features(empty, 1, TWO_STAGE_CONFIG, TWO_STAGE_DESC)

@@ -382,6 +382,48 @@ def test_two_stage_cli_flow(tmp_path):
     assert 0.25 <= float(prob) <= 1.0
 
 
+def test_two_joint_skeleton_extracts_trains_and_evaluates(tmp_path, capsys):
+    train, test, desc = make_action_dataset(train_clips=8, test_clips=4, joint_count=2, seed=5)
+    manifest, descriptor = write_dataset(train, test, desc, tmp_path)
+    prefix, model = tmp_path / "f", tmp_path / "m.model"
+    for argv in (["features", "extract", "--manifest", manifest, "--descriptor", descriptor,
+                  "--output", prefix],
+                 ["train", "--features", f"{prefix}.train.feat", "--labels",
+                  f"{prefix}.train.labels", "--model", model, "--epochs", 3],
+                 ["eval", "--features", f"{prefix}.test.feat", "--labels",
+                  f"{prefix}.test.labels", "--model", model]):
+        assert cli.main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    assert "total dimension: 898" in capsys.readouterr().out
+    for split in ("train", "test"):  # C(2,3) = 0 triples: the triple blocks are 0 wide
+        with pio.FeatureRows(f"{prefix}.{split}.feat") as rows:
+            assert rows.shape[1] == 898
+            assert {b.width for b in rows.layout if b.name == "triple_sig"} == {0}
+
+
+def test_two_stage_models_must_match_the_partition(interaction_ds, tmp_path, capsys):
+    prefix = tmp_path / "f"
+    assert cli.main(["features", "extract", "--manifest", str(interaction_ds["manifest"]),
+                     "--descriptor", str(interaction_ds["descriptor"]), "--config",
+                     str(interaction_ds["config"]), "--output", str(prefix), "--two-stage"]) == 0
+    assert cli.main(["train", "--features", str(prefix), "--model", str(tmp_path / "m"),
+                     "--epochs", "1", "--two-stage"]) == 0
+    partition = tmp_path / "f.partition.txt"
+    assert "multi = 0,0,1,1\n" in partition.read_text()
+    partition.write_text(partition.read_text().replace("multi = 0,0,1,1", "multi = 0,1,1,1"))
+    capsys.readouterr()
+    message = f"{tmp_path / 'm.one.model'}: 2 classes, but {partition} gives the one stage 1"
+    assert cli.main(["eval", "--features", str(prefix), "--labels", f"{prefix}.one.test.labels",
+                     "--model", str(tmp_path / "m"), "--two-stage"]) == 1
+    assert message in capsys.readouterr().err
+    root = interaction_ds["root"]
+    for line in (root / "manifest.txt").read_text().splitlines()[:8]:
+        assert cli.main(["predict", "--clip", str(root / line.split(",")[0]), "--descriptor",
+                         str(interaction_ds["descriptor"]), "--config",
+                         str(interaction_ds["config"]), "--model", str(tmp_path / "m"),
+                         "--scaler", str(prefix), "--two-stage"]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_two_stage_extract_needs_two_classes_per_side(action_ds, tmp_path):
     train, test, desc = make_interaction_dataset(train_clips=8, test_clips=4,
                                                  joint_count=5, dim=2, seed=3)
@@ -422,7 +464,7 @@ def _reference_split(records, descriptor, config, options, bodies, augment):
         else:
             variants = [prepared]
         for variant in variants:
-            yield assemble_features(variant.joints[:, 0], config, body_desc).values, label
+            yield assemble_features(variant.joints[:, 0], config, body_desc), label
 
 
 def _reference_extract(manifest, descriptor_path, config_path, prefix, two_stage):
@@ -810,12 +852,27 @@ def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, monkeypat
               "--scaler", f"{trained['prefix']}.scaler.feat"]]
     for body, message in (("bodies = 201", "bodies = 201 merges 1005 joints"),  # 5 joints each
                           ("sampled_frames = 100000000", "sampled_frames = 100000000 is more"),
-                          ("noise_copies = 100000000", "noise_copies = 100000000 is more")):
+                          ("noise_copies = 100000000", "noise_copies = 100000000 is more"),
+                          ("triple_level = 1000000000", "triple_level = 1000000000 is more"),
+                          ("dyadic = true\ndyadic_depth = 1000000000",
+                           "dyadic_depth = 1000000000 is more"),
+                          ("triple_level = 30", "the feature rows would have 472446405355 "
+                                                "columns, more than the 67108864 allowed")):
         config.write_text(body + "\n")
         for argv in argvs:
             assert cli.main([str(a) for a in argv]) == 2
             assert f"{config}: {message}" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bodies.cfg"]
+
+
+def test_default_config_past_the_column_cap_is_exit_2(tmp_path, capsys):
+    train, _, desc = make_action_dataset(train_clips=1, test_clips=0, joint_count=200, seed=1)
+    manifest, descriptor = write_dataset(train, [], desc, tmp_path)
+    assert cli.main(["features", "extract", "--manifest", str(manifest), "--descriptor",
+                     str(descriptor), "--output", str(tmp_path / "f")]) == 2
+    assert ("default feature config: the feature rows would have 869547400 columns, more than "
+            "the 67108864 allowed") in capsys.readouterr().err
+    assert not list(tmp_path.glob("f*"))
 
 
 # ------------------------------------------------------------ train and eval

@@ -45,3 +45,20 @@ def test_import_loads_no_scipy():
 def test_demo_runs(demo):
     result = run_python(str(REPO / "demos" / demo))
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_wraps_find_every_target(monkeypatch):
+    """The benchmark's tracer wraps pathsig functions by attribute name; a
+    refactor that drops or renames one would only show when it runs."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import tracer
+    import workloads
+
+    originals = skeleton.temporal_spatial_features, skeleton.path_signature_batch
+    trace = tracer.Tracer()
+    try:
+        workloads.install_wraps(trace)
+        assert skeleton.temporal_spatial_features is not originals[0]
+    finally:
+        trace.restore()
+    assert (skeleton.temporal_spatial_features, skeleton.path_signature_batch) == originals

@@ -98,16 +98,15 @@ def test_assemble_matches_layout():
     joints = rng.standard_normal((12, 5, 2))
     vec = assemble_features(joints, config, DESC5)
     layout = feature_layout(config, DESC5)
-    assert vec.values.shape == (sum(b.width for b in layout),)
-    assert vec.layout == layout
-    assert np.all(np.isfinite(vec.values))
+    assert vec.shape == (sum(b.width for b in layout),) and vec.dtype == np.float64
+    assert np.all(np.isfinite(vec))
 
 
 def test_feature_dimension_independent_of_frame_count():
     rng = np.random.default_rng(1)
     config = FeatureConfig(sampled_frames=4, triple_level=2, joint_level=2)
     dims = {
-        assemble_features(rng.standard_normal((F, 5, 2)), config, DESC5).values.size
+        assemble_features(rng.standard_normal((F, 5, 2)), config, DESC5).size
         for F in (3, 8, 21, 40)
     }
     assert len(dims) == 1
@@ -147,9 +146,9 @@ def test_spatial_features_match_direct_signatures():
     config = FeatureConfig(sampled_frames=1, pair_level=2, triple_level=2)
     frame = rng.standard_normal((3, 2))
     features = assemble_features(frame[None], config, desc3)
-    spatial = features.layout[:3]  # joints, pair_sig, triple_sig of the one frame
+    spatial = feature_layout(config, desc3)[:3]  # joints, pair_sig, triple_sig of the one frame
     assert [b.name for b in spatial] == ["joints", "pair_sig", "triple_sig"]
-    vec = features.values[:spatial[-1].offset + spatial[-1].width]
+    vec = features[:spatial[-1].offset + spatial[-1].width]
     pair_dim = signature_dimension(2, 2)
     expect = [frame.reshape(-1)]  # leading block is the raw joint coordinates
     for pathlet in enumerate_pathlets(3, 2):
@@ -166,13 +165,14 @@ def test_spatial_blocks_translation_invariant_joints_not():
     joints = rng.standard_normal((6, 5, 2))
     a = assemble_features(joints, config, DESC5)
     b = assemble_features(joints + np.array([10.0, -4.0]), config, DESC5)
+    layout = feature_layout(config, DESC5)
     for name in ("pair_sig", "triple_sig"):
-        for blk in a.blocks(name):
+        for blk in (blk for blk in layout if blk.name == name):
             sl = slice(blk.offset, blk.offset + blk.width)
-            assert np.allclose(a.values[sl], b.values[sl], rtol=0, atol=1e-10)
-    joint_blocks = a.blocks("joints")
-    sl = slice(joint_blocks[0].offset, joint_blocks[0].offset + joint_blocks[0].width)
-    assert not np.allclose(a.values[sl], b.values[sl], atol=1e-3)
+            assert np.allclose(a[sl], b[sl], rtol=0, atol=1e-10)
+    joint_block = next(blk for blk in layout if blk.name == "joints")
+    sl = slice(joint_block.offset, joint_block.offset + joint_block.width)
+    assert not np.allclose(a[sl], b[sl], atol=1e-3)
 
 
 def test_temporal_joint_block_invariant_under_midpoint_refinement():
@@ -229,7 +229,6 @@ def assert_matches_reference(got, expect, dyadic, what):
 def test_temporal_blocks_match_per_window_reference():
     rng = np.random.default_rng(61)
     for dim in (2, 3):
-        desc = DatasetDescriptor(joint_count=4, dim=dim)
         for depth in (1, 2, 3):
             for F in (2 ** (depth - 1) + 1, 17, 30, 40):
                 frames = rng.standard_normal((F, 4, dim))
@@ -243,7 +242,7 @@ def test_temporal_blocks_match_per_window_reference():
                         assert_matches_reference(temporal_joint_features(frames, config),
                                                  reference_joint_block(frames, config),
                                                  dyadic, what)
-                        got = temporal_spatial_features(frames, config, desc, psf)
+                        got = temporal_spatial_features(psf, config)
                         assert_matches_reference(got, reference_evolution_block(psf, config),
                                                  dyadic, what)
 
@@ -258,7 +257,7 @@ def test_temporal_blocks_single_frame_and_short_dyadic_clip():
     with pytest.raises(InputError, match="too short for depth 3"):
         temporal_joint_features(short, FeatureConfig(dyadic=True, dyadic_depth=3))
     with pytest.raises(InputError, match="too short for depth 3"):
-        temporal_spatial_features(short, FeatureConfig(dyadic=True, dyadic_depth=3), DESC5)
+        temporal_spatial_features(np.zeros((4, 40)), FeatureConfig(dyadic=True, dyadic_depth=3))
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
@@ -273,7 +272,7 @@ def test_temporal_blocks_reject_non_finite_input(dyadic):
     psf = rng.standard_normal((12, 40))
     psf[3, 7] = np.inf
     with pytest.raises(InputError, match="non-finite"):
-        temporal_spatial_features(frames, config, DESC5, psf)
+        temporal_spatial_features(psf, config)
 
 
 # ----------------------------------------------------------------- preprocess
