@@ -33,7 +33,7 @@ Two-stage routing (a binary body-count gate, then one of two class
 models) serves datasets that mix single-actor and two-actor classes;
 ``two_stage_route``, its one router, takes a batch of scaled rows per
 model for both ``eval`` and ``predict``.  SIGNET1 model files are read
-with the size-checked readers and key-value parser of ``io``.
+with the size-checked readers and ``key = value`` settings codec of ``io``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError
-from .io import FeatureRows, _decode, _parse_key_values, _read_array, _read_exact
+from .errors import FormatError, InputError, check_entries, check_settings, setting
+from .io import (FeatureRows, _decode, _format_settings, _parse_key_values, _parse_settings,
+                 _read_array, _read_exact)
 from .skeleton import (
     DatasetDescriptor,
     FeatureConfig,
@@ -89,27 +90,15 @@ _CHUNK_ROWS = 16384
 class TrainConfig:
     """Optimizer hyperparameters; defaults are the reference values."""
 
-    batch_size: int = 30
-    momentum: float = 0.7
-    learning_rate: float = 0.01
-    decay: float = 0.005
-    max_epochs: int = 200
-    drop_rate: float = 0.95
-    seed: int = 0
+    batch_size: int = setting(30, ge=1)
+    momentum: float = setting(0.7, ge=0.0, lt=1.0)
+    learning_rate: float = setting(0.01, gt=0.0)
+    decay: float = setting(0.005, ge=0.0)
+    max_epochs: int = setting(200, ge=1)
+    drop_rate: float = setting(0.95, ge=0.0, lt=1.0)
+    seed: int = setting(0, ge=0)
 
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise InputError(f"batch size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InputError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.learning_rate <= 0:
-            raise InputError(f"learning rate must be > 0, got {self.learning_rate}")
-        if self.decay < 0:
-            raise InputError(f"decay must be >= 0, got {self.decay}")
-        if self.max_epochs < 1:
-            raise InputError(f"max epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise InputError(f"drop rate must be in [0, 1), got {self.drop_rate}")
+    __post_init__ = check_settings
 
 
 @dataclass
@@ -181,6 +170,7 @@ def init_model(
             f"need input_dim >= 1, class_count >= 2, hidden_dim >= 1; "
             f"got {input_dim}, {class_count}, {hidden_dim}"
         )
+    check_entries(hidden_dim * (input_dim + class_count), "the model's weights")
     rng = np.random.default_rng([config.seed, 0])
     w1 = rng.standard_normal((input_dim, hidden_dim)) / np.sqrt(input_dim)
     w2 = rng.standard_normal((hidden_dim, class_count)) / np.sqrt(hidden_dim)
@@ -517,9 +507,7 @@ def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: 
 
 def save_model(model: LinearNetModel, path) -> None:
     """Write the model in the binary SIGNET1 layout (see load_model)."""
-    config_text = "\n".join(
-        f"{f.name} = {getattr(model.config, f.name)}" for f in dataclasses.fields(TrainConfig)
-    ).encode("ascii")
+    config_text = _format_settings(model.config).encode("ascii")
     with open(path, "wb") as f:
         f.write(_MODEL_MAGIC)
         f.write(struct.pack("<B", _MODEL_VERSION))
@@ -535,9 +523,9 @@ def load_model(path) -> LinearNetModel:
 
     Layout: magic ``SIGNET1``, a version byte, input/hidden/class counts
     as little-endian u64, then w1, b1, w2, b2 as row-major little-endian
-    f64, then a u64-length-prefixed text block of training-config keys.
-    Every size taken from the file is checked against the file size before
-    the read it governs.
+    f64, then a u64-length-prefixed text block of a ``key = value`` line for
+    each TrainConfig field.  Every size taken from the file is checked
+    against the file size before the read it governs.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, len(_MODEL_MAGIC), path, "magic")
@@ -554,12 +542,9 @@ def load_model(path) -> LinearNetModel:
         extra = f.read(1)
         if extra:
             raise FormatError(f"{path}: trailing bytes after config at offset {f.tell() - 1}")
-    fields = _parse_key_values(enumerate(text.splitlines(), start=1), f"{path} config text")
-    try:
-        config = TrainConfig(**{f.name: type(f.default)(fields[f.name])  # int or float
-                                for f in dataclasses.fields(TrainConfig)})
-    except KeyError as exc:
-        raise FormatError(f"{path}: config text is missing key {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}: config text has a malformed value: {exc}") from exc
-    return LinearNetModel(*arrays, config)
+    where = f"{path} config text"
+    fields = _parse_key_values(enumerate(text.splitlines(), start=1), where)
+    missing = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in fields]
+    if missing:
+        raise FormatError(f"{where}: missing key {missing[0]!r}")
+    return LinearNetModel(*arrays, *_parse_settings(fields, where, TrainConfig))

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_entries
 from . import io as pio
 from .classifier import (
     HIDDEN_UNITS,
@@ -46,6 +46,7 @@ from .classifier import (
 from .signature import path_signature, signature_dimension
 from .skeleton import (
     DatasetDescriptor,
+    ExtractionOptions,
     FeatureConfig,
     apply_scaler,
     assemble_features,
@@ -200,10 +201,7 @@ def _extract_split(records, descriptor, config, options, body_counts, augment):
         variants = []
         for bodies, body_desc in body_descs.items():
             prepared = prepare_body(clip, bodies)
-            variants.append(augment_clips(prepared, body_desc, flip=options.flip,
-                                          noise_copies=options.noise_copies,
-                                          noise_sigma=options.noise_sigma,
-                                          seed=[options.seed, index])
+            variants.append(augment_clips(prepared, body_desc, options, index)
                             if augment else [prepared])
         for group in zip(*variants):
             yield {bodies: assemble_features(v.joints[:, 0], config, body_descs[bodies])
@@ -253,7 +251,7 @@ def _feature_config(path, descriptor: DatasetDescriptor):
     before anything is built from them, when the merged skeleton of ``bodies``
     bodies would have more joints, or its feature rows more columns, than allowed."""
     config, options = (pio.read_feature_config(path) if path
-                       else (FeatureConfig(), pio.ExtractionOptions()))
+                       else (FeatureConfig(), ExtractionOptions()))
     joints = descriptor.joint_count * options.bodies
     if joints > pio._MAX_JOINTS:
         raise FormatError(f"{path}: bodies = {options.bodies} merges {joints} joints, more than "
@@ -500,9 +498,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for name in ("repeats", "points", "dim"):
-        if getattr(args, name) < 1:
-            raise InputError(f"--{name} must be >= 1, got {getattr(args, name)}")
+    for name, low in (("repeats", 1), ("points", 1), ("dim", 1), ("seed", 0)):
+        if getattr(args, name) < low:
+            raise InputError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+    check_entries(args.points * args.dim, "the random path")
     rng = np.random.default_rng(args.seed)
     path = rng.standard_normal((args.points, args.dim))
     times = []

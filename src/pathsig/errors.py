@@ -1,9 +1,14 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks that raise them.
 
 Both exceptions derive from ValueError so callers that do not care about
 the distinction can catch a single builtin type.  The CLI maps InputError
 to exit status 1 and FormatError to exit status 2.
 """
+
+import dataclasses
+import math
+import operator
+import sys
 
 
 class InputError(ValueError):
@@ -16,3 +21,33 @@ class FormatError(ValueError):
     Messages should name the offending file and, where possible, the line
     number or byte offset.
     """
+
+
+_BOUNDS = {"ge": (operator.ge, "must be >= {}"), "gt": (operator.gt, "must be > {}"),
+           "le": (operator.le, "is more than the {} allowed"), "lt": (operator.lt, "must be < {}")}
+
+
+def setting(default, **bounds):
+    """A settings dataclass field of ``default`` that ``check_settings`` holds
+    to ``bounds``: any of ``ge``, ``gt``, ``le`` and ``lt`` (>=, >, <=, <)."""
+    return dataclasses.field(default=default, metadata=bounds)
+
+
+def check_settings(settings) -> None:
+    """InputError naming the first field of the dataclass ``settings`` that
+    breaks its ``setting`` bounds, or that is a float field and not finite."""
+    for field in dataclasses.fields(settings):
+        value = getattr(settings, field.name)
+        if type(field.default) is float and not math.isfinite(value):
+            raise InputError(f"{field.name} = {value} is not finite")
+        for bound, limit in field.metadata.items():
+            passes, failure = _BOUNDS[bound]
+            if not passes(value, limit):
+                raise InputError(f"{field.name} = {value} {failure.format(limit)}")
+
+
+def check_entries(count: int, what: str) -> None:
+    """MemoryError, where numpy would raise ValueError, when ``count`` float64
+    values pass any array's byte count: every size too large is out of memory."""
+    if 8 * count > sys.maxsize:
+        raise MemoryError(f"{what}: {count:,} float64 values or more, past any array's size")

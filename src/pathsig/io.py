@@ -22,7 +22,8 @@ Malformed input raises FormatError naming the file and the line number or
 byte offset.  Every writer/reader pair round-trips bit-exactly.  Binary
 readers check each size from a header against the file size before they
 allocate, and read arrays in place; the SIGNET1 model reader in
-``classifier`` shares them and the ``key = value`` parser.
+``classifier`` shares them and the ``key = value`` settings codec
+(``_parse_settings``, ``_format_settings``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError
-from .skeleton import Block, DatasetDescriptor, FeatureConfig, FeatureScaler, SkeletonClip
+from .skeleton import (Block, DatasetDescriptor, ExtractionOptions, FeatureConfig, FeatureScaler,
+                       SkeletonClip)
 
 __all__ = [
     "ManifestRecord",
@@ -67,10 +69,6 @@ _FEAT_MAGIC = b"SIGFEAT1"
 _FEAT_HEADER = len(_FEAT_MAGIC) + 16  # magic, rows, cols
 _BLOCK_BYTES = 1 << 18  # FeatureRows.blocks reads this many bytes at a time, at least one row
 _MAX_JOINTS = 1000  # descriptor checks build lists this long; NTU RGB+D has 25 a body
-_MAX_SAMPLED_FRAMES = 1000  # a feature layout lists 3 blocks per sampled frame
-_MAX_NOISE_COPIES = 100  # extract holds 1 + flip + noise_copies clips per training clip
-_MAX_LEVEL = 32  # caps the *_level keys and dyadic_depth: the layout's widths stay small ints
-_MAX_LEAD_LAG_DIM = 1000  # channels of each lead-lag lift in the spatial-evolution block
 _MAX_COLUMNS = 1 << 26  # widest feature row a config may ask for: about 10x NTU RGB+D's 6,186,050
 
 
@@ -298,76 +296,50 @@ def write_descriptor(descriptor: DatasetDescriptor, path) -> None:
         f.write(f"classes = {','.join(descriptor.class_names)}\n")
 
 
-@dataclass(frozen=True)
-class ExtractionOptions:
-    """Dataset-pipeline knobs that ride alongside FeatureConfig.
-
-    bodies: actors merged into the feature skeleton (ranked by movement).
-    flip / noise_copies / noise_sigma: train-split augmentation.
-    seed: augmentation noise seed.
-    """
-
-    bodies: int = 1
-    flip: bool = True
-    noise_copies: int = 2
-    noise_sigma: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.bodies < 1:
-            raise InputError(f"bodies must be >= 1, got {self.bodies}")
-        if self.noise_copies < 0:
-            raise InputError(f"noise_copies must be >= 0, got {self.noise_copies}")
-        if self.noise_sigma < 0:
-            raise InputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-
-
 _CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False}
-_CONFIG_CAPS = {"sampled_frames": _MAX_SAMPLED_FRAMES, "noise_copies": _MAX_NOISE_COPIES,
-                "lead_lag_dim": _MAX_LEAD_LAG_DIM, "dyadic_depth": _MAX_LEVEL,
-                **{f"{k}_level": _MAX_LEVEL for k in ("pair", "triple", "joint", "evolution")}}
+
+
+def _parse_settings(fields: dict[str, str], where, *classes) -> tuple:
+    """The settings dataclasses ``classes`` built from ``key = value`` fields of
+    ``where``: each key a field name, parsed by the type of its default, and
+    omitted keys at their defaults.  An unknown key or a malformed or
+    out-of-bounds value is a FormatError naming ``where``."""
+    schema = {f.name: (cls, type(f.default)) for cls in classes for f in dataclasses.fields(cls)}
+    kwargs = {cls: {} for cls in classes}
+    for key, value in fields.items():
+        if key not in schema:
+            raise FormatError(f"{where}: unknown key {key!r}")
+        cls, kind = schema[key]
+        try:  # a bool reads true/false/1/0, an int or float its type's literal
+            kwargs[cls][key] = _CONFIG_BOOL[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            raise FormatError(f"{where}: malformed {kind.__name__} value for {key!r}: "
+                              f"{value!r}") from None
+    try:
+        return tuple(cls(**kwargs[cls]) for cls in classes)
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _format_settings(*settings) -> str:
+    """A ``key = value`` line per field of each dataclass, no final newline."""
+    return "\n".join(f"{field.name} = {str(getattr(s, field.name)).lower()}"
+                     for s in settings for field in dataclasses.fields(s))
 
 
 def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
     """Read feature and extraction settings from a key-value file.
 
     The keys are the field names of FeatureConfig and ExtractionOptions,
-    each parsed by the type of its default.  Every key is optional;
-    omitted keys keep their defaults.  ``sampled_frames`` may be at most
-    1000, ``noise_copies`` at most 100, each ``*_level`` key and
-    ``dyadic_depth`` at most 32, and ``lead_lag_dim`` at most 1000.
+    each optional and held to the bounds its field declares.
     """
-    schema = {f.name: (cls, type(f.default))
-              for cls in (FeatureConfig, ExtractionOptions) for f in dataclasses.fields(cls)}
-    kwargs = {FeatureConfig: {}, ExtractionOptions: {}}
-    for key, value in _parse_key_values(_data_lines(path), path).items():
-        if key not in schema:
-            raise FormatError(f"{path}: unknown feature config key {key!r}")
-        cls, kind = schema[key]
-        try:
-            if kind is bool:
-                parsed = _CONFIG_BOOL.get(value.lower())
-                if parsed is None:
-                    raise ValueError(f"expected true/false, got {value!r}")
-            else:
-                parsed = kind(value)  # int or float
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed value for {key!r}: {exc}") from None
-        cap = _CONFIG_CAPS.get(key)
-        if cap is not None and parsed > cap:
-            raise FormatError(f"{path}: {key} = {parsed} is more than the {cap} allowed")
-        kwargs[cls][key] = parsed
-    try:
-        return FeatureConfig(**kwargs[FeatureConfig]), ExtractionOptions(**kwargs[ExtractionOptions])
-    except InputError as exc:
-        raise FormatError(f"{path}: invalid feature config: {exc}") from exc
+    return _parse_settings(_parse_key_values(_data_lines(path), path), path,
+                           FeatureConfig, ExtractionOptions)
 
 
 def write_feature_config(config: FeatureConfig, options: ExtractionOptions, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for settings in (config, options):
-            for field in dataclasses.fields(settings):
-                f.write(f"{field.name} = {str(getattr(settings, field.name)).lower()}\n")
+        f.write(_format_settings(config, options) + "\n")
 
 
 class FeatureMatrixWriter:

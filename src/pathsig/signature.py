@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_entries
 
 # Entries in the scratch of a row-blocked outer-product add (_row_blocks):
 # 512 KiB stays in L2; 2^14 to 2^17 measured within noise of each other.
@@ -270,6 +270,9 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
     buffer of path b.  No increments (M = 0) gives the zero signature.
     """
     _, d, B = increments.shape
+    # d ** 64 already passes any array's size when d >= 2: count that far only
+    check_entries(B * signature_dimension(d, level if d == 1 else min(level, 64)),
+                  f"{B} level-{level} signature(s) of {d}-dimensional paths")
     out = np.zeros((signature_dimension(d, level), B))
     levels = _level_blocks(out, d, level)
     # Scratch: q[j] holds a (d**(j+1), B) block, dscaled[i - 1] the increment / i.

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_settings, setting
 from .signature import _chen_product, _horner_fold, path_signature_batch, signature_dimension
 from .transforms import dyadic_windows, fill_missing, uniform_sample
 
@@ -45,6 +45,7 @@ __all__ = [
     "SkeletonClip",
     "DatasetDescriptor",
     "FeatureConfig",
+    "ExtractionOptions",
     "Block",
     "FeatureScaler",
     "normalize_clip",
@@ -161,9 +162,7 @@ class DatasetDescriptor:
         Joint blocks are stacked; priority runs through body 0's joints
         first, and the mirror map acts within each body.
         """
-        bodies = int(bodies)
-        if bodies < 1:
-            raise InputError(f"body count must be >= 1, got {bodies}")
+        bodies = int(bodies)  # fewer than 1 leaves fewer than two joints: an InputError below
         if bodies == 1:
             return self
         N = self.joint_count
@@ -183,20 +182,30 @@ class DatasetDescriptor:
 class FeatureConfig:
     """Knobs of the feature stack; defaults match the reference setup."""
 
-    sampled_frames: int = 10
-    pair_level: int = 2
-    triple_level: int = 4
-    joint_level: int = 5
-    evolution_level: int = 2
-    lead_lag_dim: int = 3
+    # The caps keep a layout (3 blocks per sampled frame) short and its widths small ints.
+    sampled_frames: int = setting(10, ge=1, le=1000)
+    pair_level: int = setting(2, ge=1, le=32)
+    triple_level: int = setting(4, ge=1, le=32)
+    joint_level: int = setting(5, ge=1, le=32)
+    evolution_level: int = setting(2, ge=1, le=32)
+    lead_lag_dim: int = setting(3, ge=1, le=1000)  # channels of each lead-lag lift
     dyadic: bool = False
-    dyadic_depth: int = 3
+    dyadic_depth: int = setting(3, ge=1, le=32)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(f.default) is int and int(value) < 1:
-                raise InputError(f"{f.name} must be >= 1, got {value}")
+    __post_init__ = check_settings
+
+
+@dataclass(frozen=True)
+class ExtractionOptions:
+    """Dataset-pipeline knobs that ride alongside FeatureConfig."""
+
+    bodies: int = setting(1, ge=1)  # most active actors, merged; cli caps bodies x joints
+    flip: bool = True  # flip, noise_copies and noise_sigma augment the train split
+    noise_copies: int = setting(2, ge=0, le=100)  # extract holds 1 + flip + noise_copies clips
+    noise_sigma: float = setting(0.01, ge=0.0, le=1.0)  # clips are normalized into [-1, 1]
+    seed: int = setting(0, ge=0)  # augmentation noise seed
+
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -275,26 +284,20 @@ def add_gaussian_noise(clip: SkeletonClip, sigma: float = 0.01, seed=0) -> Skele
     return replace(clip, joints=joints)
 
 
-def augment_clips(
-    clip: SkeletonClip,
-    descriptor: DatasetDescriptor,
-    flip: bool = True,
-    noise_copies: int = 2,
-    noise_sigma: float = 0.01,
-    seed=0,
-) -> list[SkeletonClip]:
-    """Training-set expansion: the clip, its flip, and seeded noisy copies.
+def augment_clips(clip: SkeletonClip, descriptor: DatasetDescriptor, options: ExtractionOptions,
+                  index: int) -> list[SkeletonClip]:
+    """Training-set expansion: the clip, its flip if ``options.flip``, and
+    ``options.noise_copies`` copies with noise of sigma ``options.noise_sigma``.
 
-    Noisy copies are drawn from the unflipped clip; each copy gets its own
-    derived seed so the whole list is reproducible from ``seed``.
+    Noisy copies are drawn from the unflipped clip; copy i of the clip at
+    ``index`` in its split draws from the seed [[options.seed, index], i],
+    so the whole list is reproducible.
     """
-    if noise_copies < 0:
-        raise InputError(f"noise copy count must be >= 0, got {noise_copies}")
     out = [clip]
-    if flip:
+    if options.flip:
         out.append(horizontal_flip(clip, descriptor))
-    for i in range(noise_copies):
-        out.append(add_gaussian_noise(clip, noise_sigma, seed=[seed, i]))
+    for i in range(options.noise_copies):
+        out.append(add_gaussian_noise(clip, options.noise_sigma, seed=[[options.seed, index], i]))
     return out
 
 
@@ -384,8 +387,8 @@ def temporal_spatial_features(spatial, config: FeatureConfig) -> np.ndarray:
     are concatenated dimension by dimension.
     """
     series = np.asarray(spatial, dtype=np.float64)
-    if series.ndim != 2 or series.shape[0] < 1:
-        raise InputError(f"spatial block must have shape (frames >= 1, dims), got {series.shape}")
+    if series.ndim != 2 or not series.size:
+        raise InputError(f"spatial block must be a non-empty 2-D array, got {series.shape}")
     if not np.all(np.isfinite(series)):
         raise InputError("spatial block contains non-finite values")
     F, k = series.shape[0], config.lead_lag_dim

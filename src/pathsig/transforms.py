@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_entries
 from .signature import as_path
 
 __all__ = [
@@ -75,6 +75,7 @@ def lead_lag(series, delay_dim: int) -> np.ndarray:
     if delay_dim < 1:
         raise InputError(f"delay dimension must be >= 1, got {delay_dim}")
     L = arr.size
+    check_entries(L * delay_dim, f"a {delay_dim}-channel lead-lag path")
     out = np.zeros((L, delay_dim))
     for j in range(delay_dim):
         out[j:, j] = arr[: L - j]

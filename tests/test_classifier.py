@@ -601,6 +601,8 @@ def test_train_validates():
         TrainConfig(drop_rate=1.0)
     with pytest.raises(InputError):
         TrainConfig(batch_size=0)
+    with pytest.raises(MemoryError, match="the model's weights"):
+        init_model(3, 2, cfg, hidden_dim=2**62)
 
 
 # --------------------------------------------------------------- persistence

@@ -145,6 +145,9 @@ def test_bench_rejects_zero_repeats():
     result = run_cli("bench", "--dim", -1, "--level", 2, "--points", 5)
     assert result.returncode == 1
     assert "--dim must be >= 1, got -1" in result.stderr
+    result = run_cli("bench", "--dim", 2, "--level", 2, "--points", 5, "--seed", -1)
+    assert result.returncode == 1
+    assert result.stderr == "error: --seed must be >= 0, got -1\n"
 
 
 def test_bench_reports_peak_rss():
@@ -156,12 +159,24 @@ def test_bench_reports_peak_rss():
     assert float(match.group(1)) >= 13_179_660 * 8 / 2**20
 
 
-def test_bench_too_large_to_allocate_is_exit_1():
-    # 72.8 PiB of coefficients: numpy refuses the allocation up front
-    result = run_cli("bench", "--dim", 60, "--level", 9, "--points", 2)
-    assert result.returncode == 1
-    assert result.stderr.startswith("error: out of memory: ")
-    assert "Traceback" not in result.stderr
+def test_bench_too_large_to_allocate_is_exit_1(tmp_path):
+    path, series = tmp_path / "path.txt", tmp_path / "series.txt"
+    path.write_text("0,0\n1,0.5\n")
+    series.write_text("0\n1\n")
+    for argv in (
+        # 72.8 PiB of coefficients: numpy refuses the allocation up front
+        ["bench", "--dim", 60, "--level", 9, "--points", 2],
+        # past any array's byte count, where numpy would raise ValueError
+        ["bench", "--dim", 60, "--level", 30, "--points", 2],
+        ["bench", "--dim", 10**20, "--level", 1, "--points", 2],
+        ["sig", "compute", path, "--level", 60],
+        ["sig", "compute", path, "--level", 10**30],
+        ["sig", "compute", series, "--level", 2, "--lead-lag", 10**20],
+    ):
+        result = run_cli(*argv)
+        assert result.returncode == 1, argv
+        assert result.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in result.stderr
 
 
 # ------------------------------------------------------------------- extract
@@ -457,10 +472,7 @@ def _reference_split(records, descriptor, config, options, bodies, augment):
                                   min_actors=rec.actor_count)
         prepared = classifier.prepare_body(clip, bodies)
         if augment:
-            variants = augment_clips(prepared, body_desc, flip=options.flip,
-                                     noise_copies=options.noise_copies,
-                                     noise_sigma=options.noise_sigma,
-                                     seed=[options.seed, index])
+            variants = augment_clips(prepared, body_desc, options, index)
         else:
             variants = [prepared]
         for variant in variants:

@@ -7,6 +7,7 @@ import pytest
 
 from pathsig import (
     DatasetDescriptor,
+    ExtractionOptions,
     FeatureConfig,
     FeatureScaler,
     InputError,
@@ -275,6 +276,13 @@ def test_temporal_blocks_reject_non_finite_input(dyadic):
         temporal_spatial_features(psf, config)
 
 
+@pytest.mark.parametrize("dyadic", [False, True])
+def test_temporal_spatial_features_rejects_an_empty_block(dyadic):
+    for shape in ((5, 0), (0, 40)):
+        with pytest.raises(InputError, match="non-empty"):
+            temporal_spatial_features(np.zeros(shape), FeatureConfig(dyadic=dyadic))
+
+
 # ----------------------------------------------------------------- preprocess
 
 
@@ -341,13 +349,14 @@ def test_augment_produces_expected_variants():
     rng = np.random.default_rng(8)
     desc = DatasetDescriptor(joint_count=5, dim=2, mirror=(0, 2, 1, 4, 3))
     clip = random_clip(rng, 5, 1, 5)
-    variants = augment_clips(clip, desc, flip=True, noise_copies=2, seed=3)
+    options = ExtractionOptions(flip=True, noise_copies=2, seed=3)
+    variants = augment_clips(clip, desc, options, 0)
     assert len(variants) == 4
     assert variants[0] is clip
     assert np.array_equal(variants[1].joints,
                           horizontal_flip(clip, desc).joints)
     assert not np.array_equal(variants[2].joints, variants[3].joints)
-    again = augment_clips(clip, desc, flip=True, noise_copies=2, seed=3)
+    again = augment_clips(clip, desc, options, 0)
     assert np.array_equal(variants[3].joints, again[3].joints)
 
 

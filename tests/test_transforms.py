@@ -76,6 +76,8 @@ def test_lead_lag_validates():
         lead_lag([1.0, 2.0], 0)
     with pytest.raises(InputError):
         lead_lag([[1.0, 2.0], [3.0, 4.0]], 2)
+    with pytest.raises(MemoryError, match="lead-lag path"):
+        lead_lag([1.0, 2.0], 2**62)
 
 
 # ------------------------------------------------------------ dyadic windows
