@@ -11,7 +11,7 @@ expected value of the training-time mask.
 A batch's mask is held as the sorted flat indices of the kept W1 entries,
 drawn as cumulative geometric gaps (about (1 - drop_rate) * W1.size draws,
 not one per entry).  The masked product x @ (W1 * mask) and the momentum
-update walk W1 in row chunks of ``_CHUNK_ROWS`` rows and take the batch's
+update walk W1 in the row chunks of ``_chunk_plan`` and take the batch's
 rows of the matching feature columns only: the forward pass scatters each
 chunk's kept weights into a zeroed chunk buffer, and the update computes
 the chunk's gradient into a second buffer and applies it at the kept
@@ -27,7 +27,7 @@ with classical momentum (v <- mu*v - lr*grad; param += v) under an
 exponentially decaying learning rate lr(t) = lr0 * exp(-decay * t), t
 counting completed epochs.  Everything random (init, shuffling, masks)
 flows from the seed in TrainConfig, so a given (data, config) pair always
-produces the same model bit for bit.
+produces the same model bit for bit, at any BLAS thread count.
 
 Two-stage routing (a binary body-count gate, then one of two class
 models) serves datasets that mix single-actor and two-actor classes;
@@ -44,9 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_entries, check_settings, setting
-from .io import (FeatureRows, _decode, _format_settings, _parse_key_values, _parse_settings,
-                 _read_array, _read_exact)
+from .errors import FormatError, InputError, check_array, check_entries, check_settings, setting
+from .io import (FeatureRows, _checked, _decode, _format_settings, _parse_key_values,
+                 _parse_settings, _read_array, _read_exact)
 from .skeleton import (
     DatasetDescriptor,
     FeatureConfig,
@@ -112,24 +112,12 @@ class LinearNetModel:
     config: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.b1 = np.asarray(self.b1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64)
-        D, H = self.w1.shape if self.w1.ndim == 2 else (0, 0)
-        if self.w1.ndim != 2 or self.w2.ndim != 2 or self.w2.shape[0] != H:
-            raise InputError(
-                f"inconsistent weight shapes: w1 {self.w1.shape}, w2 {self.w2.shape}"
-            )
-        C = self.w2.shape[1]
-        if self.b1.shape != (H,) or self.b2.shape != (C,):
-            raise InputError(
-                f"inconsistent bias shapes: b1 {self.b1.shape} (want ({H},)), "
-                f"b2 {self.b2.shape} (want ({C},))"
-            )
-        for name, arr in (("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)):
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite values")
+        for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1)):
+            setattr(self, name, check_array(getattr(self, name), ndim, name))
+        H, C = self.w2.shape
+        if self.w1.shape[1] != H or self.b1.shape != (H,) or self.b2.shape != (C,):
+            raise InputError(f"inconsistent weight shapes: w1 {self.w1.shape}, b1 {self.b1.shape}, "
+                             f"w2 {self.w2.shape}, b2 {self.b2.shape}")
 
     @property
     def input_dim(self) -> int:
@@ -254,6 +242,17 @@ def _kept_entries(rng: np.random.Generator, size: int, keep: float) -> np.ndarra
     return kept[:np.searchsorted(kept, size)]
 
 
+def _chunk_plan(D: int) -> list[tuple[int, int]]:
+    """W1 row ranges [r0, r1) of ``_CHUNK_ROWS`` rows, the last split at its
+    largest multiple of 256 rows: OpenBLAS sums a longer ragged inner length
+    in an order that depends on its thread count."""
+    edges = [*range(0, D, _CHUNK_ROWS), D]
+    last = edges[-1] - edges[-2]
+    if 256 < last and last % 256:
+        edges.insert(-1, edges[-2] + last // 256 * 256)
+    return list(zip(edges[:-1], edges[1:]))
+
+
 # overflow on the way to a diverged run is reported by the finiteness checks below
 @np.errstate(over="ignore", invalid="ignore")
 def train(model: LinearNetModel, features, labels, config: TrainConfig | None = None) -> list[EpochStats]:
@@ -300,7 +299,7 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
     v_w2 = np.zeros_like(model.w2)
     v_b2 = np.zeros_like(model.b2)
     chunk_rows = min(_CHUNK_ROWS, D)
-    chunks = [(r0, min(r0 + chunk_rows, D)) for r0 in range(0, D, chunk_rows)]
+    chunks = _chunk_plan(D)
     chunk_edges = np.array([r0 for r0, _ in chunks] + [D]) * H  # flat w1 index bounds
     w_buf = np.zeros((chunk_rows, H))  # zero outside one chunk's scattered kept weights
     g_buf = np.empty((chunk_rows, H))
@@ -547,4 +546,4 @@ def load_model(path) -> LinearNetModel:
     missing = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in fields]
     if missing:
         raise FormatError(f"{where}: missing key {missing[0]!r}")
-    return LinearNetModel(*arrays, *_parse_settings(fields, where, TrainConfig))
+    return _checked(path, LinearNetModel, *arrays, *_parse_settings(fields, where, TrainConfig))

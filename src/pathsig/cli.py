@@ -72,20 +72,12 @@ _EVAL_ROWS = 64
 _STAGES = (("gate", 2), ("one", 1), ("multi", 2))
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with status 1, not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="pathsig", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="pathsig", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
 
     sig = sub.add_parser("sig", help="signature computations")
-    sig_sub = sig.add_subparsers(dest="sig_command", required=True, parser_class=_Parser)
+    sig_sub = sig.add_subparsers(dest="sig_command", required=True)
     compute = sig_sub.add_parser("compute", help="print the signature of a path file")
     compute.add_argument("path_file", help="text file, one sample per line, comma-separated")
     compute.add_argument("--level", type=int, required=True, help="truncation level (>= 1)")
@@ -96,8 +88,7 @@ def _build_parser() -> _Parser:
     compute.set_defaults(func=cmd_sig_compute)
 
     features = sub.add_parser("features", help="feature extraction")
-    feat_sub = features.add_subparsers(dest="features_command", required=True,
-                                       parser_class=_Parser)
+    feat_sub = features.add_subparsers(dest="features_command", required=True)
     extract = feat_sub.add_parser("extract", help="clips manifest -> feature matrices")
     extract.add_argument("--manifest", required=True, help="dataset manifest file")
     extract.add_argument("--descriptor", required=True, help="skeleton descriptor file")
@@ -519,8 +510,10 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InputError as exc:

@@ -2,13 +2,16 @@
 
 Both exceptions derive from ValueError so callers that do not care about
 the distinction can catch a single builtin type.  The CLI maps InputError
-to exit status 1 and FormatError to exit status 2.
+to exit status 1 and FormatError to exit status 2.  Each input rule is
+written once, here: one check for settings, one for arrays, one for sizes.
 """
 
 import dataclasses
 import math
 import operator
 import sys
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -44,6 +47,17 @@ def check_settings(settings) -> None:
             passes, failure = _BOUNDS[bound]
             if not passes(value, limit):
                 raise InputError(f"{field.name} = {value} {failure.format(limit)}")
+
+
+def check_array(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a float64 array of ``ndim`` axes, none of them empty and
+    every entry finite; otherwise an InputError naming ``what``."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise InputError(f"{what} must be a non-empty {ndim}-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} contains non-finite values")
+    return arr
 
 
 def check_entries(count: int, what: str) -> None:

@@ -19,11 +19,14 @@ its one-shot caller.  ``FeatureRows`` is the one SIGFEAT1 reader:
 ``train`` and ``eval`` read through it, a block or a batch at a time.
 
 Malformed input raises FormatError naming the file and the line number or
-byte offset.  Every writer/reader pair round-trips bit-exactly.  Binary
+byte offset; every reader builds its value through ``_checked``, which
+turns the InputError of a value that breaks a rule (a NaN coordinate or
+weight, a setting out of bounds) into a FormatError starting with the
+file's path.  Every writer/reader pair round-trips bit-exactly.  Binary
 readers check each size from a header against the file size before they
 allocate, and read arrays in place; the SIGNET1 model reader in
-``classifier`` shares them and the ``key = value`` settings codec
-(``_parse_settings``, ``_format_settings``).
+``classifier`` shares them, ``_checked`` and the ``key = value`` settings
+codec (``_parse_settings``, ``_format_settings``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import FormatError, InputError, check_array
 from .skeleton import (Block, DatasetDescriptor, ExtractionOptions, FeatureConfig, FeatureScaler,
                        SkeletonClip)
 
@@ -92,6 +95,15 @@ def _decode(data: bytes, where: str, encoding: str = "ascii") -> str:
         ) from None
 
 
+def _checked(where, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a value built from a file's contents; an
+    InputError it raises becomes a FormatError starting with ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except InputError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def read_path_file(path) -> np.ndarray:
     """Read a path: one sample per line, comma-separated coordinates.
 
@@ -114,7 +126,7 @@ def read_path_file(path) -> np.ndarray:
             raise FormatError(f"{path}:{lineno}: non-numeric coordinate in {text!r}") from None
     if not rows:
         raise FormatError(f"{path}: no samples found")
-    return np.array(rows)
+    return _checked(path, check_array, rows, 2, "path")
 
 
 def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None,
@@ -174,7 +186,7 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
     for (frame, actor, joint), coords in entries.items():
         joints[frame, actor, joint] = coords
         valid[frame, actor, joint] = True
-    return SkeletonClip(joints, valid, label=label, clip_id=clip_id or str(path))
+    return _checked(path, SkeletonClip, joints, valid, label=label, clip_id=clip_id or str(path))
 
 
 def write_clip_file(clip: SkeletonClip, path) -> None:
@@ -268,22 +280,17 @@ def read_descriptor(path) -> DatasetDescriptor:
         joints = int(fields["joints"])
         dims = int(fields["dims"])
         classes = tuple(v.strip() for v in fields["classes"].split(",") if v.strip())
+        priority = tuple(_parse_int_list(fields.get("priority", "")))
+        mirror = tuple(_parse_int_list(fields.get("mirror", "")))
+        axis = int(fields.get("horizontal_axis", "0"))
     except KeyError as exc:
         raise FormatError(f"{path}: missing required descriptor key {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"{path}: malformed descriptor value: {exc}") from exc
     if joints > _MAX_JOINTS:
         raise FormatError(f"{path}: {joints} joints is more than the {_MAX_JOINTS} allowed")
-    try:
-        priority = tuple(_parse_int_list(fields.get("priority", "")))
-        mirror = tuple(_parse_int_list(fields.get("mirror", "")))
-        axis = int(fields.get("horizontal_axis", "0"))
-        return DatasetDescriptor(
-            joint_count=joints, dim=dims, priority=priority, mirror=mirror,
-            horizontal_axis=axis, class_names=classes,
-        )
-    except (ValueError, InputError) as exc:
-        raise FormatError(f"{path}: invalid descriptor: {exc}") from exc
+    return _checked(f"{path}: invalid descriptor", DatasetDescriptor, joint_count=joints, dim=dims,
+                    priority=priority, mirror=mirror, horizontal_axis=axis, class_names=classes)
 
 
 def write_descriptor(descriptor: DatasetDescriptor, path) -> None:
@@ -315,10 +322,7 @@ def _parse_settings(fields: dict[str, str], where, *classes) -> tuple:
         except (KeyError, ValueError):
             raise FormatError(f"{where}: malformed {kind.__name__} value for {key!r}: "
                               f"{value!r}") from None
-    try:
-        return tuple(cls(**kwargs[cls]) for cls in classes)
-    except InputError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    return tuple(_checked(where, cls, **kwargs[cls]) for cls in classes)
 
 
 def _format_settings(*settings) -> str:
@@ -613,10 +617,7 @@ def read_scaler(path) -> FeatureScaler:
         if rows.shape[0] != 1:
             raise FormatError(f"{path}: scaler file must have exactly one row, got {rows.shape[0]}")
         scale = rows.read(0, 1)[0]
-    try:
-        return FeatureScaler(scale)
-    except InputError as exc:
-        raise FormatError(f"{path}: invalid scaler: {exc}") from exc
+    return _checked(f"{path}: invalid scaler", FeatureScaler, scale)
 
 
 def write_partition(means, multi, path) -> None:

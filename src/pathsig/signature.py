@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, check_entries
+from .errors import InputError, check_array, check_entries
 
 # Entries in the scratch of a row-blocked outer-product add (_row_blocks):
 # 512 KiB stays in L2; 2^14 to 2^17 measured within noise of each other.
@@ -115,15 +115,7 @@ def as_path(points) -> np.ndarray:
     Rejects empty arrays and non-finite entries.
     """
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise InputError(f"path must be a 2-D (points, dim) array, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InputError(f"path needs at least one point and one dimension, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("path contains non-finite values")
-    return arr
+    return check_array(arr[:, None] if arr.ndim == 1 else arr, 2, "path")
 
 
 class TruncatedSignature:
@@ -250,14 +242,7 @@ def path_signature_batch(paths, level: int) -> np.ndarray:
         (B, m) array, row b holding the flat coefficient buffer of path b
         (same layout as ``TruncatedSignature.data``).
     """
-    arr = np.asarray(paths, dtype=np.float64)
-    if arr.ndim != 3:
-        raise InputError(f"paths must be a 3-D (batch, points, dim) array, got shape {arr.shape}")
-    B, L, d = arr.shape
-    if B < 1 or L < 1 or d < 1:
-        raise InputError(f"paths array has an empty axis: shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("paths contain non-finite values")
+    arr = check_array(paths, 3, "paths")
     level = _check_level(level)
     increments = np.ascontiguousarray(np.diff(arr, axis=1).transpose(1, 2, 0))
     return np.ascontiguousarray(_horner_fold(increments, level).T)

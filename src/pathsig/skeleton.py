@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, check_settings, setting
+from .errors import InputError, check_array, check_settings, setting
 from .signature import _chen_product, _horner_fold, path_signature_batch, signature_dimension
 from .transforms import dyadic_windows, fill_missing, uniform_sample
 
@@ -80,15 +80,9 @@ class SkeletonClip:
     clip_id: str = ""
 
     def __post_init__(self):
-        self.joints = np.asarray(self.joints, dtype=np.float64)
+        self.joints = check_array(self.joints, 4, "joints (frames, actors, joints, dim)")
         self.valid = np.asarray(self.valid, dtype=bool)
-        if self.joints.ndim != 4:
-            raise InputError(
-                f"joints must have shape (frames, actors, joints, dim), got {self.joints.shape}"
-            )
         F, A, N, d = self.joints.shape
-        if F < 1 or A < 1:
-            raise InputError(f"clip needs at least one frame and one actor, got {self.joints.shape}")
         if N < 2:
             raise InputError(f"clip needs at least two joints, got {N}")
         if d not in (2, 3):
@@ -97,8 +91,6 @@ class SkeletonClip:
             raise InputError(
                 f"validity mask shape {self.valid.shape} does not match joints {(F, A, N)}"
             )
-        if not np.all(np.isfinite(self.joints)):
-            raise InputError("joint coordinates contain non-finite values")
 
     @property
     def frame_count(self) -> int:
@@ -386,11 +378,7 @@ def temporal_spatial_features(spatial, config: FeatureConfig) -> np.ndarray:
     lead-lag to ``lead_lag_dim`` and signed at ``evolution_level``; blocks
     are concatenated dimension by dimension.
     """
-    series = np.asarray(spatial, dtype=np.float64)
-    if series.ndim != 2 or not series.size:
-        raise InputError(f"spatial block must be a non-empty 2-D array, got {series.shape}")
-    if not np.all(np.isfinite(series)):
-        raise InputError("spatial block contains non-finite values")
+    series = check_array(spatial, 2, "spatial block")
     F, k = series.shape[0], config.lead_lag_dim
     lifted = np.zeros((F, k, series.shape[1]))
     for j in range(k):
@@ -490,17 +478,11 @@ def fill_clip(clip: SkeletonClip) -> SkeletonClip:
 
 
 def _check_actor_array(actor_joints, descriptor: DatasetDescriptor | None = None) -> np.ndarray:
-    arr = np.asarray(actor_joints, dtype=np.float64)
-    if arr.ndim != 3:
-        raise InputError(f"actor joints must have shape (frames, joints, dim), got {arr.shape}")
-    F, N, d = arr.shape
-    if F < 1 or N < 1:
-        raise InputError(f"actor joints need at least one frame and one joint, got {arr.shape}")
+    arr = check_array(actor_joints, 3, "actor joints (frames, joints, dim)")
+    N, d = arr.shape[1:]
     if descriptor is not None and (N != descriptor.joint_count or d != descriptor.dim):
         raise InputError(
             f"actor joints ({N} joints, dim {d}) do not match descriptor "
             f"({descriptor.joint_count} joints, dim {descriptor.dim})"
         )
-    if not np.all(np.isfinite(arr)):
-        raise InputError("actor joints contain non-finite values")
     return arr

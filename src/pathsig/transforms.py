@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_entries
+from .errors import InputError, check_array, check_entries
 from .signature import as_path
 
 __all__ = [
@@ -63,14 +63,7 @@ def lead_lag(series, delay_dim: int) -> np.ndarray:
     series as a one-column path.
     """
     arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if arr.ndim != 1:
-        raise InputError(f"lead_lag expects a scalar series, got shape {arr.shape}")
-    if arr.size < 1:
-        raise InputError("lead_lag needs at least one sample")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("series contains non-finite values")
+    arr = check_array(arr[:, 0] if arr.ndim == 2 and arr.shape[1] == 1 else arr, 1, "series")
     delay_dim = int(delay_dim)
     if delay_dim < 1:
         raise InputError(f"delay dimension must be >= 1, got {delay_dim}")

@@ -1,7 +1,10 @@
 """Linear network, training loop, persistence, and two-stage routing."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -33,7 +36,7 @@ from pathsig import (
 )
 from pathsig import classifier, cli
 from pathsig import io as pio
-from pathsig.classifier import _CHUNK_ROWS, _kept_entries, _softmax_head
+from pathsig.classifier import _CHUNK_ROWS, _chunk_plan, _kept_entries, _softmax_head
 
 
 def blobs(rng, per_class=40, dim=10, gap=4.0):
@@ -495,6 +498,45 @@ def test_chunk_rows_training_matches_batch_copy_loop(monkeypatch, drop_rate):
     for k in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(model, k), getattr(reference, k))
     assert [(s.epoch, s.lr, s.loss, s.accuracy) for s in history] == expect
+
+
+_SEEDED_TRAIN = """
+import sys
+import numpy as np
+from pathsig.classifier import TrainConfig, init_model, save_model, train
+D = int(sys.argv[1])
+rng = np.random.default_rng(3)
+x, y = rng.standard_normal((64, D)), rng.integers(0, 4, size=64)
+config = TrainConfig(max_epochs=2, drop_rate=0.95, seed=3)
+model = init_model(D, 4, config, hidden_dim=64)
+train(model, x, y, config)
+save_model(model, sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("D", [8_609, 24_993])
+def test_training_bits_do_not_depend_on_the_blas_thread_count(D, tmp_path):
+    # each width's last W1 chunk (8,609 rows) is long and not a multiple of 256
+    assert _chunk_plan(D)[-2:] == [(D - 8_609, D - 161), (D - 161, D)]
+    src = os.path.dirname(os.path.dirname(classifier.__file__))
+    models = []
+    for threads in ("1", "2", "4"):
+        models.append(tmp_path / f"{threads}.model")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", _SEEDED_TRAIN, str(D), str(models[-1])],
+                                capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+    assert models[0].read_bytes() == models[1].read_bytes() == models[2].read_bytes()
+
+
+def test_chunk_plan_splits_a_ragged_last_chunk_at_a_multiple_of_256_rows():
+    C = _CHUNK_ROWS
+    assert _chunk_plan(319_905)[-3:] == [(294_912, 311_296), (311_296, 319_744), (319_744, 319_905)]
+    assert _chunk_plan(C + 300) == [(0, C), (C, C + 256), (C + 256, C + 300)]
+    assert _chunk_plan(C + 512) == [(0, C), (C, C + 512)]
+    assert _chunk_plan(2 * C) == [(0, C), (C, 2 * C)]
+    assert _chunk_plan(255) == [(0, 255)]
 
 
 def _history(history):

@@ -113,6 +113,14 @@ def test_exit_codes():
     assert unknown.returncode == 1
 
 
+def test_main_returns_its_usage_status_in_process(capsys):
+    for argv in ([], ["train"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: pathsig")
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pathsig")
+
+
 def test_malformed_content_is_exit_2(tmp_path):
     p = tmp_path / "path.txt"
     p.write_text("1,2\nnope,4\n")

@@ -63,10 +63,7 @@ def _run(*argv) -> int:
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage error, exit status 1
-                code = exc.code
+            code = cli.main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Package surface: the exported names, the import footprint, the demos."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -62,3 +63,27 @@ def test_benchmark_wraps_find_every_target(monkeypatch):
     finally:
         trace.restore()
     assert (skeleton.temporal_spatial_features, skeleton.path_signature_batch) == originals
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """pyflakes' F401 in the stdlib: every name a module imports is used in
+    it, named in its ``__all__``, or on a line marked ``# noqa: F401``."""
+    unused = []
+    for path in sorted((REPO / "src" / "pathsig").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(
+                    node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert not unused

@@ -1,23 +1,31 @@
-"""Every setting's bounds are declared once, with its dataclass field, and
-enforced alike from Python (InputError), from a feature config or model
-file (FormatError, exit 2, naming the file) and from a ``train`` flag
-(exit 1, before any feature file is read)."""
+"""Every input rule is written once.  Each setting's bounds are declared
+with its dataclass field, and enforced alike from Python (InputError), from
+a feature config or model file (FormatError, exit 2, naming the file) and
+from a ``train`` flag (exit 1, before any feature file is read).  Each
+array's rank, non-empty axes and finite entries are checked by
+``errors.check_array``, and a file whose arrays break them is a FormatError
+naming the file."""
 
 import dataclasses
+import functools
 import math
 import re
 import struct
+import types
 
 import numpy as np
 import pytest
 
 from pathsig import cli
 from pathsig import io as pio
-from pathsig.classifier import TrainConfig, init_model, load_model, save_model
+from pathsig.classifier import LinearNetModel, TrainConfig, init_model, load_model, save_model
 from pathsig.errors import FormatError, InputError
 from pathsig.io import ExtractionOptions, read_feature_config
-from pathsig.skeleton import FeatureConfig
+from pathsig.signature import as_path, path_signature_batch
+from pathsig.skeleton import (FeatureConfig, SkeletonClip, temporal_joint_features,
+                              temporal_spatial_features)
 from pathsig.synth import make_action_dataset, write_dataset
+from pathsig.transforms import lead_lag
 
 LEVEL = {"ge": 1, "le": 32}
 BOUNDS = {
@@ -189,3 +197,104 @@ def test_train_flag_accepts_each_bound_and_rejects_past_it_before_reading(
         assert cli.main(argv + [f"{flag}={value}"]) == 1
         assert f"error: {name} = " in capsys.readouterr().err
     assert not configs
+
+
+WEIGHTS = {"w1": (3, 2), "b1": (2,), "w2": (2, 2), "b2": (2,)}
+
+
+def _model_with(name, arr):
+    return LinearNetModel(**{**{k: np.ones(shape) for k, shape in WEIGHTS.items()}, name: arr})
+
+
+# Each entry point whose arrays errors.check_array checks: a call on the array,
+# the shape of an array it accepts, and the name its InputError starts with.
+ARRAY_INPUTS = {
+    "as_path": (as_path, (4, 2), "path"),
+    "path_signature_batch": (lambda a: path_signature_batch(a, 2), (3, 4, 2), "paths"),
+    "lead_lag": (lambda a: lead_lag(a, 2), (5,), "series"),
+    "SkeletonClip": (lambda a: SkeletonClip(a, np.ones(a.shape[:3], dtype=bool)), (3, 1, 3, 2),
+                     "joints"),
+    "_check_actor_array": (lambda a: temporal_joint_features(a, FeatureConfig()), (4, 3, 2),
+                           "actor joints"),
+    "temporal_spatial_features": (lambda a: temporal_spatial_features(a, FeatureConfig()),
+                                  (6, 4), "spatial block"),
+    **{f"LinearNetModel.{name}": (functools.partial(_model_with, name), shape, name)
+       for name, shape in WEIGHTS.items()},
+}
+
+
+def _broken(shape, case):
+    """An array of ``shape`` with one more axis, an empty first axis, or a
+    nan or inf entry."""
+    if case == "axes":
+        return np.ones(shape + (2,))
+    if case == "empty":
+        return np.ones((0,) + shape[1:])
+    arr = np.ones(shape)
+    arr.flat[-1] = float(case)
+    return arr
+
+
+@pytest.mark.parametrize("case", ["axes", "empty", "nan", "inf"])
+@pytest.mark.parametrize("entry", ARRAY_INPUTS)
+def test_each_array_input_is_checked_once(entry, case):
+    call, shape, what = ARRAY_INPUTS[entry]
+    call(np.ones(shape))
+    with pytest.raises(InputError, match=f"^{re.escape(what)}"):
+        call(_broken(shape, case))
+
+
+def test_model_weights_must_agree_in_shape():
+    for name, arr in (("b1", np.ones(3)), ("w2", np.ones((3, 2))), ("b2", np.ones(3))):
+        with pytest.raises(InputError, match="inconsistent weight shapes"):
+            _model_with(name, arr)
+
+
+def _save_raw_model(path, w1, b1, w2, b2):
+    """``save_model`` of weights no LinearNetModel would hold."""
+    save_model(types.SimpleNamespace(input_dim=w1.shape[0], hidden_dim=w1.shape[1],
+                                     class_count=w2.shape[1], w1=w1, b1=b1, w2=w2, b2=b2,
+                                     config=TrainConfig()), path)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((np.full((3, 2), np.nan), np.zeros(2), np.zeros((2, 2)), np.zeros(2)),
+     "w1 contains non-finite values"),
+    ((np.zeros((3, 0)), np.zeros(0), np.zeros((0, 2)), np.zeros(2)),
+     "w1 must be a non-empty 2-D array"),
+], ids=["nan_weight", "no_hidden_units"])
+def test_model_file_with_bad_weights_is_a_format_error(weights, message, small_set, tmp_path,
+                                                       capsys):
+    model = tmp_path / "bad.model"
+    _save_raw_model(model, *weights)
+    with pytest.raises(FormatError, match=re.escape(f"{model}: {message}")):
+        load_model(model)
+    for argv in (["eval", "--features", small_set["x"], "--labels", small_set["labels"]],
+                 ["predict", "--clip", small_set["clip"], "--descriptor", small_set["descriptor"],
+                  "--scaler", tmp_path / "unread.scaler.feat"]):
+        assert cli.main([str(a) for a in argv + ["--model", model]]) == 2
+        assert f"format error: {model}: {message}" in capsys.readouterr().err
+
+
+def test_clip_file_with_a_nan_coordinate_is_a_format_error(small_set, tmp_path, capsys):
+    lines = small_set["clip"].read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:3] + ["nan", "0"])
+    clip = tmp_path / "nan.clip"
+    clip.write_text("\n".join(lines) + "\n")
+    descriptor = pio.read_descriptor(small_set["descriptor"])
+    with pytest.raises(FormatError, match=re.escape(f"{clip}: joints")):
+        pio.read_clip_file(clip, descriptor)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{clip},{descriptor.class_names[0]},train,1\n")
+    assert cli.main(["features", "extract", "--manifest", str(manifest), "--descriptor",
+                     str(small_set["descriptor"]), "--output", str(tmp_path / "f")]) == 2
+    assert f"format error: {clip}: joints" in capsys.readouterr().err
+
+
+def test_path_file_with_a_nan_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("0,0\nnan,1\n2,2\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: path contains non-finite values")):
+        pio.read_path_file(path)
+    assert cli.main(["sig", "compute", str(path), "--level", "2"]) == 2
+    assert f"format error: {path}: path contains non-finite" in capsys.readouterr().err
