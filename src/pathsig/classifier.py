@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_array, check_entries, check_settings, setting
+from .errors import (FormatError, InputError, check_array, check_entries, check_labels,
+                     check_number, check_settings, setting)
 from .io import (FeatureRows, _checked, _decode, _format_settings, _parse_key_values,
                  _parse_settings, _read_array, _read_exact)
 from .skeleton import (
@@ -150,14 +151,9 @@ def init_model(
 ) -> LinearNetModel:
     """Fresh model with seeded Gaussian weights (std 1/sqrt(fan-in)), zero biases."""
     config = config or TrainConfig()
-    input_dim = int(input_dim)
-    class_count = int(class_count)
-    hidden_dim = int(hidden_dim)
-    if input_dim < 1 or class_count < 2 or hidden_dim < 1:
-        raise InputError(
-            f"need input_dim >= 1, class_count >= 2, hidden_dim >= 1; "
-            f"got {input_dim}, {class_count}, {hidden_dim}"
-        )
+    input_dim = check_number(input_dim, "input_dim", ge=1)
+    class_count = check_number(class_count, "class_count", ge=2)
+    hidden_dim = check_number(hidden_dim, "hidden_dim", ge=1)
     check_entries(hidden_dim * (input_dim + class_count), "the model's weights")
     rng = np.random.default_rng([config.seed, 0])
     w1 = rng.standard_normal((input_dim, hidden_dim)) / np.sqrt(input_dim)
@@ -193,8 +189,7 @@ def forward(model: LinearNetModel, x) -> np.ndarray:
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
     """Learning rate after ``epoch`` completed epochs: lr0 * exp(-decay*epoch)."""
-    if epoch < 0:
-        raise InputError(f"epoch index must be >= 0, got {epoch}")
+    epoch = check_number(epoch, "epoch", ge=0)
     return config.learning_rate * float(np.exp(-config.decay * epoch))
 
 
@@ -280,13 +275,7 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
         raise InputError(f"features must be a non-empty (rows, dims) matrix, got shape {x.shape}")
     if y.shape != (x.shape[0],):
         raise InputError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
-    if not np.issubdtype(y.dtype, np.integer):
-        y = y.astype(np.int64)
-    if y.min() < 0 or y.max() >= model.class_count:
-        raise InputError(
-            f"labels must lie in 0..{model.class_count - 1}, got range "
-            f"[{y.min()}, {y.max()}]"
-        )
+    y = check_labels(y, model.class_count, "labels")
     if x.shape[1] != model.input_dim:
         raise InputError(f"features have {x.shape[1]} dims, model expects {model.input_dim}")
 
@@ -369,9 +358,7 @@ def gradient_check(model: LinearNetModel, x, label: int, step: float = 1e-5) -> 
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != model.input_dim:
         raise InputError(f"x must be a vector of dimension {model.input_dim}, got shape {x.shape}")
-    label = int(label)
-    if not 0 <= label < model.class_count:
-        raise InputError(f"label {label} out of range for {model.class_count} classes")
+    label = check_number(label, "label", ge=0, lt=model.class_count)
     scale = 1.0 - model.config.drop_rate
     xb = x[None, :]
     yb = np.array([label])
@@ -444,13 +431,12 @@ class StagePartition:
 
 def stage_partition(labels, actor_counts, class_count: int) -> StagePartition:
     """Split classes by mean training actor count; multi-body iff mean > 1.5."""
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     counts = np.asarray(actor_counts, dtype=np.float64)
-    class_count = int(class_count)
+    class_count = check_number(class_count, "class_count", ge=1)
     if y.shape != counts.shape or y.ndim != 1 or y.size < 1:
         raise InputError("labels and actor counts must be equal-length non-empty vectors")
-    if y.min() < 0 or y.max() >= class_count:
-        raise InputError(f"labels must lie in 0..{class_count - 1}")
+    y = check_labels(y, class_count, "labels")
     means = np.zeros(class_count)
     for c in range(class_count):
         sel = y == c

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_entries
+from .errors import FormatError, InputError, check_entries, check_labels, check_number
 from . import io as pio
 from .classifier import (
     HIDDEN_UNITS,
@@ -387,7 +387,7 @@ def cmd_train(args) -> int:
         for (stage, _), (label_count, _, _) in zip(_STAGES, stages):
             labels_path = f"{prefix}.{stage}.train.labels"
             data.append(_read_labeled(f"{prefix}.{stage}.train.feat", labels_path, stack))
-            _check_labels(data[-1][1], label_count, labels_path)
+            check_labels(data[-1][1], label_count, labels_path)
         for (stage, _), (_, classes, _), (x, y) in zip(_STAGES, stages, data):
             keep = np.flatnonzero(np.isin(y, classes))
             y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
@@ -414,13 +414,6 @@ def _report_eval(y_true, y_pred, class_count) -> float:
     return accuracy
 
 
-def _check_labels(y, class_count, path) -> None:
-    """InputError naming the first label outside 0..class_count-1."""
-    bad = (y < 0) | (y >= class_count)
-    if bad.any():
-        raise InputError(f"{path}: label {int(y[bad.argmax()])} is outside 0..{class_count - 1}")
-
-
 def _load_two_stage(model_prefix, extract_prefix):
     """The models of a two-stage train, in ``_STAGES`` order, and the class
     partition; InputError names a model whose class count is not its stage's."""
@@ -443,7 +436,7 @@ def cmd_eval(args) -> int:
                 raise InputError(
                     f"{args.features}: {x.shape[1]} feature dims, model expects {model.input_dim}"
                 )
-            _check_labels(y, model.class_count, args.labels)
+            check_labels(y, model.class_count, args.labels)
             pred = np.concatenate([forward(model, block).argmax(axis=1)
                                    for block in x.blocks(_EVAL_ROWS)])
             _report_eval(y, pred, model.class_count)
@@ -455,7 +448,7 @@ def cmd_eval(args) -> int:
         if any(x.shape[0] != y.size for x in xs):
             raise InputError("two-stage feature files and labels disagree on row count")
         models, partition = _load_two_stage(args.model, args.features)
-        _check_labels(y, partition.multi_body.size, args.labels)
+        check_labels(y, partition.multi_body.size, args.labels)
         pred = np.concatenate([two_stage_route(*models, partition, *blocks)[0]
                                for blocks in zip(*(x.blocks(_EVAL_ROWS) for x in xs))])
         _report_eval(y, pred, partition.multi_body.size)
@@ -490,8 +483,7 @@ def cmd_predict(args) -> int:
 
 def cmd_bench(args) -> int:
     for name, low in (("repeats", 1), ("points", 1), ("dim", 1), ("seed", 0)):
-        if getattr(args, name) < low:
-            raise InputError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+        check_number(getattr(args, name), f"--{name}", ge=low)
     check_entries(args.points * args.dim, "the random path")
     rng = np.random.default_rng(args.seed)
     path = rng.standard_normal((args.points, args.dim))

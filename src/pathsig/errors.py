@@ -3,7 +3,16 @@
 Both exceptions derive from ValueError so callers that do not care about
 the distinction can catch a single builtin type.  The CLI maps InputError
 to exit status 1 and FormatError to exit status 2.  Each input rule is
-written once, here: one check for settings, one for arrays, one for sizes.
+written once, here:
+
+* numbers and settings: ``check_number`` holds a count, level or float to
+  ``ge``/``gt``/``le``/``lt`` bounds, and refuses an int given as a float or
+  a string rather than truncate it; ``check_settings`` applies it to each
+  field a settings dataclass declares with ``setting``;
+* arrays: ``check_array`` (float64, rank, no empty axis, finite entries);
+* labels: ``check_labels`` (every label one of 0..count-1);
+* sizes: ``check_entries`` (a count of float64 values past any array's
+  byte count is a MemoryError).
 """
 
 import dataclasses
@@ -36,17 +45,37 @@ def setting(default, **bounds):
     return dataclasses.field(default=default, metadata=bounds)
 
 
+def check_number(value, what: str, kind=int, **bounds):
+    """``value`` as a Python ``kind`` (int or float) within ``bounds``, any of
+    ``ge``, ``gt``, ``le`` and ``lt``; otherwise an InputError naming ``what``.
+
+    An int goes through ``operator.index``, so a float or a string is refused,
+    never truncated, and a numpy integer passes; a float must be finite.
+    """
+    try:  # math.isfinite, like operator.index, takes no string
+        finite = kind is int or math.isfinite(value)
+        number = operator.index(value) if kind is int else float(value)
+    except TypeError:
+        expected = "an integer" if kind is int else "a number"
+        raise InputError(f"{what} = {value!r} is not {expected}") from None
+    except OverflowError:  # an int past any float
+        finite = False
+    if not finite:
+        raise InputError(f"{what} = {value} is not finite")
+    for bound, limit in bounds.items():
+        passes, failure = _BOUNDS[bound]
+        if not passes(number, limit):
+            raise InputError(f"{what} = {value} {failure.format(limit)}")
+    return number
+
+
 def check_settings(settings) -> None:
-    """InputError naming the first field of the dataclass ``settings`` that
-    breaks its ``setting`` bounds, or that is a float field and not finite."""
+    """``check_number`` of each int and float field of the dataclass
+    ``settings``, by the type of its default, held to its ``setting`` bounds."""
     for field in dataclasses.fields(settings):
-        value = getattr(settings, field.name)
-        if type(field.default) is float and not math.isfinite(value):
-            raise InputError(f"{field.name} = {value} is not finite")
-        for bound, limit in field.metadata.items():
-            passes, failure = _BOUNDS[bound]
-            if not passes(value, limit):
-                raise InputError(f"{field.name} = {value} {failure.format(limit)}")
+        if type(field.default) in (int, float):
+            check_number(getattr(settings, field.name), field.name, type(field.default),
+                         **field.metadata)
 
 
 def check_array(values, ndim: int, what: str) -> np.ndarray:
@@ -58,6 +87,16 @@ def check_array(values, ndim: int, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InputError(f"{what} contains non-finite values")
     return arr
+
+
+def check_labels(labels, count: int, what: str) -> np.ndarray:
+    """``labels`` as an int64 array whose every label is one of 0..count-1;
+    otherwise an InputError naming ``what`` and the first label that is not."""
+    y = np.asarray(labels)
+    bad = ~np.isin(y, np.arange(count))
+    if bad.any():
+        raise InputError(f"{what}: label {y[bad.nonzero()][0]} is outside 0..{count - 1}")
+    return y.astype(np.int64)
 
 
 def check_entries(count: int, what: str) -> None:

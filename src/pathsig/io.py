@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InputError, check_array
+from .errors import FormatError, InputError, check_array, check_number
 from .skeleton import (Block, DatasetDescriptor, ExtractionOptions, FeatureConfig, FeatureScaler,
                        SkeletonClip)
 
@@ -140,6 +140,7 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
     (comments and blank lines do not count), which bounds the dense array
     by what the file can describe before it is allocated.
     """
+    min_actors = check_number(min_actors, "min_actors", ge=1)
     d = descriptor.dim
     N = descriptor.joint_count
     entries = {}
@@ -175,7 +176,7 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
     if not entries:
         raise FormatError(f"{path}: no joint rows found")
     F = max_frame + 1
-    A = max(max_actor + 1, int(min_actors))
+    A = max(max_actor + 1, min_actors)
     if F * A > size:
         raise FormatError(
             f"{path}: frame index {max_frame}, actor index {max_actor}: {F} frames x "
@@ -232,8 +233,7 @@ def read_manifest(path) -> list[ManifestRecord]:
             actor_count = int(count_text)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: malformed actor count {count_text!r}") from None
-        if actor_count < 1:
-            raise FormatError(f"{path}:{lineno}: actor count must be >= 1, got {actor_count}")
+        _checked(f"{path}:{lineno}", check_number, actor_count, "actor count", ge=1)
         if not os.path.isabs(clip_path):
             clip_path = os.path.join(base, clip_path)
         records.append(ManifestRecord(clip_path, label_name, split, actor_count))
@@ -354,7 +354,8 @@ class FeatureMatrixWriter:
     """
 
     def __init__(self, path, cols: int, layout=()):
-        self.path, self.cols, self.layout, self.rows = os.fspath(path), int(cols), layout, 0
+        self.path, self.layout, self.rows = os.fspath(path), layout, 0
+        self.cols = check_number(cols, "cols", ge=0)
         self._tmp = f"{self.path}.{os.getpid()}.tmp"
         self._file = open(self._tmp, "w+b")
         self._file.write(_FEAT_MAGIC + struct.pack("<QQ", 0, self.cols))

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, check_array, check_entries
+from .errors import InputError, check_array, check_entries, check_number
 
 # Entries in the scratch of a row-blocked outer-product add (_row_blocks):
 # 512 KiB stays in L2; 2^14 to 2^17 measured within noise of each other.
@@ -85,9 +85,9 @@ __all__ = [
 def signature_dimension(d: int, n: int, include_zeroth: bool = False) -> int:
     """Number of signature coefficients for a d-dimensional path up to level n.
 
-    Computed with exact integer arithmetic, so it is safe for values far
-    beyond what could ever be materialized (d^k overflows no sooner than
-    Python ints do, i.e. never).
+    Computed with exact integer arithmetic.  For d >= 2, a count past
+    2^32,768 (far past any array's size) is a MemoryError before that
+    integer is built.
 
     Args:
         d: path dimension, >= 1.
@@ -97,12 +97,13 @@ def signature_dimension(d: int, n: int, include_zeroth: bool = False) -> int:
     Returns:
         sum of d**k for k in 1..n, plus 1 if include_zeroth.
     """
-    d = _check_dim(d)
-    n = int(n)
-    if n < 0:
-        raise InputError(f"truncation level must be >= 0, got {n}")
+    d = check_number(d, "d", ge=1)
+    n = check_number(n, "n", ge=0)
     if d == 1:
         total = n
+    elif n * d.bit_length() > 1 << 16:  # then d**n > 2**(1 << 15)
+        raise MemoryError(f"level-{n} signature of a {d}-dimensional path: more than "
+                          f"2^32,768 coefficients, past any array's size")
     else:
         total = (d ** (n + 1) - d) // (d - 1)
     return total + 1 if include_zeroth else total
@@ -130,20 +131,13 @@ class TruncatedSignature:
     __slots__ = ("d", "n", "data", "_offsets")
 
     def __init__(self, d: int, n: int, data: np.ndarray):
-        self.d = _check_dim(d)
-        self.n = _check_level(n)
-        offsets = [0]
-        size = 1
-        for _ in range(n):
-            size *= d
-            offsets.append(offsets[-1] + size)
-        self._offsets = offsets
+        self.d = d = check_number(d, "d", ge=1)
+        self.n = n = check_number(n, "n", ge=1)
         data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.shape != (offsets[-1],):
-            raise InputError(
-                f"coefficient buffer for d={d}, n={n} must have shape ({offsets[-1]},), "
-                f"got {data.shape}"
-            )
+        if data.shape != (signature_dimension(d, n),):
+            raise InputError(f"coefficient buffer for d={d}, n={n} must have shape "
+                             f"({signature_dimension(d, n)},), got {data.shape}")
+        self._offsets = [signature_dimension(d, k) for k in range(n + 1)]
         self.data = data
 
     @classmethod
@@ -153,21 +147,16 @@ class TruncatedSignature:
 
     def level(self, k: int) -> np.ndarray:
         """Writable view of the level-k coefficient block, length d**k."""
-        if not 1 <= k <= self.n:
-            raise InputError(f"level must be in 1..{self.n}, got {k}")
+        k = check_number(k, "k", ge=1, le=self.n)
         return self.data[self._offsets[k - 1]:self._offsets[k]]
 
     def coefficient(self, word) -> float:
         """Coefficient of one word, given as a tuple of 0-based channel indices."""
-        word = tuple(int(i) for i in word)
-        k = len(word)
-        if not 1 <= k <= self.n:
-            raise InputError(f"word length must be in 1..{self.n}, got {k}")
+        word = tuple(word)
+        k = check_number(len(word), "word length", ge=1, le=self.n)
         idx = 0
         for letter in word:
-            if not 0 <= letter < self.d:
-                raise InputError(f"channel index {letter} out of range for d={self.d}")
-            idx = idx * self.d + letter
+            idx = idx * self.d + check_number(letter, "channel index", ge=0, lt=self.d)
         return float(self.data[self._offsets[k - 1] + idx])
 
     def copy(self) -> "TruncatedSignature":
@@ -222,7 +211,7 @@ def path_signature(path, level: int) -> TruncatedSignature:
         TruncatedSignature with d = path dimension and n = level.
     """
     pts = as_path(path)
-    level = _check_level(level)
+    level = check_number(level, "level", ge=1)
     coeffs = _horner_fold(np.diff(pts, axis=0)[:, :, None], level)
     return TruncatedSignature(pts.shape[1], level, coeffs.reshape(-1))
 
@@ -243,7 +232,7 @@ def path_signature_batch(paths, level: int) -> np.ndarray:
         (same layout as ``TruncatedSignature.data``).
     """
     arr = check_array(paths, 3, "paths")
-    level = _check_level(level)
+    level = check_number(level, "level", ge=1)
     increments = np.ascontiguousarray(np.diff(arr, axis=1).transpose(1, 2, 0))
     return np.ascontiguousarray(_horner_fold(increments, level).T)
 
@@ -255,8 +244,7 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
     buffer of path b.  No increments (M = 0) gives the zero signature.
     """
     _, d, B = increments.shape
-    # d ** 64 already passes any array's size when d >= 2: count that far only
-    check_entries(B * signature_dimension(d, level if d == 1 else min(level, 64)),
+    check_entries(B * signature_dimension(d, level),
                   f"{B} level-{level} signature(s) of {d}-dimensional paths")
     out = np.zeros((signature_dimension(d, level), B))
     levels = _level_blocks(out, d, level)
@@ -346,9 +334,8 @@ def signature_bruteforce(path, level: int, subdivisions: int = 10_000) -> Trunca
     closed-form routines.
     """
     pts = as_path(path)
-    level = _check_level(level)
-    if subdivisions < 1:
-        raise InputError(f"subdivisions must be >= 1, got {subdivisions}")
+    level = check_number(level, "level", ge=1)
+    subdivisions = check_number(subdivisions, "subdivisions", ge=1)
     L, d = pts.shape
     sig = TruncatedSignature.zeros(d, level)
     if L < 2:
@@ -375,23 +362,8 @@ def levy_area(sig: TruncatedSignature) -> float:
     Twice the signed area enclosed between the path and the chord joining
     its endpoints.  Requires d == 2 and n >= 2.
     """
-    if sig.d != 2:
-        raise InputError(f"levy_area needs a 2-dimensional path signature, got d={sig.d}")
-    if sig.n < 2:
-        raise InputError(f"levy_area needs truncation level >= 2, got n={sig.n}")
+    check_number(sig.d, "d", ge=2, le=2)
+    check_number(sig.n, "n", ge=2)
     l2 = sig.level(2)
     return float(l2[1] - l2[2])
 
-
-def _check_dim(d) -> int:
-    d = int(d)
-    if d < 1:
-        raise InputError(f"path dimension must be >= 1, got {d}")
-    return d
-
-
-def _check_level(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise InputError(f"truncation level must be >= 1, got {n}")
-    return n

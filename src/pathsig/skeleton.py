@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, check_array, check_settings, setting
+from .errors import InputError, check_array, check_number, check_settings, setting
 from .signature import _chen_product, _horner_fold, path_signature_batch, signature_dimension
 from .transforms import dyadic_windows, fill_missing, uniform_sample
 
@@ -127,13 +127,10 @@ class DatasetDescriptor:
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        N = int(self.joint_count)
-        if N < 2:
-            raise InputError(f"descriptor needs at least two joints, got {N}")
-        if self.dim not in (2, 3):
-            raise InputError(f"descriptor dimension must be 2 or 3, got {self.dim}")
-        priority = tuple(int(i) for i in self.priority) or tuple(range(N))
-        mirror = tuple(int(i) for i in self.mirror) or tuple(range(N))
+        N = check_number(self.joint_count, "joint_count", ge=2)
+        dim = check_number(self.dim, "dim", ge=2, le=3)
+        priority = tuple(check_number(i, "priority") for i in self.priority) or tuple(range(N))
+        mirror = tuple(check_number(i, "mirror") for i in self.mirror) or tuple(range(N))
         object.__setattr__(self, "priority", priority)
         object.__setattr__(self, "mirror", mirror)
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -143,10 +140,7 @@ class DatasetDescriptor:
             raise InputError(f"mirror must be a permutation of 0..{N - 1}")
         if any(mirror[mirror[i]] != i for i in range(N)):
             raise InputError("mirror map must be an involution")
-        if not 0 <= self.horizontal_axis < self.dim:
-            raise InputError(
-                f"horizontal axis {self.horizontal_axis} out of range for dim {self.dim}"
-            )
+        check_number(self.horizontal_axis, "horizontal_axis", ge=0, lt=dim)
 
     def merged(self, bodies: int) -> "DatasetDescriptor":
         """Descriptor for ``bodies`` skeletons treated as one rigid body.
@@ -154,7 +148,7 @@ class DatasetDescriptor:
         Joint blocks are stacked; priority runs through body 0's joints
         first, and the mirror map acts within each body.
         """
-        bodies = int(bodies)  # fewer than 1 leaves fewer than two joints: an InputError below
+        bodies = check_number(bodies, "bodies", ge=1)
         if bodies == 1:
             return self
         N = self.joint_count
@@ -267,9 +261,7 @@ def horizontal_flip(clip: SkeletonClip, descriptor: DatasetDescriptor) -> Skelet
 
 def add_gaussian_noise(clip: SkeletonClip, sigma: float = 0.01, seed=0) -> SkeletonClip:
     """Add zero-mean Gaussian noise to every valid coordinate, seeded."""
-    sigma = float(sigma)
-    if sigma < 0:
-        raise InputError(f"noise sigma must be >= 0, got {sigma}")
+    sigma = check_number(sigma, "sigma", float, ge=0.0)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, clip.joints.shape)
     joints = clip.joints + noise * clip.valid[..., None]
@@ -300,15 +292,12 @@ def enumerate_pathlets(joint_count: int, size: int, priority=None) -> list[tuple
     lexicographically in that rank, so each unordered set of joints yields
     exactly one ordered pathlet.
     """
-    joint_count = int(joint_count)
-    if joint_count < 2:
-        raise InputError(f"need at least two joints, got {joint_count}")
-    if size not in (2, 3):
-        raise InputError(f"pathlet size must be 2 or 3, got {size}")
+    joint_count = check_number(joint_count, "joint_count", ge=2)
+    size = check_number(size, "size", ge=2, le=3)
     if priority is None:
         order = tuple(range(joint_count))
     else:
-        order = tuple(int(i) for i in priority)
+        order = tuple(check_number(i, "priority") for i in priority)
         if sorted(order) != list(range(joint_count)):
             raise InputError(f"priority must be a permutation of 0..{joint_count - 1}")
     return list(itertools.combinations(order, size))
@@ -449,12 +438,9 @@ def merge_actors(clip: SkeletonClip, actor_indices, bodies: int) -> SkeletonClip
     selected actor stay zero-filled and invalid, so downstream gap filling
     zeroes them out.
     """
-    bodies = int(bodies)
-    if bodies < 1:
-        raise InputError(f"body count must be >= 1, got {bodies}")
-    indices = [int(a) for a in actor_indices][:bodies]
-    if any(not 0 <= a < clip.actor_count for a in indices):
-        raise InputError(f"actor index out of range for {clip.actor_count} actors: {indices}")
+    bodies = check_number(bodies, "bodies", ge=1)
+    indices = [check_number(a, "actor index", ge=0, lt=clip.actor_count)
+               for a in list(actor_indices)[:bodies]]
     F, _, N, d = clip.joints.shape
     joints = np.zeros((F, 1, bodies * N, d))
     valid = np.zeros((F, 1, bodies * N), dtype=bool)

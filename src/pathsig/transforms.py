@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_array, check_entries
+from .errors import InputError, check_array, check_entries, check_number
 from .signature import as_path
 
 __all__ = [
@@ -64,9 +64,7 @@ def lead_lag(series, delay_dim: int) -> np.ndarray:
     """
     arr = np.asarray(series, dtype=np.float64)
     arr = check_array(arr[:, 0] if arr.ndim == 2 and arr.shape[1] == 1 else arr, 1, "series")
-    delay_dim = int(delay_dim)
-    if delay_dim < 1:
-        raise InputError(f"delay dimension must be >= 1, got {delay_dim}")
+    delay_dim = check_number(delay_dim, "delay_dim", ge=1)
     L = arr.size
     check_entries(L * delay_dim, f"a {delay_dim}-channel lead-lag path")
     out = np.zeros((L, delay_dim))
@@ -83,13 +81,9 @@ def dyadic_windows(length: int, depth: int) -> list[IndexWindow]:
     spans s_m..s_{m+1} inclusive.  Every window keeps at least two points
     as long as length-1 >= 2**(depth-1).
     """
-    length = int(length)
-    depth = int(depth)
-    if length < 2:
-        raise InputError(f"window partition needs length >= 2, got {length}")
-    if depth < 1:
-        raise InputError(f"depth must be >= 1, got {depth}")
-    if length - 1 < 2 ** (depth - 1):
+    length = check_number(length, "length", ge=2)
+    depth = check_number(depth, "depth", ge=1)
+    if (length - 1).bit_length() < depth:  # length - 1 < 2**(depth - 1), without the power
         raise InputError(
             f"length {length} is too short for depth {depth}: "
             f"a window at the deepest level would degenerate to a point"
@@ -109,12 +103,8 @@ def uniform_sample(frame_count: int, count: int) -> np.ndarray:
     Index i maps to round_half_up(i * (F-1) / (count-1)); all zeros when
     count == 1 or F == 1.  Repetition occurs when F < count.
     """
-    frame_count = int(frame_count)
-    count = int(count)
-    if frame_count < 1:
-        raise InputError(f"frame count must be >= 1, got {frame_count}")
-    if count < 1:
-        raise InputError(f"sample count must be >= 1, got {count}")
+    frame_count = check_number(frame_count, "frame_count", ge=1)
+    count = check_number(count, "count", ge=1)
     if count == 1 or frame_count == 1:
         return np.zeros(count, dtype=np.intp)
     return np.array(

@@ -152,10 +152,10 @@ def test_bench_rejects_zero_repeats():
     assert result.returncode == 1
     result = run_cli("bench", "--dim", -1, "--level", 2, "--points", 5)
     assert result.returncode == 1
-    assert "--dim must be >= 1, got -1" in result.stderr
+    assert "--dim = -1 must be >= 1" in result.stderr
     result = run_cli("bench", "--dim", 2, "--level", 2, "--points", 5, "--seed", -1)
     assert result.returncode == 1
-    assert result.stderr == "error: --seed must be >= 0, got -1\n"
+    assert result.stderr == "error: --seed = -1 must be >= 0\n"
 
 
 def test_bench_reports_peak_rss():

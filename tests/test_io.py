@@ -1,6 +1,7 @@
 """File formats: round-trips and malformed-input diagnostics."""
 
 import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -203,7 +204,10 @@ def test_manifest_rejects_bad_split(tmp_path):
 def test_manifest_rejects_bad_count(tmp_path):
     p = tmp_path / "manifest.txt"
     p.write_text("x.clip,a,train,0\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(f"{p}:1: actor count = 0 must be >= 1")):
+        read_manifest(p)
+    p.write_text("x.clip,a,train,2.5\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:1: malformed actor count '2.5'")):
         read_manifest(p)
     p.write_text("x.clip,a,train\n")
     with pytest.raises(FormatError):

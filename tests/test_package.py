@@ -87,3 +87,18 @@ def test_no_module_imports_a_name_it_does_not_use():
                 if name not in used and "noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: {name}")
     assert not unused
+
+
+def test_only_errors_spells_out_a_bound():
+    """Each bound is checked by ``errors.check_number`` and worded by its
+    ``_BOUNDS`` table: no other module writes a bound message of its own."""
+    bounds = ("must be >=", "must be >", "must be <=", "must be <")
+    found = []
+    for path in sorted((REPO / "src" / "pathsig").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+                    bound in node.value for bound in bounds):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found

@@ -1,11 +1,14 @@
 """Every input rule is written once.  Each setting's bounds are declared
 with its dataclass field, and enforced alike from Python (InputError), from
 a feature config or model file (FormatError, exit 2, naming the file) and
-from a ``train`` flag (exit 1, before any feature file is read).  Each
-array's rank, non-empty axes and finite entries are checked by
-``errors.check_array``, and a file whose arrays break them is a FormatError
-naming the file."""
+from a ``train`` flag (exit 1, before any feature file is read).  Every
+count, level and int setting is an integer checked by
+``errors.check_number``, never truncated.  Each array's rank, non-empty
+axes and finite entries are checked by ``errors.check_array``, and a file
+whose arrays break them is a FormatError naming the file.  Labels are
+checked by ``errors.check_labels``."""
 
+import argparse
 import dataclasses
 import functools
 import math
@@ -18,14 +21,17 @@ import pytest
 
 from pathsig import cli
 from pathsig import io as pio
-from pathsig.classifier import LinearNetModel, TrainConfig, init_model, load_model, save_model
+from pathsig.classifier import (LinearNetModel, TrainConfig, gradient_check, init_model,
+                                load_model, lr_schedule, save_model, stage_partition, train)
 from pathsig.errors import FormatError, InputError
 from pathsig.io import ExtractionOptions, read_feature_config
-from pathsig.signature import as_path, path_signature_batch
-from pathsig.skeleton import (FeatureConfig, SkeletonClip, temporal_joint_features,
+from pathsig.signature import (TruncatedSignature, as_path, path_signature, path_signature_batch,
+                               signature_bruteforce, signature_dimension)
+from pathsig.skeleton import (DatasetDescriptor, FeatureConfig, SkeletonClip, add_gaussian_noise,
+                              enumerate_pathlets, merge_actors, temporal_joint_features,
                               temporal_spatial_features)
 from pathsig.synth import make_action_dataset, write_dataset
-from pathsig.transforms import lead_lag
+from pathsig.transforms import dyadic_windows, lead_lag, uniform_sample
 
 LEVEL = {"ge": 1, "le": 32}
 BOUNDS = {
@@ -93,6 +99,21 @@ def test_dataclass_accepts_each_bound_and_rejects_past_it(cls, name):
     for value in rejected:
         with pytest.raises(InputError, match=f"^{name} = "):
             cls(**{name: value})
+
+
+@fields_of(FeatureConfig, ExtractionOptions, TrainConfig)
+def test_dataclass_refuses_a_fraction_or_a_string_and_takes_a_numpy_number(cls, name):
+    default = getattr(cls(), name)
+    if type(default) is int:
+        with pytest.raises(InputError, match=f"^{name} = 2.5 is not an integer$"):
+            cls(**{name: 2.5})
+        assert cls(**{name: np.int64(default)}) == cls()
+    else:
+        with pytest.raises(InputError, match=f"^{name} = '0.5' is not a number$"):
+            cls(**{name: "0.5"})
+        with pytest.raises(InputError, match=f"^{name} = 1000+ is not finite$"):
+            cls(**{name: 10**400})
+        assert cls(**{name: np.float64(default)}) == cls()
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +218,108 @@ def test_train_flag_accepts_each_bound_and_rejects_past_it_before_reading(
         assert cli.main(argv + [f"{flag}={value}"]) == 1
         assert f"error: {name} = " in capsys.readouterr().err
     assert not configs
+
+
+PATH = [[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]
+CLIP = SkeletonClip(np.arange(36.0).reshape(3, 2, 3, 2), np.ones((3, 2, 3), dtype=bool))
+MODEL = init_model(3, 2, hidden_dim=2)
+BENCH = {"dim": 2, "level": 2, "points": 5, "repeats": 1, "seed": 0}
+
+
+def _empty_matrix(cols, files):
+    """The bytes of a SIGFEAT1 file of ``cols`` columns and no rows."""
+    path = files["x"].parent / "empty.feat"
+    with pio.FeatureMatrixWriter(path, cols):
+        pass
+    return path.read_bytes()
+
+
+# Each count, level or index an entry point takes outside a settings dataclass:
+# a call on the value (and the small_set files), the name its InputError
+# starts with, a value it takes, and one past its bound.
+NUMBER_INPUTS = {
+    "signature_dimension.d": (lambda v, f: signature_dimension(v, 3), "d", 2, 0),
+    "signature_dimension.n": (lambda v, f: signature_dimension(2, v), "n", 3, -1),
+    "TruncatedSignature.d": (lambda v, f: TruncatedSignature(v, 2, np.ones(6)).data.tolist(),
+                             "d", 2, 0),
+    "TruncatedSignature.n": (lambda v, f: TruncatedSignature(2, v, np.ones(6)).data.tolist(),
+                             "n", 2, 0),
+    "TruncatedSignature.level": (lambda v, f: path_signature(PATH, 2).level(v).tolist(),
+                                 "k", 2, 3),
+    "TruncatedSignature.coefficient": (lambda v, f: path_signature(PATH, 2).coefficient((1, v)),
+                                       "channel index", 1, 2),
+    "path_signature.level": (lambda v, f: path_signature(PATH, v).data.tolist(), "level", 3, 0),
+    "path_signature_batch.level": (lambda v, f: path_signature_batch([PATH], v).tolist(),
+                                   "level", 3, 0),
+    "signature_bruteforce.level": (lambda v, f: signature_bruteforce(PATH, v, 10).data.tolist(),
+                                   "level", 2, 0),
+    "signature_bruteforce.subdivisions": (
+        lambda v, f: signature_bruteforce(PATH, 2, v).data.tolist(), "subdivisions", 10, 0),
+    "lead_lag.delay_dim": (lambda v, f: lead_lag([1.0, 2.0, 4.0], v).tolist(), "delay_dim", 2, 0),
+    "dyadic_windows.length": (lambda v, f: dyadic_windows(v, 2), "length", 5, 1),
+    "dyadic_windows.depth": (lambda v, f: dyadic_windows(9, v), "depth", 2, 0),
+    "uniform_sample.frame_count": (lambda v, f: uniform_sample(v, 4).tolist(), "frame_count",
+                                   10, 0),
+    "uniform_sample.count": (lambda v, f: uniform_sample(10, v).tolist(), "count", 4, 0),
+    "DatasetDescriptor.joint_count": (lambda v, f: DatasetDescriptor(v, 2), "joint_count", 3, 1),
+    "DatasetDescriptor.dim": (lambda v, f: DatasetDescriptor(3, v), "dim", 2, 4),
+    "DatasetDescriptor.horizontal_axis": (lambda v, f: DatasetDescriptor(3, 2, horizontal_axis=v),
+                                          "horizontal_axis", 1, 2),
+    "DatasetDescriptor.priority": (lambda v, f: DatasetDescriptor(3, 2, priority=(v, 0, 2)),
+                                   "priority", 1, 3),
+    "DatasetDescriptor.merged": (lambda v, f: DatasetDescriptor(3, 2).merged(v), "bodies", 2, 0),
+    "enumerate_pathlets.joint_count": (lambda v, f: enumerate_pathlets(v, 2), "joint_count", 4, 1),
+    "enumerate_pathlets.size": (lambda v, f: enumerate_pathlets(4, v), "size", 3, 4),
+    "merge_actors.bodies": (lambda v, f: merge_actors(CLIP, [1], v).joints.tolist(), "bodies",
+                            2, 0),
+    "merge_actors.actor_indices": (lambda v, f: merge_actors(CLIP, [v], 1).joints.tolist(),
+                                   "actor index", 1, 2),
+    "init_model.input_dim": (lambda v, f: init_model(v, 2, hidden_dim=2).w1.tolist(),
+                             "input_dim", 3, 0),
+    "init_model.class_count": (lambda v, f: init_model(3, v, hidden_dim=2).w2.tolist(),
+                               "class_count", 2, 1),
+    "init_model.hidden_dim": (lambda v, f: init_model(3, 2, hidden_dim=v).w1.tolist(),
+                              "hidden_dim", 2, 0),
+    "lr_schedule.epoch": (lambda v, f: lr_schedule(v, TrainConfig()), "epoch", 3, -1),
+    "gradient_check.label": (lambda v, f: gradient_check(MODEL, np.ones(3), v), "label", 1, 2),
+    "stage_partition.class_count": (
+        lambda v, f: stage_partition([0, 1], [1, 2], v).multi_body.tolist(), "class_count", 2, 0),
+    "FeatureMatrixWriter.cols": (_empty_matrix, "cols", 3, -1),
+    "read_clip_file.min_actors": (
+        lambda v, f: pio.read_clip_file(f["clip"], pio.read_descriptor(f["descriptor"]),
+                                        min_actors=v).joints.tolist(), "min_actors", 3, 0),
+    **{f"cmd_bench.{name}": (lambda v, f, name=name: cli.cmd_bench(argparse.Namespace(
+        **{**BENCH, name: v})), f"--{name}", 2, low - 1)
+       for name, low in (("repeats", 1), ("points", 1), ("dim", 1), ("seed", 0))},
+}
+
+
+@pytest.mark.parametrize("entry", NUMBER_INPUTS)
+def test_each_count_is_an_integer_within_its_bounds(entry, small_set):
+    call, what, good, past = NUMBER_INPUTS[entry]
+    with pytest.raises(InputError, match=f"^{re.escape(what)} = 2.5 is not an integer$"):
+        call(2.5, small_set)
+    with pytest.raises(InputError, match=f"^{re.escape(what)}"):
+        call(past, small_set)
+    assert call(np.int64(good), small_set) == call(good, small_set)
+
+
+def test_noise_sigma_is_a_finite_float_at_least_0():
+    for bad in ("0.01", -0.01, math.nan, math.inf):
+        with pytest.raises(InputError, match="^sigma = "):
+            add_gaussian_noise(CLIP, bad)
+    assert np.array_equal(add_gaussian_noise(CLIP, np.float64(0.01)).joints,
+                          add_gaussian_noise(CLIP, 0.01).joints)
+
+
+def test_a_label_outside_the_classes_is_named():
+    x, config = np.ones((3, 3)), TrainConfig(max_epochs=1)
+    for labels, bad in (([0, 1, 2], "2"), ([0, 1.5, 1], "1.5"), ([0, -1, 1], "-1")):
+        message = rf"^labels: label {bad} is outside 0\.\.1$"
+        with pytest.raises(InputError, match=message):
+            train(init_model(3, 2, hidden_dim=2), x, labels, config)
+        with pytest.raises(InputError, match=message):
+            stage_partition(labels, [1, 2, 1], 2)
 
 
 WEIGHTS = {"w1": (3, 2), "b1": (2,), "w2": (2, 2), "b2": (2,)}

@@ -1,6 +1,7 @@
 """Core signature algebra: closed forms, Chen concatenation, invariances."""
 
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -52,6 +53,15 @@ def test_dimension_validates():
         signature_dimension(0, 2)
     with pytest.raises(InputError):
         signature_dimension(2, -1)
+
+
+def test_dimension_past_any_array_is_a_memory_error_at_once():
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match="past any array's size"):
+        signature_dimension(2, 10**30)
+    assert time.perf_counter() - start < 1.0
+    assert signature_dimension(1, 10**30) == 10**30
+    assert signature_dimension(2, 1 << 15) == 2 ** (2**15 + 1) - 2
 
 
 def test_stored_size_independent_of_length():

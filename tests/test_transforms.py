@@ -117,6 +117,8 @@ def test_dyadic_windows_degenerate_errors():
         dyadic_windows(4, 3)  # L-1 = 3 < 2**2
     with pytest.raises(InputError):
         dyadic_windows(1, 1)
+    with pytest.raises(InputError, match="too short for depth"):
+        dyadic_windows(9, 10**30)  # refused without building 2**(10**30)
 
 
 def test_dyadic_chen_fold_reproduces_whole():
