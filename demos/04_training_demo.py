@@ -50,7 +50,7 @@ def main():
 
     cfg = TrainConfig(max_epochs=40, seed=0)
     model = init_model(x_train.shape[1], len(ACTION_CLASSES), cfg)
-    history = train(model, x_train, y_train, cfg)
+    history = train(model, x_train, y_train)
     for s in history[:: max(1, len(history) // 8)]:
         print(f"  epoch {s.epoch:>3}  lr {s.lr:.5f}  loss {s.loss:.4f}  "
               f"train acc {s.accuracy:.3f}")

@@ -250,8 +250,9 @@ def _chunk_plan(D: int) -> list[tuple[int, int]]:
 
 # overflow on the way to a diverged run is reported by the finiteness checks below
 @np.errstate(over="ignore", invalid="ignore")
-def train(model: LinearNetModel, features, labels, config: TrainConfig | None = None) -> list[EpochStats]:
-    """Fit the model in place; returns per-epoch loss/accuracy history.
+def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
+    """Fit the model in place by its own ``config``; returns per-epoch
+    loss/accuracy history.
 
     ``features`` is a (rows, dims) matrix or an ``io.FeatureRows`` file.
     Mini-batches are drawn from a fresh seeded shuffle each epoch; every
@@ -263,12 +264,12 @@ def train(model: LinearNetModel, features, labels, config: TrainConfig | None = 
     is made and the only W1-sized array is the momentum; masked-out entries
     move by their momentum alone (v <- mu*v).  Loss and accuracy
     are accumulated from the same masked forward passes the updates use.
-    Deterministic: same model, data, and config give bit-identical
-    results.  Raises InputError, naming the epoch and batch, when a batch
-    loss is not finite (before that batch updates the weights), or when
-    the final weights are not finite.
+    Deterministic: the same model and data give bit-identical results.
+    Raises InputError, naming the epoch and batch, when a batch loss is
+    not finite (before that batch updates the weights), or when the final
+    weights are not finite.
     """
-    config = config or model.config
+    config = model.config
     x = features if isinstance(features, FeatureRows) else np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
     if len(x.shape) != 2 or x.shape[0] < 1:
@@ -466,8 +467,8 @@ def extract_body_features(
     descriptor: DatasetDescriptor,
 ) -> np.ndarray:
     """The feature row of the clip's top ``bodies`` actors as one rigid body."""
-    prepared = prepare_body(clip, bodies)
-    return assemble_features(prepared.joints[:, 0], config, descriptor.merged(bodies))
+    merged = descriptor.merged(bodies)  # bounds ``bodies`` before the clip is merged
+    return assemble_features(prepare_body(clip, bodies).joints[:, 0], config, merged)
 
 
 def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: LinearNetModel,
@@ -528,7 +529,8 @@ def load_model(path) -> LinearNetModel:
         if extra:
             raise FormatError(f"{path}: trailing bytes after config at offset {f.tell() - 1}")
     where = f"{path} config text"
-    fields = _parse_key_values(enumerate(text.splitlines(), start=1), where)
+    fields = _parse_key_values((f"{where}:{lineno}", line)
+                               for lineno, line in enumerate(text.splitlines(), start=1))
     missing = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in fields]
     if missing:
         raise FormatError(f"{where}: missing key {missing[0]!r}")

@@ -237,27 +237,24 @@ def _stage_labels(partition: StagePartition):
             (C, partition.multi_body_classes, int))
 
 
-def _feature_config(path, descriptor: DatasetDescriptor):
+def _feature_config(path, descriptor: DatasetDescriptor, two_stage: bool):
     """The settings of a feature config file, or the defaults; FormatError,
-    before anything is built from them, when the merged skeleton of ``bodies``
-    bodies would have more joints, or its feature rows more columns, than allowed."""
+    before any clip is read, when the merged skeleton of a body count the
+    command uses (``bodies``, or each stage's) has too many joints or its
+    feature rows too many columns."""
     config, options = (pio.read_feature_config(path) if path
                        else (FeatureConfig(), ExtractionOptions()))
-    joints = descriptor.joint_count * options.bodies
-    if joints > pio._MAX_JOINTS:
-        raise FormatError(f"{path}: bodies = {options.bodies} merges {joints} joints, more than "
-                          f"the {pio._MAX_JOINTS} allowed")
-    width = sum(b.width for b in feature_layout(config, DatasetDescriptor(joints, descriptor.dim)))
-    if width > pio._MAX_COLUMNS:
-        raise FormatError(f"{path or 'default feature config'}: the feature rows would have "
-                          f"{width} columns, more than the {pio._MAX_COLUMNS} allowed")
+    body_counts = {bodies for _, bodies in _STAGES} if two_stage else {options.bodies}
+    for bodies in body_counts:
+        pio._checked(path or "default feature config",
+                     lambda: feature_layout(config, descriptor.merged(bodies)))
     return config, options
 
 
 def cmd_extract(args) -> int:
     records = pio.read_manifest(args.manifest)
     descriptor = pio.read_descriptor(args.descriptor)
-    config, options = _feature_config(args.config, descriptor)
+    config, options = _feature_config(args.config, descriptor, args.two_stage)
     train_recs = [r for r in records if r.split == "train"]
     test_recs = [r for r in records if r.split == "test"]
     if not train_recs:
@@ -358,7 +355,7 @@ def _write_history(history, path) -> None:
 
 def _fit(x, y, class_count, config, hidden, model_path, history_path):
     model = init_model(x.shape[1], class_count, config, hidden_dim=hidden)
-    history = train(model, x, y, config)
+    history = train(model, x, y)
     save_model(model, model_path)
     if history_path:
         _write_history(history, history_path)
@@ -457,7 +454,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     descriptor = pio.read_descriptor(args.descriptor)
-    config, options = _feature_config(args.config, descriptor)
+    config, options = _feature_config(args.config, descriptor, args.two_stage)
     clip = pio.read_clip_file(args.clip, descriptor)
 
     if not args.two_stage:

@@ -35,6 +35,14 @@ class FormatError(ValueError):
     """
 
 
+def _shown(value, spec: str = "") -> str:
+    """``format(value, spec)`` for a message; an int of more than 4,096 bits
+    is named by its bit length (Python refuses to print past 4,300 digits)."""
+    if isinstance(value, int) and value.bit_length() > 1 << 12:
+        return f"an integer of {value.bit_length():,} bits"
+    return format(value, spec)
+
+
 _BOUNDS = {"ge": (operator.ge, "must be >= {}"), "gt": (operator.gt, "must be > {}"),
            "le": (operator.le, "is more than the {} allowed"), "lt": (operator.lt, "must be < {}")}
 
@@ -61,11 +69,11 @@ def check_number(value, what: str, kind=int, **bounds):
     except OverflowError:  # an int past any float
         finite = False
     if not finite:
-        raise InputError(f"{what} = {value} is not finite")
+        raise InputError(f"{what} = {_shown(value)} is not finite")
     for bound, limit in bounds.items():
         passes, failure = _BOUNDS[bound]
         if not passes(number, limit):
-            raise InputError(f"{what} = {value} {failure.format(limit)}")
+            raise InputError(f"{what} = {_shown(value)} {failure.format(limit)}")
     return number
 
 
@@ -103,4 +111,5 @@ def check_entries(count: int, what: str) -> None:
     """MemoryError, where numpy would raise ValueError, when ``count`` float64
     values pass any array's byte count: every size too large is out of memory."""
     if 8 * count > sys.maxsize:
-        raise MemoryError(f"{what}: {count:,} float64 values or more, past any array's size")
+        raise MemoryError(f"{what}: {_shown(count, ',')} float64 values or more, "
+                          "past any array's size")

@@ -19,9 +19,12 @@ its one-shot caller.  ``FeatureRows`` is the one SIGFEAT1 reader:
 ``train`` and ``eval`` read through it, a block or a batch at a time.
 
 Malformed input raises FormatError naming the file and the line number or
-byte offset; every reader builds its value through ``_checked``, which
-turns the InputError of a value that breaks a rule (a NaN coordinate or
-weight, a setting out of bounds) into a FormatError starting with the
+byte offset.  Readers only parse: every text field goes through ``_parse``,
+which reads one line's int, float or bool fields at once and names the
+field that is none, and every reader builds its value through
+``_checked``, which turns the InputError of a value that breaks a rule (a
+NaN coordinate or weight, a setting out of bounds, more joints or feature
+columns than ``skeleton`` allows) into a FormatError starting with the
 file's path.  Every writer/reader pair round-trips bit-exactly.  Binary
 readers check each size from a header against the file size before they
 allocate, and read arrays in place; the SIGNET1 model reader in
@@ -71,18 +74,19 @@ __all__ = [
 _FEAT_MAGIC = b"SIGFEAT1"
 _FEAT_HEADER = len(_FEAT_MAGIC) + 16  # magic, rows, cols
 _BLOCK_BYTES = 1 << 18  # FeatureRows.blocks reads this many bytes at a time, at least one row
-_MAX_JOINTS = 1000  # descriptor checks build lists this long; NTU RGB+D has 25 a body
-_MAX_COLUMNS = 1 << 26  # widest feature row a config may ask for: about 10x NTU RGB+D's 6,186,050
+_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+_EXPECTED = {int: "an integer", float: "a number", bool: "true, false, 1 or 0"}
 
 
 def _data_lines(path):
-    """Yield (line_number, stripped_text) skipping blanks and # comments."""
+    """Yield ("path:line_number", stripped_text) skipping blanks and # comments."""
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
-            text = _decode(raw, f"{path}:{lineno}", "utf-8").strip()
+            where = f"{path}:{lineno}"
+            text = _decode(raw, where, "utf-8").strip()
             if not text or text.startswith("#"):
                 continue
-            yield lineno, text
+            yield where, text
 
 
 def _decode(data: bytes, where: str, encoding: str = "ascii") -> str:
@@ -93,6 +97,23 @@ def _decode(data: bytes, where: str, encoding: str = "ascii") -> str:
         raise FormatError(
             f"{where}: byte 0x{data[exc.start]:02x} at position {exc.start} is not {encoding} text"
         ) from None
+
+
+def _parse(texts, kinds, where: str, what: str) -> list:
+    """The fields ``texts`` of one line read as ``kinds``: int, float or bool,
+    one kind for every field or a sequence of one per field.  A field that is
+    not its kind's literal (a bool is true, false, 1 or 0, in any case) is a
+    FormatError naming ``where``, ``what`` and the field's text."""
+    if isinstance(kinds, type):
+        kinds = (kinds,) * len(texts)
+    values = []
+    try:
+        for kind, text in zip(kinds, texts):
+            values.append(_BOOLS[text.strip().lower()] if kind is bool else kind(text))
+    except (KeyError, ValueError):
+        raise FormatError(f"{where}: malformed {what} {text!r}, "
+                          f"expected {_EXPECTED[kind]}") from None
+    return values
 
 
 def _checked(where, build, *args, **kwargs):
@@ -112,18 +133,13 @@ def read_path_file(path) -> np.ndarray:
     """
     rows = []
     dim = None
-    for lineno, text in _data_lines(path):
+    for where, text in _data_lines(path):
         fields = text.split(",")
         if dim is None:
             dim = len(fields)
         elif len(fields) != dim:
-            raise FormatError(
-                f"{path}:{lineno}: expected {dim} coordinates, got {len(fields)}"
-            )
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric coordinate in {text!r}") from None
+            raise FormatError(f"{where}: expected {dim} coordinates, got {len(fields)}")
+        rows.append(_parse(fields, float, where, "coordinate"))
     if not rows:
         raise FormatError(f"{path}: no samples found")
     return _checked(path, check_array, rows, 2, "path")
@@ -147,28 +163,23 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
     max_frame = -1
     max_actor = -1
     size = 0  # bytes of joint rows
-    for lineno, text in _data_lines(path):
+    kinds = (int,) * 3 + (float,) * d
+    for where, text in _data_lines(path):
         size += len(text) + 1
         fields = text.split(",")
         if len(fields) != 3 + d:
             raise FormatError(
-                f"{path}:{lineno}: expected frame, actor, joint + {d} coordinates, "
+                f"{where}: expected frame, actor, joint + {d} coordinates, "
                 f"got {len(fields)} fields"
             )
-        try:
-            frame, actor, joint = (int(v) for v in fields[:3])
-            coords = [float(v) for v in fields[3:]]
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed row {text!r}") from None
+        frame, actor, joint, *coords = _parse(fields, kinds, where, "field")
         if frame < 0 or actor < 0 or joint < 0:
-            raise FormatError(f"{path}:{lineno}: negative index in {text!r}")
+            raise FormatError(f"{where}: negative index in {text!r}")
         if joint >= N:
-            raise FormatError(
-                f"{path}:{lineno}: joint index {joint} out of range for {N} joints"
-            )
+            raise FormatError(f"{where}: joint index {joint} out of range for {N} joints")
         key = (frame, actor, joint)
         if key in entries:
-            raise FormatError(f"{path}:{lineno}: duplicate entry for frame {frame}, "
+            raise FormatError(f"{where}: duplicate entry for frame {frame}, "
                               f"actor {actor}, joint {joint}")
         entries[key] = coords
         max_frame = max(max_frame, frame)
@@ -219,21 +230,18 @@ def read_manifest(path) -> list[ManifestRecord]:
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    for lineno, text in _data_lines(path):
+    for where, text in _data_lines(path):
         fields = [v.strip() for v in text.split(",")]
         if len(fields) != 4:
             raise FormatError(
-                f"{path}:{lineno}: expected clip path, label, split, actor count; "
+                f"{where}: expected clip path, label, split, actor count; "
                 f"got {len(fields)} fields"
             )
         clip_path, label_name, split, count_text = fields
         if split not in ("train", "test"):
-            raise FormatError(f"{path}:{lineno}: split must be 'train' or 'test', got {split!r}")
-        try:
-            actor_count = int(count_text)
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: malformed actor count {count_text!r}") from None
-        _checked(f"{path}:{lineno}", check_number, actor_count, "actor count", ge=1)
+            raise FormatError(f"{where}: split must be 'train' or 'test', got {split!r}")
+        actor_count = _parse([count_text], int, where, "actor count")[0]
+        _checked(where, check_number, actor_count, "actor count", ge=1)
         if not os.path.isabs(clip_path):
             clip_path = os.path.join(base, clip_path)
         records.append(ManifestRecord(clip_path, label_name, split, actor_count))
@@ -250,23 +258,18 @@ def write_manifest(records, path) -> None:
             f.write(f"{rel},{rec.label_name},{rec.split},{rec.actor_count}\n")
 
 
-def _parse_key_values(numbered_lines, where) -> dict[str, str]:
-    """``key = value`` fields of (line_number, text) pairs; ``where`` names the source."""
+def _parse_key_values(lines) -> dict[str, str]:
+    """``key = value`` fields of (where, text) pairs, ``where`` naming the line."""
     fields = {}
-    for lineno, text in numbered_lines:
+    for where, text in lines:
         if "=" not in text:
-            raise FormatError(f"{where}:{lineno}: expected 'key = value', got {text!r}")
+            raise FormatError(f"{where}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
         if key in fields:
-            raise FormatError(f"{where}:{lineno}: duplicate key {key!r}")
+            raise FormatError(f"{where}: duplicate key {key!r}")
         fields[key] = value.strip()
     return fields
-
-
-def _parse_int_list(value: str):
-    value = value.strip()
-    return [int(v) for v in value.split(",")] if value else []
 
 
 def read_descriptor(path) -> DatasetDescriptor:
@@ -275,20 +278,15 @@ def read_descriptor(path) -> DatasetDescriptor:
     Required keys: joints (2 to 1000), dims, classes.  Optional: priority, mirror
     (identity when omitted), horizontal_axis (0 when omitted).
     """
-    fields = _parse_key_values(_data_lines(path), path)
-    try:
-        joints = int(fields["joints"])
-        dims = int(fields["dims"])
-        classes = tuple(v.strip() for v in fields["classes"].split(",") if v.strip())
-        priority = tuple(_parse_int_list(fields.get("priority", "")))
-        mirror = tuple(_parse_int_list(fields.get("mirror", "")))
-        axis = int(fields.get("horizontal_axis", "0"))
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing required descriptor key {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed descriptor value: {exc}") from exc
-    if joints > _MAX_JOINTS:
-        raise FormatError(f"{path}: {joints} joints is more than the {_MAX_JOINTS} allowed")
+    fields = _parse_key_values(_data_lines(path))
+    for key in ("joints", "dims", "classes"):
+        if key not in fields:
+            raise FormatError(f"{path}: missing required descriptor key {key!r}")
+    joints, dims = (_parse([fields[key]], int, path, key)[0] for key in ("joints", "dims"))
+    axis = _parse([fields.get("horizontal_axis", "0")], int, path, "horizontal_axis")[0]
+    priority, mirror = (tuple(_parse(fields[key].split(","), int, path, key) if fields.get(key)
+                              else ()) for key in ("priority", "mirror"))
+    classes = tuple(v.strip() for v in fields["classes"].split(",") if v.strip())
     return _checked(f"{path}: invalid descriptor", DatasetDescriptor, joint_count=joints, dim=dims,
                     priority=priority, mirror=mirror, horizontal_axis=axis, class_names=classes)
 
@@ -303,9 +301,6 @@ def write_descriptor(descriptor: DatasetDescriptor, path) -> None:
         f.write(f"classes = {','.join(descriptor.class_names)}\n")
 
 
-_CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False}
-
-
 def _parse_settings(fields: dict[str, str], where, *classes) -> tuple:
     """The settings dataclasses ``classes`` built from ``key = value`` fields of
     ``where``: each key a field name, parsed by the type of its default, and
@@ -317,11 +312,7 @@ def _parse_settings(fields: dict[str, str], where, *classes) -> tuple:
         if key not in schema:
             raise FormatError(f"{where}: unknown key {key!r}")
         cls, kind = schema[key]
-        try:  # a bool reads true/false/1/0, an int or float its type's literal
-            kwargs[cls][key] = _CONFIG_BOOL[value.lower()] if kind is bool else kind(value)
-        except (KeyError, ValueError):
-            raise FormatError(f"{where}: malformed {kind.__name__} value for {key!r}: "
-                              f"{value!r}") from None
+        kwargs[cls][key] = _parse([value], kind, where, key)[0]
     return tuple(_checked(where, cls, **kwargs[cls]) for cls in classes)
 
 
@@ -337,7 +328,7 @@ def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
     The keys are the field names of FeatureConfig and ExtractionOptions,
     each optional and held to the bounds its field declares.
     """
-    return _parse_settings(_parse_key_values(_data_lines(path), path), path,
+    return _parse_settings(_parse_key_values(_data_lines(path)), path,
                            FeatureConfig, ExtractionOptions)
 
 
@@ -456,10 +447,7 @@ def _parse_footer(footer: str, cols: int, path) -> tuple[Block, ...]:
         parts = line.split()
         if len(parts) != 3:
             raise FormatError(f"{path}: malformed footer line {lineno}: {line!r}")
-        try:
-            block = Block(parts[0], int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise FormatError(f"{path}: malformed footer line {lineno}: {line!r}") from None
+        block = Block(parts[0], *_parse(parts[1:], int, f"{path}: footer line {lineno}", "column"))
         if block.offset != end or block.width < 0:
             raise FormatError(f"{path}: footer line {lineno}: block {line!r} must start at "
                               f"column {end} and have a width >= 0")
@@ -592,11 +580,8 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
 def read_labels(path) -> np.ndarray:
     """Read labels: one integer per line."""
     values = []
-    for lineno, text in _data_lines(path):
-        try:
-            values.append(int(text))
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: expected an integer label, got {text!r}") from None
+    for where, text in _data_lines(path):
+        values += _parse([text], int, where, "label")
     if not values:
         raise FormatError(f"{path}: no labels found")
     return np.array(values, dtype=np.int64)
@@ -633,15 +618,13 @@ def write_partition(means, multi, path) -> None:
 
 def read_partition(path):
     """Read the two-stage class split; returns (means, multi) arrays."""
-    fields = _parse_key_values(_data_lines(path), path)
-    try:
-        count = int(fields["classes"])
-        means = np.array([float(v) for v in fields["means"].split(",")])
-        multi = np.array([bool(int(v)) for v in fields["multi"].split(",")])
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing partition key {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed partition value: {exc}") from exc
+    fields = _parse_key_values(_data_lines(path))
+    for key in ("classes", "means", "multi"):
+        if key not in fields:
+            raise FormatError(f"{path}: missing partition key {key!r}")
+    count = _parse([fields["classes"]], int, path, "classes")[0]
+    means = np.array(_parse(fields["means"].split(","), float, path, "means"))
+    multi = np.array(_parse(fields["multi"].split(","), bool, path, "multi"))
     if means.shape != (count,) or multi.shape != (count,):
         raise FormatError(
             f"{path}: partition arrays must have length {count}, "

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, check_array, check_entries, check_number
+from .errors import InputError, _shown, check_array, check_entries, check_number
 
 # Entries in the scratch of a row-blocked outer-product add (_row_blocks):
 # 512 KiB stays in L2; 2^14 to 2^17 measured within noise of each other.
@@ -102,8 +102,8 @@ def signature_dimension(d: int, n: int, include_zeroth: bool = False) -> int:
     if d == 1:
         total = n
     elif n * d.bit_length() > 1 << 16:  # then d**n > 2**(1 << 15)
-        raise MemoryError(f"level-{n} signature of a {d}-dimensional path: more than "
-                          f"2^32,768 coefficients, past any array's size")
+        raise MemoryError(f"level-{_shown(n)} signature of a {_shown(d)}-dimensional path: "
+                          f"more than 2^32,768 coefficients, past any array's size")
     else:
         total = (d ** (n + 1) - d) // (d - 1)
     return total + 1 if include_zeroth else total

@@ -63,6 +63,9 @@ __all__ = [
     "fill_clip",
 ]
 
+_MAX_JOINTS = 1000  # a descriptor's checks build lists this long; NTU RGB+D has 25 a body
+_MAX_COLUMNS = 1 << 26  # widest feature row: about 10x NTU RGB+D's 6,186,050
+
 
 @dataclass
 class SkeletonClip:
@@ -127,7 +130,7 @@ class DatasetDescriptor:
     class_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        N = check_number(self.joint_count, "joint_count", ge=2)
+        N = check_number(self.joint_count, "joint_count", ge=2, le=_MAX_JOINTS)
         dim = check_number(self.dim, "dim", ge=2, le=3)
         priority = tuple(check_number(i, "priority") for i in self.priority) or tuple(range(N))
         mirror = tuple(check_number(i, "mirror") for i in self.mirror) or tuple(range(N))
@@ -146,9 +149,10 @@ class DatasetDescriptor:
         """Descriptor for ``bodies`` skeletons treated as one rigid body.
 
         Joint blocks are stacked; priority runs through body 0's joints
-        first, and the mirror map acts within each body.
+        first, and the mirror map acts within each body.  The merged
+        skeleton, like any, has at most ``_MAX_JOINTS`` joints.
         """
-        bodies = check_number(bodies, "bodies", ge=1)
+        bodies = check_number(bodies, "bodies", ge=1, le=_MAX_JOINTS // self.joint_count)
         if bodies == 1:
             return self
         N = self.joint_count
@@ -185,7 +189,7 @@ class FeatureConfig:
 class ExtractionOptions:
     """Dataset-pipeline knobs that ride alongside FeatureConfig."""
 
-    bodies: int = setting(1, ge=1)  # most active actors, merged; cli caps bodies x joints
+    bodies: int = setting(1, ge=1)  # most active actors, merged; merged() caps bodies x joints
     flip: bool = True  # flip, noise_copies and noise_sigma augment the train split
     noise_copies: int = setting(2, ge=0, le=100)  # extract holds 1 + flip + noise_copies clips
     noise_sigma: float = setting(0.01, ge=0.0, le=1.0)  # clips are normalized into [-1, 1]
@@ -210,11 +214,9 @@ class FeatureScaler:
     scale: np.ndarray
 
     def __post_init__(self):
-        self.scale = np.asarray(self.scale, dtype=np.float64)
-        if self.scale.ndim != 1 or self.scale.size < 1:
-            raise InputError(f"scale must be a non-empty 1-D array, got shape {self.scale.shape}")
-        if not np.all((self.scale > 0) & np.isfinite(self.scale)):
-            raise InputError("scale entries must be finite and positive")
+        self.scale = check_array(self.scale, 1, "scale")
+        if not np.all(self.scale > 0):
+            raise InputError("scale entries must be positive")
 
 
 def normalize_clip(clip: SkeletonClip) -> SkeletonClip:
@@ -376,7 +378,8 @@ def temporal_spatial_features(spatial, config: FeatureConfig) -> np.ndarray:
 
 
 def feature_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> tuple[Block, ...]:
-    """The block layout assemble_features will produce, from dimensions alone."""
+    """The block layout assemble_features will produce, from dimensions alone;
+    InputError when its rows would be wider than ``_MAX_COLUMNS``."""
     N, d = descriptor.joint_count, descriptor.dim
     pair_w = math.comb(N, 2) * signature_dimension(d, config.pair_level)
     triple_w = math.comb(N, 3) * signature_dimension(d, config.triple_level)
@@ -388,6 +391,7 @@ def feature_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> tupl
         evo_w *= factor
     widths = [("joints", N * d), ("pair_sig", pair_w), ("triple_sig", triple_w)] * config.sampled_frames
     widths += [("joint_motion_sig", joint_w), ("spatial_evolution_sig", evo_w)]
+    check_number(sum(width for _, width in widths), "feature row columns", le=_MAX_COLUMNS)
     offsets = itertools.accumulate((width for _, width in widths), initial=0)
     return tuple(Block(name, offset, width) for (name, width), offset in zip(widths, offsets))
 

@@ -66,7 +66,7 @@ def lead_lag(series, delay_dim: int) -> np.ndarray:
     arr = check_array(arr[:, 0] if arr.ndim == 2 and arr.shape[1] == 1 else arr, 1, "series")
     delay_dim = check_number(delay_dim, "delay_dim", ge=1)
     L = arr.size
-    check_entries(L * delay_dim, f"a {delay_dim}-channel lead-lag path")
+    check_entries(L * delay_dim, "the lead-lag path")
     out = np.zeros((L, delay_dim))
     for j in range(delay_dim):
         out[j:, j] = arr[: L - j]
@@ -105,12 +105,12 @@ def uniform_sample(frame_count: int, count: int) -> np.ndarray:
     """
     frame_count = check_number(frame_count, "frame_count", ge=1)
     count = check_number(count, "count", ge=1)
+    check_entries(count, "the sampled frame indices")
     if count == 1 or frame_count == 1:
         return np.zeros(count, dtype=np.intp)
-    return np.array(
-        [_round_half_up(i * (frame_count - 1) / (count - 1)) for i in range(count)],
-        dtype=np.intp,
-    )
+    # products below 2**53 are exact, so each quotient is the correctly rounded one
+    steps = np.arange(count, dtype=np.float64) * (frame_count - 1) / (count - 1)
+    return np.floor(steps + 0.5).astype(np.intp)
 
 
 def _natural_spline(x, y, t) -> np.ndarray:

@@ -213,7 +213,7 @@ def test_criterion_10_end_to_end_synthetic_classification():
 
     def fit_once():
         model = init_model(x_train.shape[1], 4, train_cfg)
-        train(model, x_train, y_train, train_cfg)
+        train(model, x_train, y_train)
         return model
 
     model_a = fit_once()

@@ -177,8 +177,7 @@ def test_zero_input_leaves_w1_unchanged():
     w1_before = model.w1.copy()
     b2_before = model.b2.copy()
     # unbalanced labels so the bias gradient does not cancel
-    train(model, np.zeros((6, 5)), np.array([0, 0, 0, 0, 1, 1]),
-          TrainConfig(drop_rate=0.0, max_epochs=3, seed=0))
+    train(model, np.zeros((6, 5)), np.array([0, 0, 0, 0, 1, 1]))
     assert np.array_equal(model.w1, w1_before)
     assert not np.array_equal(model.b2, b2_before)
 
@@ -199,7 +198,7 @@ def test_separable_blobs_reach_full_accuracy():
     x, y = blobs(rng)
     cfg = TrainConfig(drop_rate=0.0, max_epochs=50, seed=1)
     model = init_model(10, 2, cfg)
-    history = train(model, x, y, cfg)
+    history = train(model, x, y)
     assert len(history) == 50
     assert history[-1].accuracy == 1.0
     assert any(s.accuracy == 1.0 for s in history[:50])
@@ -214,7 +213,7 @@ def test_full_batch_no_momentum_equals_plain_gd():
     model = init_model(4, 2, cfg, hidden_dim=3)
     manual = {"w1": model.w1.copy(), "b1": model.b1.copy(),
               "w2": model.w2.copy(), "b2": model.b2.copy()}
-    train(model, x, y, cfg)
+    train(model, x, y)
 
     # replay: plain descent on the summed-CE gradient, same shuffles
     replay_rng = np.random.default_rng([cfg.seed, 1])
@@ -246,7 +245,7 @@ def test_full_batch_loss_non_increasing():
     cfg = TrainConfig(batch_size=50, momentum=0.0, drop_rate=0.0,
                       max_epochs=40, seed=2)
     model = init_model(6, 2, cfg)
-    history = train(model, x, y, cfg)
+    history = train(model, x, y)
     losses = [s.loss for s in history]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -258,7 +257,7 @@ def test_training_is_bit_deterministic():
     runs = []
     for _ in range(2):
         model = init_model(5, 2, cfg)
-        history = train(model, x, y, cfg)
+        history = train(model, x, y)
         runs.append((model, history))
     a, b = runs
     assert np.array_equal(a[0].w1, b[0].w1)
@@ -271,11 +270,21 @@ def test_history_fields():
     x, y = blobs(rng, per_class=10, dim=4)
     cfg = TrainConfig(max_epochs=4, seed=0)
     model = init_model(4, 2, cfg)
-    history = train(model, x, y, cfg)
+    history = train(model, x, y)
     assert [s.epoch for s in history] == [0, 1, 2, 3]
     assert history[0].lr == 0.01
     assert history[2].lr == pytest.approx(0.01 * math.exp(-0.01), rel=1e-12)
     assert all(0.0 <= s.accuracy <= 1.0 for s in history)
+
+
+def test_train_takes_its_settings_from_the_model_only():
+    # one source of truth: the config forward and save_model use is the one trained by
+    rng = np.random.default_rng(8)
+    x, y = blobs(rng, per_class=10, dim=4)
+    model = init_model(4, 2, TrainConfig(max_epochs=3, drop_rate=0.5))
+    with pytest.raises(TypeError):
+        train(model, x, y, TrainConfig(max_epochs=1, drop_rate=0.0))
+    assert len(train(model, x, y)) == 3
 
 
 def dense_reference_train(model, x, y, config):
@@ -332,7 +341,7 @@ def test_chunked_training_matches_dense_masked_loop(drop_rate):
     cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=4)
     model = init_model(D, 3, cfg, hidden_dim=4)
     reference = init_model(D, 3, cfg, hidden_dim=4)
-    history = train(model, x, y, cfg)
+    history = train(model, x, y)
     expect = dense_reference_train(reference, x, y, cfg)
     # chunked products sum in another order: entries that cancel to near
     # zero keep a rounding error relative to the array's scale, not their own
@@ -378,12 +387,12 @@ def test_train_holds_one_w1_sized_array():
     rng = np.random.default_rng(13)
     D, H = 200_000, 64
     model = LinearNetModel(rng.standard_normal((D, H)) / math.sqrt(D), np.zeros(H),
-                           rng.standard_normal((H, 3)), np.zeros(3), TrainConfig())
+                           rng.standard_normal((H, 3)), np.zeros(3), TrainConfig(max_epochs=1))
     x = rng.standard_normal((8, D))
     y = np.array([0, 1, 2, 0, 1, 2, 0, 1])
     tracemalloc.start()
     try:
-        train(model, x, y, TrainConfig(max_epochs=1))
+        train(model, x, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -398,13 +407,13 @@ def test_train_takes_batch_rows_one_chunk_at_a_time():
     peaks = {}
     for rows in (30, 60):
         rng = np.random.default_rng(14)
-        model = LinearNetModel(rng.standard_normal((D, H)) / math.sqrt(D), np.zeros(H),
-                               rng.standard_normal((H, 3)), np.zeros(3), TrainConfig())
-        x = rng.standard_normal((rows, D))
         cfg = TrainConfig(batch_size=rows, max_epochs=1, drop_rate=0.5)
+        model = LinearNetModel(rng.standard_normal((D, H)) / math.sqrt(D), np.zeros(H),
+                               rng.standard_normal((H, 3)), np.zeros(3), cfg)
+        x = rng.standard_normal((rows, D))
         tracemalloc.start()
         try:
-            train(model, x, np.arange(rows) % 3, cfg)
+            train(model, x, np.arange(rows) % 3)
             _, peaks[rows] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -493,7 +502,7 @@ def test_chunk_rows_training_matches_batch_copy_loop(monkeypatch, drop_rate):
     cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=6)
     model = init_model(D, 3, cfg, hidden_dim=5)
     reference = init_model(D, 3, cfg, hidden_dim=5)
-    history = train(model, x, y, cfg)
+    history = train(model, x, y)
     expect = batch_copy_reference_train(reference, x, y, cfg)
     for k in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(model, k), getattr(reference, k))
@@ -509,7 +518,7 @@ rng = np.random.default_rng(3)
 x, y = rng.standard_normal((64, D)), rng.integers(0, 4, size=64)
 config = TrainConfig(max_epochs=2, drop_rate=0.95, seed=3)
 model = init_model(D, 4, config, hidden_dim=64)
-train(model, x, y, config)
+train(model, x, y)
 save_model(model, sys.argv[2])
 """
 
@@ -555,8 +564,8 @@ def test_streamed_training_matches_in_memory(tmp_path, monkeypatch, drop_rate):
     cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=7)
     streamed, in_memory = (init_model(D, 3, cfg, hidden_dim=5) for _ in range(2))
     with pio.FeatureRows(tmp_path / "x.feat") as rows:
-        history = train(streamed, rows, y, cfg)
-    expect = train(in_memory, x, y, cfg)
+        history = train(streamed, rows, y)
+    expect = train(in_memory, x, y)
     for k in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(streamed, k), getattr(in_memory, k))
     assert _history(history) == _history(expect)
@@ -576,8 +585,8 @@ def test_streamed_training_of_selected_rows_matches_row_copy(tmp_path, monkeypat
     streamed, copied = (init_model(D, 2, cfg, hidden_dim=4) for _ in range(2))
     y_local = np.searchsorted([1, 3], y[keep])
     with pio.FeatureRows(tmp_path / "x.feat") as rows:
-        history = train(streamed, rows.select(keep), y_local, cfg)
-    expect = train(copied, x[keep], y_local, cfg)
+        history = train(streamed, rows.select(keep), y_local)
+    expect = train(copied, x[keep], y_local)
     for k in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(streamed, k), getattr(copied, k))
     assert _history(history) == _history(expect)
@@ -602,7 +611,7 @@ def test_streamed_training_memory_does_not_grow_with_rows(tmp_path):
         with pio.FeatureRows(path) as x:
             tracemalloc.start()
             try:
-                train(model, x, np.arange(rows) % 3, cfg)
+                train(model, x, np.arange(rows) % 3)
                 _, peaks[rows] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -618,7 +627,7 @@ def test_train_stops_on_non_finite_loss():
     model = init_model(5, 2, cfg, hidden_dim=3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InputError, match=r"diverged.*epoch \d+, batch \d+"):
-            train(model, np.full((6, 5), 1e300), np.array([0, 1] * 3), cfg)
+            train(model, np.full((6, 5), 1e300), np.array([0, 1] * 3))
 
 
 def test_train_stops_on_non_finite_final_weights():
@@ -627,18 +636,18 @@ def test_train_stops_on_non_finite_final_weights():
     model = LinearNetModel(1e-3 * np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InputError, match="not finite"):
-            train(model, np.full((100, 2), 1e307), np.zeros(100, dtype=int), cfg)
+            train(model, np.full((100, 2), 1e307), np.zeros(100, dtype=int))
 
 
 def test_train_validates():
     cfg = TrainConfig()
     model = init_model(3, 2, cfg)
     with pytest.raises(InputError):
-        train(model, np.zeros((0, 3)), np.zeros(0, dtype=int), cfg)
+        train(model, np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(InputError):
-        train(model, np.zeros((4, 3)), np.array([0, 1, 2, 0]), cfg)
+        train(model, np.zeros((4, 3)), np.array([0, 1, 2, 0]))
     with pytest.raises(InputError):
-        train(model, np.zeros((4, 2)), np.array([0, 1, 0, 1]), cfg)
+        train(model, np.zeros((4, 2)), np.array([0, 1, 0, 1]))
     with pytest.raises(InputError):
         TrainConfig(drop_rate=1.0)
     with pytest.raises(InputError):

@@ -17,7 +17,7 @@ from pathsig import io as pio
 from pathsig.errors import InputError
 from pathsig.io import (ExtractionOptions, read_feature_matrix, write_feature_config,
                         write_feature_matrix)
-from pathsig.skeleton import (DatasetDescriptor, FeatureConfig, apply_scaler, assemble_features, augment_clips,
+from pathsig.skeleton import (FeatureConfig, apply_scaler, assemble_features, augment_clips,
                               feature_layout, fit_scaler)
 from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
 
@@ -359,7 +359,7 @@ def test_predict_rejects_non_finite_scaler(trained, tmp_path, capsys):
     argv = ["predict", "--clip", trained["root"] / clip_rel, "--descriptor", trained["descriptor"],
             "--config", trained["config"], "--model", trained["model"], "--scaler", scaler]
     assert cli.main([str(a) for a in argv]) == 2
-    assert f"{scaler}: invalid scaler: scale entries must be finite" in capsys.readouterr().err
+    assert f"{scaler}: invalid scaler: scale contains non-finite values" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- two-stage
@@ -598,9 +598,9 @@ def test_streamed_scaler_matches_fit_scaler_bit_for_bit():
     x[rows // 2, cols // 2] = np.nan
     for row in x:
         cli._widen(bounds, row)
-    with pytest.raises(InputError, match="positive"):
+    with pytest.raises(InputError, match="scale contains non-finite values"):
         fit_scaler(bounds)
-    with pytest.raises(InputError, match="positive"):
+    with pytest.raises(InputError, match="scale contains non-finite values"):
         fit_scaler(x)
 
 
@@ -778,7 +778,7 @@ def _in_memory_fit(x, y, class_count, config, path):
     """``pathsig train`` as it was before rows streamed: the matrix in memory."""
     model = classifier.init_model(x.shape[1], class_count, config,
                                   hidden_dim=classifier.HIDDEN_UNITS)
-    history = classifier.train(model, x, y, config)
+    history = classifier.train(model, x, y)
     classifier.save_model(model, path)
     cli._write_history(history, f"{path}.history.txt")
     return model
@@ -858,11 +858,7 @@ def test_train_does_not_load_the_matrix(tmp_path, capsys):
     assert peak < x.nbytes / 4
 
 
-def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, monkeypatch, capsys):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("merged a skeleton past the joint cap")
-
-    monkeypatch.setattr(DatasetDescriptor, "merged", unreachable)
+def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, capsys):
     config = tmp_path / "bodies.cfg"
     clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
     argvs = [["features", "extract", "--manifest", trained["manifest"], "--descriptor",
@@ -870,14 +866,18 @@ def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, monkeypat
              ["predict", "--clip", trained["root"] / clip_rel, "--descriptor",
               trained["descriptor"], "--config", config, "--model", trained["model"],
               "--scaler", f"{trained['prefix']}.scaler.feat"]]
-    for body, message in (("bodies = 201", "bodies = 201 merges 1005 joints"),  # 5 joints each
+    # 5 joints a body: at most 200 bodies; a trillion would never return if
+    # its priority and mirror tuples were built before the check
+    for body, message in (("bodies = 201", "bodies = 201 is more than the 200 allowed"),
+                          ("bodies = 1000000000000",
+                           "bodies = 1000000000000 is more than the 200 allowed"),
                           ("sampled_frames = 100000000", "sampled_frames = 100000000 is more"),
                           ("noise_copies = 100000000", "noise_copies = 100000000 is more"),
                           ("triple_level = 1000000000", "triple_level = 1000000000 is more"),
                           ("dyadic = true\ndyadic_depth = 1000000000",
                            "dyadic_depth = 1000000000 is more"),
-                          ("triple_level = 30", "the feature rows would have 472446405355 "
-                                                "columns, more than the 67108864 allowed")):
+                          ("triple_level = 30", "feature row columns = 472446405355 is more "
+                                                "than the 67108864 allowed")):
         config.write_text(body + "\n")
         for argv in argvs:
             assert cli.main([str(a) for a in argv]) == 2
@@ -890,9 +890,37 @@ def test_default_config_past_the_column_cap_is_exit_2(tmp_path, capsys):
     manifest, descriptor = write_dataset(train, [], desc, tmp_path)
     assert cli.main(["features", "extract", "--manifest", str(manifest), "--descriptor",
                      str(descriptor), "--output", str(tmp_path / "f")]) == 2
-    assert ("default feature config: the feature rows would have 869547400 columns, more than "
-            "the 67108864 allowed") in capsys.readouterr().err
+    assert ("default feature config: feature row columns = 869547400 is more than the "
+            "67108864 allowed") in capsys.readouterr().err
     assert not list(tmp_path.glob("f*"))
+
+
+def test_two_stage_checks_the_two_body_layout_before_any_clip(tmp_path, monkeypatch, capsys):
+    # one 60-joint body fits in 22,841,820 columns, two need 186,342,840
+    train, test, desc = make_interaction_dataset(train_clips=4, test_clips=2, joint_count=60,
+                                                 seed=2)
+    manifest, descriptor = write_dataset(train, test, desc, tmp_path)
+    assert cli._feature_config(None, desc, two_stage=False) == (FeatureConfig(),
+                                                                 ExtractionOptions())
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("read a clip")
+
+    monkeypatch.setattr(pio, "read_clip_file", unreachable)
+    config = tmp_path / "features.cfg"
+    write_feature_config(FeatureConfig(), ExtractionOptions(), config)
+    clip = tmp_path / (tmp_path / "manifest.txt").read_text().split(",")[0]
+    outputs = sorted(tmp_path.iterdir())
+    for where, flags in (("default feature config", []), (config, ["--config", config])):
+        argvs = [["features", "extract", "--manifest", manifest, "--descriptor", descriptor,
+                  "--output", tmp_path / "f", "--two-stage", *flags],
+                 ["predict", "--clip", clip, "--descriptor", descriptor, "--model",
+                  tmp_path / "m", "--scaler", tmp_path / "f", "--two-stage", *flags]]
+        for argv in argvs:
+            assert cli.main([str(a) for a in argv]) == 2
+            assert (f"{where}: feature row columns = 186342840 is more than the 67108864 "
+                    "allowed") in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == outputs
 
 
 # ------------------------------------------------------------ train and eval

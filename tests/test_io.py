@@ -241,7 +241,8 @@ def test_descriptor_joint_count_is_capped(tmp_path):
     p.write_text("joints = 1000\ndims = 2\nclasses = a\n")
     assert read_descriptor(p).priority == tuple(range(1000))
     p.write_text("joints = 1001\ndims = 2\nclasses = a\n")  # checking it would build 1001-long lists
-    with pytest.raises(FormatError, match="1001 joints is more than the 1000 allowed"):
+    with pytest.raises(FormatError, match=re.escape(
+            f"{p}: invalid descriptor: joint_count = 1001 is more than the 1000 allowed")):
         read_descriptor(p)
 
 

@@ -102,3 +102,21 @@ def test_only_errors_spells_out_a_bound():
                     bound in node.value for bound in bounds):
                 found.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert not found
+
+
+def test_only_the_field_parser_catches_a_value_error():
+    """``io._parse`` reads every text field of every reader: no other handler
+    in ``io`` or ``classifier`` catches ValueError."""
+    found = []
+    for name in ("io.py", "classifier.py"):
+        tree = ast.parse((REPO / "src" / "pathsig" / name).read_text())
+        parser = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_parse"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and id(node) not in parser
+                    and node.type is not None and any(
+                        isinstance(n, ast.Name) and n.id == "ValueError"
+                        for n in ast.walk(node.type))):
+                found.append(f"{name}:{node.lineno}")
+    assert not found

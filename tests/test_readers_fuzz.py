@@ -133,3 +133,54 @@ def test_reader_rejects_mutated_files_cleanly(seeds, name, mutations):
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     assert peak < 64 * size + MiB, f"{name}: peak {peak} bytes for a {size}-byte file"
+
+
+def _model_text_edit(path, old: bytes, new: bytes):
+    """A SIGNET1 file whose config text has ``old`` replaced by ``new`` of the same length."""
+    save_model(init_model(4, 2, TrainConfig(), hidden_dim=3), path)
+    data = path.read_bytes()
+    at = data.rindex(old)
+    path.write_bytes(data[:at] + new + data[at + len(old):])
+
+
+def _footer_edit(path, old: bytes, new: bytes):
+    """A SIGFEAT1 file whose footer has ``old`` replaced by ``new``."""
+    pio.write_feature_matrix(path, np.ones((2, 4)), (Block("a", 0, 1), Block("b", 1, 3)))
+    data = path.read_bytes()
+    assert data.endswith(old)
+    path.write_bytes(data[:-len(old)] + new)
+
+
+# Per text reader: a file with one malformed numeric field, the reader, and that field.
+_MALFORMED = {
+    "path": (lambda p: p.write_text("0,0\n1,0.5\n2,2.2.5\n"), pio.read_path_file, "2.2.5"),
+    "clip": (lambda p: p.write_text("0,0,0,1.0,2.0\n1,0,x1,1.0,2.0\n"),
+             lambda p: pio.read_clip_file(p, DESC), "x1"),
+    "manifest": (lambda p: p.write_text("c.clip,a,train,1e0\n"), pio.read_manifest, "1e0"),
+    "descriptor": (lambda p: p.write_text("joints = 3\ndims = 2\nclasses = a\nmirror = 1,0,two\n"),
+                   pio.read_descriptor, "two"),
+    "feature_config": (lambda p: p.write_text("pair_level = 2\ndyadic = yes\n"),
+                       pio.read_feature_config, "yes"),
+    "signet1": (lambda p: _model_text_edit(p, b"max_epochs = 200", b"max_epochs = 2e2"),
+                load_model, "2e2"),
+    "sigfeat1_footer": (lambda p: _footer_edit(p, b"b 1 3\n", b"b 1 3.0\n"),
+                        pio.read_feature_matrix, "3.0"),
+    "labels": (lambda p: p.write_text("0\n1\n1.0\n"), pio.read_labels, "1.0"),
+    "partition": (lambda p: p.write_text("classes = 2\nmeans = 1.0,1..5\nmulti = 0,1\n"),
+                  pio.read_partition, "1..5"),
+    "partition_flag": (lambda p: p.write_text("classes = 2\nmeans = 1.0,2.0\nmulti = 0,2\n"),
+                       pio.read_partition, "2"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_a_malformed_field_is_named_with_its_file(tmp_path, name):
+    write, read, field = _MALFORMED[name]
+    path = tmp_path / f"bad.{name}"
+    write(path)
+    with pytest.raises(FormatError) as err:
+        read(path)
+    message = str(err.value)
+    assert message.startswith(str(path)), message
+    assert repr(field) in message, message
+    assert "invalid literal" not in message

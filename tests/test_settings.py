@@ -91,6 +91,17 @@ def test_every_bounded_field_is_listed():
     assert declared == BOUNDS
 
 
+def test_an_int_too_long_to_print_is_named_by_its_bit_length():
+    # Python refuses str() of an int past 4,300 digits; messages give its bits
+    for build, message in (
+            (lambda: FeatureConfig(pair_level=10**5000),
+             "pair_level = an integer of 16,610 bits is more than the 32 allowed"),
+            (lambda: ExtractionOptions(noise_sigma=10**5000),
+             "noise_sigma = an integer of 16,610 bits is not finite")):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            build()
+
+
 @fields_of(FeatureConfig, ExtractionOptions, TrainConfig)
 def test_dataclass_accepts_each_bound_and_rejects_past_it(cls, name):
     accepted, rejected = _edges(cls, name)
@@ -317,7 +328,7 @@ def test_a_label_outside_the_classes_is_named():
     for labels, bad in (([0, 1, 2], "2"), ([0, 1.5, 1], "1.5"), ([0, -1, 1], "-1")):
         message = rf"^labels: label {bad} is outside 0\.\.1$"
         with pytest.raises(InputError, match=message):
-            train(init_model(3, 2, hidden_dim=2), x, labels, config)
+            train(init_model(3, 2, config, hidden_dim=2), x, labels)
         with pytest.raises(InputError, match=message):
             stage_partition(labels, [1, 2, 1], 2)
 

@@ -64,6 +64,14 @@ def test_dimension_past_any_array_is_a_memory_error_at_once():
     assert signature_dimension(2, 1 << 15) == 2 ** (2**15 + 1) - 2
 
 
+def test_an_int_too_long_to_print_is_named_by_its_bit_length():
+    # Python refuses str() of an int past 4,300 digits; messages give its bits
+    for call in (lambda: path_signature(np.zeros((3, 2)), 10**5000),
+                 lambda: signature_dimension(10**5000, 10)):
+        with pytest.raises(MemoryError, match="an integer of 16,610 bits"):
+            call()
+
+
 def test_stored_size_independent_of_length():
     rng = np.random.default_rng(0)
     sizes = set()

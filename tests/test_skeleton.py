@@ -428,7 +428,7 @@ def test_scaler_matches_abs_max_reference():
     expect[expect == 0.0] = 1.0
     assert fit_scaler(x).scale.tobytes() == expect.tobytes()
     x[4, 5] = np.nan  # a NaN scale is rejected, as it was
-    with pytest.raises(InputError, match="positive"):
+    with pytest.raises(InputError, match="scale contains non-finite values"):
         fit_scaler(x)
 
 

@@ -1,10 +1,15 @@
 """Path lifts and per-frame preprocessing: time, lead-lag, windows, filling."""
 
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import pathsig
 from pathsig import (
     InputError,
     add_time,
@@ -76,8 +81,9 @@ def test_lead_lag_validates():
         lead_lag([1.0, 2.0], 0)
     with pytest.raises(InputError):
         lead_lag([[1.0, 2.0], [3.0, 4.0]], 2)
-    with pytest.raises(MemoryError, match="lead-lag path"):
-        lead_lag([1.0, 2.0], 2**62)
+    for delay_dim in (2**62, 10**5000):  # past 4,300 digits, named by its bit length
+        with pytest.raises(MemoryError, match="^the lead-lag path: "):
+            lead_lag([1.0, 2.0], delay_dim)
 
 
 # ------------------------------------------------------------ dyadic windows
@@ -166,6 +172,41 @@ def test_uniform_sample_validates():
         uniform_sample(0, 3)
     with pytest.raises(InputError):
         uniform_sample(3, 0)
+
+
+def test_uniform_sample_matches_the_rounding_rule():
+    for frames in range(1, 120, 3):
+        for count in range(1, 300, 7):
+            expect = [0] * count if count == 1 or frames == 1 else [
+                math.floor(i * (frames - 1) / (count - 1) + 0.5) for i in range(count)]
+            assert uniform_sample(frames, count).tolist() == expect, (frames, count)
+
+
+def test_uniform_sample_past_any_array_is_a_memory_error_at_once():
+    start = time.perf_counter()
+    for count in (2**62, 10**5000):
+        with pytest.raises(MemoryError, match="sampled frame indices"):
+            uniform_sample(10, count)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_uniform_sample_past_memory_is_a_memory_error_at_once():
+    # 10**10 indices pass the array size check but not a 1 GiB address space;
+    # the limit is set in a child process only
+    code = ("import resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pathsig import uniform_sample\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    uniform_sample(10, 10**10)\n"
+            "except MemoryError:\n"
+            "    print(time.perf_counter() - start)\n")
+    src = os.path.dirname(os.path.dirname(pathsig.__file__))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "PYTHONPATH": src,
+                                              "OPENBLAS_NUM_THREADS": "1"})
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 1.0
 
 
 # -------------------------------------------------------------- fill_missing
