@@ -199,16 +199,6 @@ def _extract_split(records, descriptor, config, options, body_counts, augment):
                    for bodies, v in zip(body_descs, group)}, label
 
 
-def _widen(bounds, row) -> None:
-    """Fold ``row`` into the running per-column [max; min] ``bounds``.
-
-    ``fit_scaler(bounds)`` is bit for bit ``fit_scaler`` of the folded rows:
-    max |x| of a column is the larger of its max and -min either way.
-    """
-    np.maximum(bounds[0], row, out=bounds[0])
-    np.minimum(bounds[1], row, out=bounds[1])
-
-
 def _print_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> None:
     layout = feature_layout(config, descriptor)
     per_frame = {}
@@ -280,14 +270,15 @@ def cmd_extract(args) -> int:
         outputs = [("", options.bodies, range(len(descriptor.class_names)), int)]
     layouts = [feature_layout(config, descriptor.merged(bodies)) for _, bodies, _, _ in outputs]
     widths = [sum(block.width for block in layout) for layout in layouts]
-    bounds = [np.array([[-np.inf], [np.inf]]).repeat(width, axis=1) for width in widths]
+    bounds = [np.zeros(width) for width in widths]  # running max |x| of each column
     body_counts = list(dict.fromkeys(bodies for _, bodies, _, _ in outputs))
     splits = [(split, recs) for split, recs in (("train", train_recs), ("test", test_recs)) if recs]
     labels = {split: [] for split, _ in splits}
-    # Every matrix streams raw to a temporary file.  After the last split each
-    # output's scaler is fit from the bounds of its training rows and divides
-    # that output's matrices in place; the files are published together only
-    # when everything succeeds.
+    # Every matrix streams raw to a temporary file.  A training row, once written
+    # to every output, is made |row| in place and folded into the bound of each
+    # output it fits: fit_scaler(bound[None]) is fit_scaler of those rows, bit for
+    # bit.  After the last split each scaler divides its output's matrices in
+    # place; the files are published together only when everything succeeds.
     with contextlib.ExitStack() as stack:
         writers = {split: [stack.enter_context(pio.FeatureMatrixWriter(
             f"{args.output}{suffix}.{split}.feat", width, layout))
@@ -297,12 +288,15 @@ def cmd_extract(args) -> int:
             for rows, label in _extract_split(recs, descriptor, config, options, body_counts,
                                               augment=split == "train"):
                 labels[split].append(label)
-                for (_, bodies, classes, label_of), writer, bound in zip(outputs, writers[split],
-                                                                         bounds):
-                    if split == "train" and label_of(label) in classes:
-                        _widen(bound, rows[bodies])
+                for (_, bodies, _, _), writer in zip(outputs, writers[split]):
                     writer.write(rows[bodies])
-        scalers = [fit_scaler(b) for b in bounds]
+                if split == "train":
+                    for row in rows.values():
+                        np.abs(row, out=row)
+                    for (_, bodies, classes, label_of), bound in zip(outputs, bounds):
+                        if label_of(label) in classes:
+                            np.maximum(bound, rows[bodies], out=bound)
+        scalers = [fit_scaler(bound[None]) for bound in bounds]
         for split_writers in writers.values():
             for writer, scaler in zip(split_writers, scalers):
                 writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))

@@ -39,6 +39,7 @@ import dataclasses
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,7 @@ _FEAT_HEADER = len(_FEAT_MAGIC) + 16  # magic, rows, cols
 _BLOCK_BYTES = 1 << 18  # FeatureRows.blocks reads this many bytes at a time, at least one row
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
 _EXPECTED = {int: "an integer", float: "a number", bool: "true, false, 1 or 0"}
+_MAX_FIELD = sys.int_info.default_max_str_digits  # 4,300: int() reads no longer literal
 
 
 def _data_lines(path):
@@ -103,7 +105,8 @@ def _parse(texts, kinds, where: str, what: str) -> list:
     """The fields ``texts`` of one line read as ``kinds``: int, float or bool,
     one kind for every field or a sequence of one per field.  A field that is
     not its kind's literal (a bool is true, false, 1 or 0, in any case) is a
-    FormatError naming ``where``, ``what`` and the field's text."""
+    FormatError naming ``where``, ``what`` and the field's text, or its
+    length when it is longer than ``_MAX_FIELD`` characters."""
     if isinstance(kinds, type):
         kinds = (kinds,) * len(texts)
     values = []
@@ -111,8 +114,9 @@ def _parse(texts, kinds, where: str, what: str) -> list:
         for kind, text in zip(kinds, texts):
             values.append(_BOOLS[text.strip().lower()] if kind is bool else kind(text))
     except (KeyError, ValueError):
-        raise FormatError(f"{where}: malformed {what} {text!r}, "
-                          f"expected {_EXPECTED[kind]}") from None
+        problem = (f"{what} of {len(text):,} characters is too long" if len(text) > _MAX_FIELD
+                   else f"malformed {what} {text!r}")
+        raise FormatError(f"{where}: {problem}, expected {_EXPECTED[kind]}") from None
     return values
 
 

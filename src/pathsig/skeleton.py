@@ -22,8 +22,9 @@ frame, so the output width does not depend on clip length.  With
 ``dyadic`` enabled, each temporal signature is replaced by the
 concatenation of signatures over ``dyadic_windows``, multiplying the
 temporal widths by 2**depth - 1.  Each temporal block builds its
-increments once, channel-first; only the finest windows are signed, and
-every coarser window is the Chen product of its two halves.
+increments once, channel-first (the evolution block's straight from the
+series: its lead-lag lift never exists) and frees them once the finest
+windows are signed; every coarser window is the Chen product of its halves.
 
 Everything here is a pure function of its inputs; augmentation noise is
 drawn from an explicitly seeded generator.
@@ -332,18 +333,22 @@ def _temporal_signatures(increments: np.ndarray, level: int, config: FeatureConf
     them (coarse to fine).  Only the finest windows, which partition the
     segments, are folded; each coarser window is the Chen product of its
     two children, since every coarse split point is also a finer one.
+    Callers keep no reference to ``increments``: it is freed once folded.
     """
     if not config.dyadic:
         return _horner_fold(increments, level).T.reshape(-1)
-    windows = dyadic_windows(increments.shape[0] + 1, config.dyadic_depth)
+    segments, dim, _ = increments.shape
+    windows = dyadic_windows(segments + 1, config.dyadic_depth)
     # windows[i] at depth j has its two children at 2i+1 and 2i+2, depth j+1
     first_finest = len(windows) // 2
     sigs = [None] * first_finest + [
         _horner_fold(increments[w.start:w.end], level) for w in windows[first_finest:]
     ]
+    del increments
     for i in range(first_finest - 1, -1, -1):
-        sigs[i] = _chen_product(sigs[2 * i + 1], sigs[2 * i + 2], increments.shape[1], level)
-    return np.stack(sigs).transpose(2, 0, 1).reshape(-1)
+        sigs[i] = _chen_product(sigs[2 * i + 1], sigs[2 * i + 2], dim, level)
+    sigs = np.stack(sigs)  # drops the window list before the transposed copy
+    return sigs.transpose(2, 0, 1).reshape(-1)
 
 
 def temporal_joint_features(actor_joints, config: FeatureConfig) -> np.ndarray:
@@ -370,11 +375,21 @@ def temporal_spatial_features(spatial, config: FeatureConfig) -> np.ndarray:
     are concatenated dimension by dimension.
     """
     series = check_array(spatial, 2, "spatial block")
-    F, k = series.shape[0], config.lead_lag_dim
-    lifted = np.zeros((F, k, series.shape[1]))
-    for j in range(k):
-        lifted[j:, j] = series[: F - j]
-    return _temporal_signatures(np.diff(lifted, axis=0), config.evolution_level, config)
+    return _temporal_signatures(_lead_lag_increments(series, config.lead_lag_dim),
+                                config.evolution_level, config)
+
+
+def _lead_lag_increments(series: np.ndarray, k: int) -> np.ndarray:
+    """The channel-first (F-1, k, D) increments of the lead-lag lift of each
+    column of the (F, D) ``series``, bit for bit, without the lift: channel j
+    is channel 0 delayed by j, with series[0] where its zero padding ends."""
+    F = series.shape[0]
+    increments = np.zeros((F - 1, k, series.shape[1]))
+    np.subtract(series[1:], series[:-1], out=increments[:, 0])
+    for j in range(1, min(k, F)):
+        increments[j - 1, j] = series[0]
+        increments[j:, j] = increments[: F - 1 - j, 0]
+    return increments
 
 
 def feature_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> tuple[Block, ...]:

@@ -59,7 +59,8 @@ def lead_lag(series, delay_dim: int) -> np.ndarray:
     """Lift a scalar series to ``delay_dim`` delayed copies of itself.
 
     Output coordinate j at time t is series[t - j] when t >= j, else 0
-    (delay by j steps with zero front-padding).  delay_dim=1 returns the
+    (delay by j steps with zero front-padding), so a coordinate delayed by
+    the series' length or more is all zeros.  delay_dim=1 returns the
     series as a one-column path.
     """
     arr = np.asarray(series, dtype=np.float64)
@@ -68,7 +69,7 @@ def lead_lag(series, delay_dim: int) -> np.ndarray:
     L = arr.size
     check_entries(L * delay_dim, "the lead-lag path")
     out = np.zeros((L, delay_dim))
-    for j in range(delay_dim):
+    for j in range(min(delay_dim, L)):
         out[j:, j] = arr[: L - j]
     return out
 

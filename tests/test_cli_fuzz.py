@@ -33,6 +33,8 @@ _EDGES = _SMALL + ("-1", "0", "0.5", "1e308", "-1e308", "nan", "inf", "-inf", st
                    "1" + "0" * 30, "true", "é", "")
 # for settings that only make a valid run longer
 _SHORT = _SMALL + ("-1", "0", "nan", "é", "")
+# lead-lag delays past the 3-point paths and the 16..40-frame clips
+_DELAYS = ("5", "42", "60")
 
 _CONFIG_KEYS = [f.name for cls in (FeatureConfig, ExtractionOptions)
                 for f in dataclasses.fields(cls)]
@@ -78,14 +80,20 @@ def _pairs(names, values):
     return st.tuples(st.sampled_from(names), st.sampled_from(values))
 
 
+# config lines over _BASE_CONFIG: one edge, or a delay past every clip, signed
+# at evolution level 1 so that the rows stay narrow enough to train on
+_CONFIGS = st.one_of(_pairs(_CONFIG_KEYS, _EDGES).map(lambda pair: dict([pair])),
+                     st.sampled_from(_DELAYS).map(lambda k: {"lead_lag_dim": k,
+                                                             "evolution_level": "1"}))
+
+
 @_HYPOTHESIS
-@given(config=_pairs(_CONFIG_KEYS, _EDGES), train_flag=_pairs(_TRAIN_FLAGS, _EDGES),
-       epochs=st.sampled_from(_SHORT))
+@given(config=_CONFIGS, train_flag=_pairs(_TRAIN_FLAGS, _EDGES), epochs=st.sampled_from(_SHORT))
 def test_pipeline_exits_cleanly(small_set, config, train_flag, epochs):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, prefix, model = Path(tmp, "cfg.txt"), Path(tmp, "f"), Path(tmp, "m.model")
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**_BASE_CONFIG, config[0]: config[1]}
-                               .items()), encoding="utf-8")
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**_BASE_CONFIG, **config}.items()),
+                       encoding="utf-8")
         _run("features", "extract", "--manifest", small_set["manifest"], "--descriptor",
              small_set["descriptor"], "--config", cfg, "--output", prefix)
         _run("train", "--features", f"{prefix}.train.feat", "--labels", f"{prefix}.train.labels",
@@ -98,7 +106,7 @@ def test_pipeline_exits_cleanly(small_set, config, train_flag, epochs):
 
 @settings(_HYPOTHESIS, max_examples=100)
 @given(path=st.sampled_from(["path1.txt", "path2.txt"]), level=st.sampled_from(_EDGES),
-       lead_lag=st.sampled_from(_EDGES), add_time=st.booleans())
+       lead_lag=st.sampled_from(_EDGES + _DELAYS), add_time=st.booleans())
 def test_sig_compute_exits_cleanly(small_set, path, level, lead_lag, add_time):
     _run("sig", "compute", small_set["root"] / path, f"--level={level}", f"--lead-lag={lead_lag}",
          *(["--add-time"] if add_time else []))

@@ -550,6 +550,14 @@ def test_labels_reject_non_integer(tmp_path):
     assert f"{p}:2" in str(err.value)
 
 
+def test_labels_name_a_field_past_the_int_digit_limit_by_its_length(tmp_path):
+    p = tmp_path / "big.labels"
+    p.write_text("1" * 5000 + "\n")
+    with pytest.raises(FormatError) as err:
+        read_labels(p)
+    assert str(err.value) == f"{p}:1: label of 5,000 characters is too long, expected an integer"
+
+
 def test_labels_reject_non_utf8_line(tmp_path):
     p = tmp_path / "y.labels"
     p.write_bytes(b"0\n\xff\n1\n")

@@ -215,7 +215,7 @@ def reference_evolution_block(spatial_psf, config):
     F = spatial_psf.shape[0]
     k = config.lead_lag_dim
     lifted = np.zeros((spatial_psf.shape[1], F, k))
-    for j in range(k):
+    for j in range(min(k, F)):  # a delay of F or more steps stays all zeros
         lifted[:, j:, j] = spatial_psf.T[:, : F - j]
     return reference_windowed(lifted, config.evolution_level, config)
 
@@ -246,6 +246,35 @@ def test_temporal_blocks_match_per_window_reference():
                         got = temporal_spatial_features(psf, config)
                         assert_matches_reference(got, reference_evolution_block(psf, config),
                                                  dyadic, what)
+
+
+def test_evolution_block_delays_past_the_clip_are_zero_channels():
+    rng = np.random.default_rng(64)
+    for F in (1, 2, 3, 5, 27):
+        psf = rng.standard_normal((F, 6))
+        for k in (F, F + 1, F + 2, F + 5):
+            for dyadic in (False, True)[: 1 + (F >= 3)]:
+                config = FeatureConfig(evolution_level=2, lead_lag_dim=k, dyadic=dyadic,
+                                       dyadic_depth=2)
+                got = temporal_spatial_features(psf, config)
+                assert_matches_reference(got, reference_evolution_block(psf, config), dyadic,
+                                         (F, k, dyadic))
+
+
+@pytest.mark.parametrize("dyadic, most", [(True, 3), (False, 8)])
+def test_feature_row_peak_memory_is_a_few_rows(dyadic, most):
+    """At the benchmark's clip shape the evolution increments are the only
+    lead-lag array, and they and the window list are freed once folded."""
+    frames = np.random.default_rng(65).standard_normal((30, 15, 2))
+    config = FeatureConfig(dyadic=dyadic)
+    assemble_features(frames, config, DESC15)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        row = assemble_features(frames, config, DESC15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < most * row.nbytes, peak / row.nbytes
 
 
 def test_temporal_blocks_single_frame_and_short_dyadic_clip():

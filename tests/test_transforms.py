@@ -55,6 +55,10 @@ def test_lead_lag_examples():
     assert lead_lag([1.0, 2.0, 3.0], 2).tolist() == [[1, 0], [2, 1], [3, 2]]
     assert lead_lag([1.0, 2.0, 3.0], 1).tolist() == [[1], [2], [3]]
     assert lead_lag([5.0], 3).tolist() == [[5, 0, 0]]
+    # delays of the length or more are zero channels
+    assert lead_lag([1.0, 2.0, 3.0], 6).tolist() == [[1, 0, 0, 0, 0, 0], [2, 1, 0, 0, 0, 0],
+                                                     [3, 2, 1, 0, 0, 0]]
+    assert lead_lag([1.0, 2.0], 5).tolist() == [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0]]
 
 
 def test_lead_lag_delay_structure():
