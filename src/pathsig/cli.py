@@ -7,7 +7,7 @@ Subcommands:
 * ``train``            feature matrix -> model file (+ history)
 * ``eval``             model + labeled features -> accuracy report
 * ``predict``          model + one clip -> class name and probability
-* ``bench``            time and peak RSS of one large signature computation
+* ``bench``            time, coefficient-segment rate and peak RSS of one large signature
 
 Exit status: 0 on success, 1 on input/usage errors (and on a result too
 large to allocate), 2 on file format errors.  Every command is
@@ -488,6 +488,7 @@ def cmd_bench(args) -> int:
     print(f"coefficients: {count:,}")
     print(f"time over {args.repeats} run(s): min {min(times):.3f}s "
           f"mean {sum(times) / len(times):.3f}s max {max(times):.3f}s")
+    print(f"coefficient-segments per second: {count * (args.points - 1) / min(times):,.0f}")
     print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
     return 0
 

@@ -51,6 +51,37 @@ product holds only the scratch.  Each coefficient still gets the same
 multiply and add in the same order, so results are bit-for-bit those of
 building the whole product first.
 
+A single path (B = 1) takes two more steps, both bit-for-bit as well.
+Every outer product goes through ``_outer``, which at B = 1 is
+``np.einsum('rb,cb->rcb')``: there the broadcast ``np.multiply`` runs
+one short inner loop per row, at about twice einsum's cost per entry
+for the same rounded products.  And once one letter's share of the top
+level fills a scratch (d^(n-1) >= ``_BLOCK_ENTRIES``), the fold
+runs its segment loop once per first letter a, on the rows of every
+level whose words start with a (rows a d^(k-1) to (a+1) d^(k-1) of
+level k).  Such a word is updated from words that start with a and the
+increment only, so each coefficient gets the same operations in the
+same order; the partials shrink d-fold, and each letter's 1.7 MB slice
+of the top level (d = 60, n = 4) stays in cache across all segments
+instead of the whole 104 MB level streaming from memory once per
+segment.  Each pass repeats every numpy call of a segment, so a smaller
+share costs more in calls than it saves: splitting whenever
+d^n > ``_BLOCK_ENTRIES`` made d = 300, n = 2 over 100 points 29 times
+slower.  Both stop at B > 1, where the batch axis already gives each
+numpy call a long inner loop: on one 30-frame clip's features (medians
+of 60 interleaved calls), einsum at every B took ``assemble_features``
+from 16.2 to 17.6 ms (30.7 to 32.3 ms dyadic), and the split at B > 1
+past 2^16 entries of d^n B from 19.8 to 23.8 ms (31.6 to 35.5 ms
+dyadic).
+
+einsum writes +0.0 where np.multiply writes -0.0 (for -0.0 * 1.0).  The
+fold never shows it: its levels start at +0.0 and only receive
+additions, so none is ever -0.0, and every partial is added onto a level
+before it is used, where +0.0 and -0.0 give the same sum.  The Chen
+product starts from a_k + b_k, which is -0.0 where both are, so there a
+coefficient can come out +0.0 where np.multiply's products leave -0.0;
+the two compare equal.
+
 ``signature_bruteforce`` is an intentionally independent check: it refines
 the path onto a uniform grid and evaluates the iterated integrals as
 nested left-point Riemann sums, sharing no code path with the closed-form
@@ -185,7 +216,9 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
 
     c_k = a_k + b_k + sum_{m=1..k-1} a_m (x) b_{k-m}.  Requires matching
     dimension and truncation level.  Concatenating a zero-increment
-    segment is the identity.
+    segment is the identity.  A coefficient that is -0.0 in both a_k and
+    b_k, with a -0.0 product term, comes out +0.0 where np.multiply's
+    products leave -0.0 (module docstring); the two compare equal.
     """
     if a.d != b.d or a.n != b.n:
         raise InputError(
@@ -248,25 +281,33 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
                   f"{B} level-{level} signature(s) of {d}-dimensional paths")
     out = np.zeros((signature_dimension(d, level), B))
     levels = _level_blocks(out, d, level)
-    # Scratch: q[j] holds a (d**(j+1), B) block, dscaled[i - 1] the increment / i.
-    q = [np.empty((d ** (j + 1), B)) for j in range(level - 1)]
+    # At B = 1, one pass per first letter once a letter's share of the top level
+    # fills a scratch (module docstring); else one pass over all words.
+    letters = d if B == 1 and d ** (level - 1) >= _BLOCK_ENTRIES else 1
+    rows = d // letters
+    # Scratch: q[j] holds a (rows * d**j, B) block, dscaled[i - 1] the increment / i.
+    q = [np.empty((rows * d ** j, B)) for j in range(level - 1)]
     dscaled = np.empty((level, d, B))
-    # tops[k - 2]: row blocks of level k += q[k - 2] (x) dscaled[0], the last Horner step.
     scratch = np.empty(max(min(_BLOCK_ENTRIES, out.size), d * B))
-    tops = [_row_blocks(levels[k - 1].reshape(-1, d, B), q[k - 2], scratch)
-            for k in range(2, level + 1)]
     divisors = np.arange(1.0, level + 1)[:, None, None]
-    for delta in increments:
-        np.divide(delta, divisors, out=dscaled)
-        for k in range(level, 1, -1):
-            acc = dscaled[k - 1]
-            for j in range(1, k - 1):
-                np.add(acc, levels[j - 1], out=q[j - 1])
-                np.multiply(q[j - 1][:, None], dscaled[k - j - 1], out=q[j].reshape(-1, d, B))
-                acc = q[j]
-            np.add(acc, levels[k - 2], out=q[k - 2])
-            _add_outer(tops[k - 2], dscaled[0])
-        levels[0] += dscaled[0]
+    for a in range(letters):
+        # part[k - 1]: the rows of level k whose words start with a letter in `first`.
+        part = [block.reshape(letters, -1, B)[a] for block in levels]
+        first = slice(a * rows, (a + 1) * rows)
+        # tops[k - 2]: row blocks of level k += q[k - 2] (x) dscaled[0], the last Horner step.
+        tops = [_row_blocks(part[k - 1].reshape(-1, d, B), q[k - 2], scratch)
+                for k in range(2, level + 1)]
+        for delta in increments:
+            np.divide(delta, divisors, out=dscaled)
+            for k in range(level, 1, -1):
+                acc = dscaled[k - 1, first]
+                for j in range(1, k - 1):
+                    np.add(acc, part[j - 1], out=q[j - 1])
+                    _outer(q[j - 1], dscaled[k - j - 1], q[j].reshape(-1, d, B))
+                    acc = q[j]
+                np.add(acc, part[k - 2], out=q[k - 2])
+                _add_outer(tops[k - 2], dscaled[0])
+            part[0] += dscaled[0, first]
     return out
 
 
@@ -296,7 +337,7 @@ def _row_blocks(dst: np.ndarray, left: np.ndarray, scratch: np.ndarray) -> list[
     """
     R, c, B = dst.shape
     rows = min(R, scratch.size // (c * B))
-    return [(left[r0:r0 + rows, None], dst[r0:r0 + rows],
+    return [(left[r0:r0 + rows], dst[r0:r0 + rows],
              scratch[:min(rows, R - r0) * c * B].reshape(-1, c, B))
             for r0 in range(0, R, rows)]
 
@@ -304,13 +345,21 @@ def _row_blocks(dst: np.ndarray, left: np.ndarray, scratch: np.ndarray) -> list[
 def _add_outer(blocks: list[tuple], right: np.ndarray) -> None:
     """dst += left (x) right over ``_row_blocks`` views, one block of rows at a time.
 
-    Each block's product is formed in the scratch and then added into
-    dst, so every entry gets the same multiply and add as
+    Each block's product is formed in the scratch by ``_outer`` and then
+    added into dst, so every entry gets the same multiply and add as
     ``dst += left[:, None] * right`` without an (R, c, B) temporary.
     """
     for left_rows, dst_rows, product in blocks:
-        np.multiply(left_rows, right, out=product)
+        _outer(left_rows, right, product)
         dst_rows += product
+
+
+def _outer(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """out[r, c, b] = left[r, b] * right[c, b], through einsum at B = 1 (module docstring)."""
+    if out.shape[2] == 1:
+        np.einsum("rb,cb->rcb", left, right, out=out)
+    else:
+        np.multiply(left[:, None], right, out=out)
 
 
 def _level_blocks(coeffs: np.ndarray, d: int, level: int) -> list[np.ndarray]:

@@ -139,6 +139,10 @@ def test_bench_reports_coefficients_and_times():
     assert "coefficients: 84" in result.stdout
     assert re.search(r"min \d+\.\d{3}s mean \d+\.\d{3}s max \d+\.\d{3}s",
                      result.stdout)
+    # 84 coefficients x 29 segments / min time, as perfbench's sig_coeffs_per_s
+    rate = re.search(r"^coefficient-segments per second: (\d{1,3}(?:,\d{3})*)$",
+                     result.stdout, re.MULTILINE)
+    assert rate and int(rate.group(1).replace(",", "")) > 0, result.stdout
 
 
 def test_bench_thousands_separator():

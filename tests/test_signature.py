@@ -486,9 +486,14 @@ def reference_chen_product(a, b, d, level):
 
 # (M, d, B, level): B = 1 and B > 1, level 1, d = 1, M = 0, and with the
 # default block size d = 60, level 3, B = 1 takes its top level in three
-# 1,092-row blocks and a short 324-row one
+# 1,092-row blocks and a short 324-row one.  At B = 1 the fold takes one
+# first letter at a time once a letter's share of the top level, d**(level-1),
+# fills a block: at the default size d = 20, level 5, d = 8, level 7 and
+# d = 2, level 17 (2^17 entries over two prefixes); at 50 entries d = 60,
+# level 3 as well
 BLOCKED_CASES = [(5, 3, 1, 4), (5, 3, 2, 4), (4, 3, 7, 5), (6, 4, 1, 1), (6, 1, 5, 6),
-                 (0, 3, 2, 3), (1, 2, 1, 2), (3, 60, 1, 3)]
+                 (0, 3, 2, 3), (1, 2, 1, 2), (3, 60, 1, 3), (4, 20, 1, 5), (3, 8, 1, 7),
+                 (5, 2, 1, 17)]
 
 
 @pytest.mark.parametrize("block_entries", [50, signature._BLOCK_ENTRIES])
@@ -531,6 +536,36 @@ def test_blocked_dyadic_chen_fold_is_byte_identical_to_unblocked(monkeypatch, bl
     monkeypatch.setattr(skeleton, "_horner_fold", reference_horner_fold)
     monkeypatch.setattr(skeleton, "_chen_product", reference_chen_product)
     assert got.tobytes() == skeleton._temporal_signatures(increments, 4, config).tobytes()
+
+
+@pytest.mark.parametrize("block_entries", [50, signature._BLOCK_ENTRIES])
+def test_fold_of_signed_zero_increments_is_byte_identical(monkeypatch, block_entries):
+    # Channels 0 and 2 stay at zero but flip their sign, so their increments
+    # alternate -0.0 and +0.0; their products with channels 1 and 3 are -0.0
+    # through np.multiply and +0.0 through the B = 1 einsum.  Every partial
+    # is added onto a level (never -0.0) before it is used, so the bytes agree.
+    monkeypatch.setattr(signature, "_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(83)
+    path = np.zeros((9, 4))
+    path[:, [1, 3]] = rng.standard_normal((9, 2))
+    path[1::2, [0, 2]] = -0.0
+    increments = np.diff(path, axis=0)[:, :, None]
+    assert np.signbit(increments[:, 0]).any() and not increments[:, 0].any()
+    for level in (2, 4, 5):
+        expect = reference_horner_fold(increments, level)[:, 0]
+        assert path_signature(path, level).data.tobytes() == expect.tobytes(), level
+
+
+def test_chen_concat_of_signed_zeros_equals_the_reference():
+    # a_2 + b_2 = -0.0 + -0.0 is -0.0, and a_1 (x) b_1 = -0.0 * 1.0 adds
+    # -0.0 through np.multiply but +0.0 through the B = 1 einsum: equal, not
+    # byte-identical
+    a = TruncatedSignature(3, 3, np.full(signature_dimension(3, 3), -0.0))
+    b = a.copy()
+    b.level(1)[:] = 1.0
+    got = chen_concat(a, b).data
+    assert np.array_equal(got, reference_chen_product(a.data[:, None], b.data[:, None], 3, 3)[:, 0])
+    assert not got[3:].any()
 
 
 def traced_peak(fn, *args):
