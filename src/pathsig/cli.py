@@ -3,16 +3,17 @@
 Subcommands:
 
 * ``sig compute``      signature of a path file, printed as text
-* ``features extract`` manifest of clips -> feature matrix files
+* ``features extract`` manifest of clips -> feature matrix files under PREFIX
 * ``train``            feature matrix -> model file (+ history)
 * ``eval``             model + labeled features -> accuracy report
-* ``predict``          model + one clip -> class name and probability
+* ``predict``          model + extract PREFIX + one clip -> class name and probability
 * ``bench``            time, coefficient-segment rate and peak RSS of one large signature
 
 Exit status: 0 on success, 1 on input/usage errors (and on a result too
 large to allocate), 2 on file format errors.  Every command is
 deterministic given its seed flags; rerunning ``features extract`` with
-the same inputs rewrites byte-identical files.
+the same inputs rewrites byte-identical files, PREFIX.descriptor.txt and
+PREFIX.config.txt among them, which ``predict`` reads with PREFIX's scaler(s).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p = sub.add_parser("eval", help="evaluate a model on labeled features")
     eval_p.add_argument("--features", required=True,
                         help="feature matrix file, or the extract PREFIX with --two-stage")
-    eval_p.add_argument("--labels", required=True, help="true labels file")
+    eval_p.add_argument("--labels", help="true labels file (ignored with --two-stage)")
     eval_p.add_argument("--model", required=True,
                         help="model file, or the train PREFIX with --two-stage")
     eval_p.add_argument("--split", default="test", choices=("train", "test"),
@@ -133,12 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     predict = sub.add_parser("predict", help="classify a single clip file")
     predict.add_argument("--clip", required=True, help="clip file")
-    predict.add_argument("--descriptor", required=True, help="skeleton descriptor file")
-    predict.add_argument("--config", default=None, help="feature config file")
+    predict.add_argument("--features", required=True, metavar="PREFIX",
+                         help="the extract PREFIX: its descriptor, config and scaler(s)")
     predict.add_argument("--model", required=True,
                          help="model file, or the train PREFIX with --two-stage")
-    predict.add_argument("--scaler", required=True,
-                         help="scaler file, or the extract PREFIX with --two-stage")
     predict.add_argument("--two-stage", action="store_true")
     predict.set_defaults(func=cmd_predict)
 
@@ -300,6 +299,8 @@ def cmd_extract(args) -> int:
         for split_writers in writers.values():
             for writer, scaler in zip(split_writers, scalers):
                 writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))
+        pio.write_descriptor(descriptor, f"{args.output}.descriptor.txt")
+        pio.write_feature_config(config, options, f"{args.output}.config.txt")
         if args.two_stage:
             pio.write_partition(partition.mean_actor_counts, partition.multi_body,
                                 f"{args.output}.partition.txt")
@@ -419,6 +420,8 @@ def _load_two_stage(model_prefix, extract_prefix):
 
 
 def cmd_eval(args) -> int:
+    if not args.two_stage and not args.labels:
+        raise InputError("--labels is required without --two-stage")
     with contextlib.ExitStack() as stack:
         if not args.two_stage:
             x, y = _read_labeled(args.features, args.labels, stack)
@@ -433,13 +436,14 @@ def cmd_eval(args) -> int:
             _report_eval(y, pred, model.class_count)
             return 0
 
-        y = pio.read_labels(args.labels)
+        labels_path = f"{args.features}.one.{args.split}.labels"  # global class ids
+        y = pio.read_labels(labels_path)
         xs = [_read_features(f"{args.features}.{stage}.{args.split}.feat", stack)
               for stage, _ in _STAGES]
         if any(x.shape[0] != y.size for x in xs):
             raise InputError("two-stage feature files and labels disagree on row count")
         models, partition = _load_two_stage(args.model, args.features)
-        check_labels(y, partition.multi_body.size, args.labels)
+        check_labels(y, partition.multi_body.size, labels_path)
         pred = np.concatenate([two_stage_route(*models, partition, *blocks)[0]
                                for blocks in zip(*(x.blocks(_EVAL_ROWS) for x in xs))])
         _report_eval(y, pred, partition.multi_body.size)
@@ -447,20 +451,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    descriptor = pio.read_descriptor(args.descriptor)
-    config, options = _feature_config(args.config, descriptor, args.two_stage)
+    descriptor = pio.read_descriptor(f"{args.features}.descriptor.txt")
+    config, options = _feature_config(f"{args.features}.config.txt", descriptor, args.two_stage)
     clip = pio.read_clip_file(args.clip, descriptor)
 
     if not args.two_stage:
         model = load_model(args.model)
-        scaler = pio.read_scaler(args.scaler)
+        scaler = pio.read_scaler(f"{args.features}.scaler.feat")
         x = extract_body_features(clip, options.bodies, config, descriptor)
         probs = forward(model, apply_scaler(scaler, x))
         label = int(probs.argmax())
         prob = float(probs[label])
     else:
-        models, partition = _load_two_stage(args.model, args.scaler)
-        scalers = [pio.read_scaler(f"{args.scaler}.{stage}.scaler.feat") for stage, _ in _STAGES]
+        models, partition = _load_two_stage(args.model, args.features)
+        scalers = [pio.read_scaler(f"{args.features}.{stage}.scaler.feat") for stage, _ in _STAGES]
         rows = {bodies: extract_body_features(clip, bodies, config, descriptor)[None, :]
                 for bodies in dict.fromkeys(bodies for _, bodies in _STAGES)}
         labels, probs = two_stage_route(*models, partition, *(

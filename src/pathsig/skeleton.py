@@ -435,7 +435,8 @@ def fit_scaler(features: np.ndarray) -> FeatureScaler:
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise InputError(f"scaler needs a non-empty (rows, dims) matrix, got shape {arr.shape}")
-    scale = np.maximum(arr.max(axis=0), -arr.min(axis=0))  # max |x| without an |arr| copy
+    scale, low = arr.max(axis=0), arr.min(axis=0)  # max |x| in two rows, no |arr| copy
+    np.maximum(scale, np.negative(low, out=low), out=scale)
     scale[scale == 0.0] = 1.0
     return FeatureScaler(scale)
 

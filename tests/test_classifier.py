@@ -854,18 +854,18 @@ D_TWO = sum(b.width for b in feature_layout(TWO_STAGE_CONFIG, TWO_STAGE_DESC.mer
 
 def predict_two_stage(root, models, partition, scalers, clip, capsys):
     """Exit status, stdout and stderr of ``pathsig predict --two-stage`` on files
-    written from the three models, the partition and the three scalers."""
+    written from the three models, and on an extract prefix written from the
+    partition, the three scalers and the module's descriptor and config."""
     for (stage, _), model, scaler in zip(cli._STAGES, models, scalers):
         save_model(model, root / f"m.{stage}.model")
         pio.write_scaler(scaler, root / f"f.{stage}.scaler.feat")
     pio.write_partition(partition.mean_actor_counts, partition.multi_body,
                         root / "f.partition.txt")
-    pio.write_descriptor(TWO_STAGE_DESC, root / "d.txt")
-    pio.write_feature_config(TWO_STAGE_CONFIG, pio.ExtractionOptions(), root / "c.txt")
+    pio.write_descriptor(TWO_STAGE_DESC, root / "f.descriptor.txt")
+    pio.write_feature_config(TWO_STAGE_CONFIG, pio.ExtractionOptions(), root / "f.config.txt")
     pio.write_clip_file(clip, root / "c.clip")
-    code = cli.main(["predict", "--clip", str(root / "c.clip"), "--descriptor",
-                     str(root / "d.txt"), "--config", str(root / "c.txt"), "--model",
-                     str(root / "m"), "--scaler", str(root / "f"), "--two-stage"])
+    code = cli.main(["predict", "--clip", str(root / "c.clip"), "--features", str(root / "f"),
+                     "--model", str(root / "m"), "--two-stage"])
     return (code, *capsys.readouterr())
 
 

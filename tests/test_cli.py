@@ -27,6 +27,15 @@ def run_cli(*args, **kwargs):
                           capture_output=True, text=True, **kwargs)
 
 
+def _copy_prefix(prefix, new, suffixes=None):
+    """Copy the files ``prefix.*`` of an extract or train run to ``new.*``, or
+    only those ending in one of ``suffixes``."""
+    prefix, new = pathlib.Path(prefix), pathlib.Path(new)
+    for path in prefix.parent.glob(f"{prefix.name}.*"):
+        if suffixes is None or path.name.endswith(suffixes):
+            (new.parent / (new.name + path.name[len(prefix.name):])).write_bytes(path.read_bytes())
+
+
 SMALL_CONFIG = FeatureConfig(sampled_frames=4, pair_level=2, triple_level=2,
                              joint_level=3, evolution_level=2)
 
@@ -206,7 +215,7 @@ def test_extract_prints_every_block_width(extracted):
 def test_extract_writes_expected_files(extracted):
     prefix = extracted["prefix"]
     for suffix in (".train.feat", ".train.labels", ".test.feat",
-                   ".test.labels", ".scaler.feat"):
+                   ".test.labels", ".scaler.feat", ".descriptor.txt", ".config.txt"):
         assert (prefix.parent / (prefix.name + suffix)).exists()
 
 
@@ -219,10 +228,40 @@ def test_extract_rerun_is_byte_identical(extracted):
                      "--output", again)
     assert result.returncode == 0
     for suffix in (".train.feat", ".test.feat", ".train.labels",
-                   ".test.labels", ".scaler.feat"):
+                   ".test.labels", ".scaler.feat", ".descriptor.txt", ".config.txt"):
         a = (extracted["prefix"].parent / (extracted["prefix"].name + suffix)).read_bytes()
         b = (again.parent / (again.name + suffix)).read_bytes()
         assert a == b, suffix
+
+
+@pytest.mark.parametrize("bodies, two_stage", [(None, False), (1, False), (2, False), (1, True)],
+                         ids=["default", "config", "two_bodies", "two_stage"])
+def test_extract_records_the_descriptor_and_config_it_used(interaction_ds, tmp_path, capsys,
+                                                           bodies, two_stage):
+    # hand-written inputs: comments, spacing and omitted keys are not kept
+    descriptor = tmp_path / "d.txt"
+    descriptor.write_text("# five joints\n" + pathlib.Path(interaction_ds["descriptor"]).read_text()
+                          .replace(" = ", "="))
+    config = tmp_path / "c.txt"
+    config.write_text(f"# small\nbodies ={bodies}\nsampled_frames= 4\ntriple_level = 2\n"
+                      "joint_level = 3\nnoise_copies = 0\n")
+    flags = (["--config", str(config)] if bodies else []) + (["--two-stage"] if two_stage else [])
+    for prefix in ("f", "again"):
+        assert cli.main(["features", "extract", "--manifest", str(interaction_ds["manifest"]),
+                         "--descriptor", str(descriptor), "--output", str(tmp_path / prefix),
+                         *flags]) == 0
+    capsys.readouterr()
+    pio.write_descriptor(pio.read_descriptor(descriptor), tmp_path / "ref.descriptor.txt")
+    pio.write_feature_config(*(pio.read_feature_config(config) if bodies
+                               else (FeatureConfig(), ExtractionOptions())),
+                             tmp_path / "ref.config.txt")
+    for suffix in (".descriptor.txt", ".config.txt"):
+        assert (tmp_path / f"f{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
+    outputs = sorted(p.name[len("f"):] for p in tmp_path.glob("f.*"))
+    assert len(outputs) == (18 if two_stage else 7)
+    assert sorted(p.name[len("again"):] for p in tmp_path.glob("again.*")) == outputs
+    for suffix in outputs:  # a rerun writes every file byte-identical
+        assert (tmp_path / f"f{suffix}").read_bytes() == (tmp_path / f"again{suffix}").read_bytes()
 
 
 def test_extract_unknown_label_fails(action_ds, tmp_path):
@@ -343,10 +382,8 @@ def test_predict_prints_class_and_probability(trained):
     manifest_lines = (trained["root"] / "manifest.txt").read_text().splitlines()
     clip_rel, label, _, _ = manifest_lines[0].split(",")
     result = run_cli("predict", "--clip", trained["root"] / clip_rel,
-                     "--descriptor", trained["descriptor"],
-                     "--config", trained["config"],
-                     "--model", trained["model"],
-                     "--scaler", f"{trained['prefix']}.scaler.feat")
+                     "--features", trained["prefix"],
+                     "--model", trained["model"])
     assert result.returncode == 0, result.stderr
     name, prob = result.stdout.split()
     assert name in ("sway", "drift", "shake", "pulse")
@@ -355,15 +392,61 @@ def test_predict_prints_class_and_probability(trained):
 
 def test_predict_rejects_non_finite_scaler(trained, tmp_path, capsys):
     # an infinite scale would zero its column of every predicted row
+    _copy_prefix(trained["prefix"], tmp_path / "inf")
     scaler = tmp_path / "inf.scaler.feat"
     x, layout = read_feature_matrix(f"{trained['prefix']}.scaler.feat")
     x[0, 3] = np.inf
     write_feature_matrix(scaler, x, layout)
     clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
-    argv = ["predict", "--clip", trained["root"] / clip_rel, "--descriptor", trained["descriptor"],
-            "--config", trained["config"], "--model", trained["model"], "--scaler", scaler]
+    argv = ["predict", "--clip", trained["root"] / clip_rel, "--features", tmp_path / "inf",
+            "--model", trained["model"]]
     assert cli.main([str(a) for a in argv]) == 2
     assert f"{scaler}: invalid scaler: scale contains non-finite values" in capsys.readouterr().err
+
+
+def test_predict_takes_no_descriptor_config_or_scaler_flag(trained, capsys):
+    clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
+    argv = ["predict", "--clip", str(trained["root"] / clip_rel), "--features",
+            str(trained["prefix"]), "--model", str(trained["model"])]
+    for flag, value in (("--descriptor", trained["descriptor"]), ("--config", trained["config"]),
+                        ("--scaler", f"{trained['prefix']}.scaler.feat")):
+        assert cli.main(argv + [flag, str(value)]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_predict_on_a_prefix_without_its_descriptor_names_it(trained, tmp_path):
+    # an extract from before the prefix kept its descriptor and config
+    _copy_prefix(trained["prefix"], tmp_path / "old", (".feat", ".labels"))
+    clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
+    result = run_cli("predict", "--clip", trained["root"] / clip_rel, "--features",
+                     tmp_path / "old", "--model", trained["model"])
+    assert result.returncode == 1
+    assert f"{tmp_path / 'old.descriptor.txt'}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _test_clips(root):
+    """The paths of the test clips of the manifest under ``root``."""
+    lines = (root / "manifest.txt").read_text().splitlines()
+    return [root / line.split(",")[0] for line in lines if line.split(",")[2] == "test"]
+
+
+def test_predict_prints_what_the_extract_inputs_give(trained, capsys):
+    # the line predict printed when it took the descriptor, config and scaler as files
+    descriptor = pio.read_descriptor(trained["descriptor"])
+    config, options = pio.read_feature_config(trained["config"])
+    model = classifier.load_model(trained["model"])
+    scaler = pio.read_scaler(f"{trained['prefix']}.scaler.feat")
+    clips = _test_clips(trained["root"])
+    assert len(clips) == 8
+    for clip in clips:
+        x = classifier.extract_body_features(pio.read_clip_file(clip, descriptor), options.bodies,
+                                             config, descriptor)
+        probs = classifier.forward(model, apply_scaler(scaler, x))
+        label = int(probs.argmax())
+        assert cli.main(["predict", "--clip", str(clip), "--features", str(trained["prefix"]),
+                         "--model", str(trained["model"])]) == 0
+        assert capsys.readouterr().out == f"{descriptor.class_names[label]} {probs[label]:.6f}\n"
 
 
 # ----------------------------------------------------------------- two-stage
@@ -392,17 +475,14 @@ def test_two_stage_cli_flow(tmp_path):
     for stage in ("gate", "one", "multi"):
         assert (tmp_path / f"m.{stage}.model").exists()
 
-    evaluation = run_cli("eval", "--features", prefix,
-                         "--labels", f"{prefix}.one.test.labels",
-                         "--model", model, "--two-stage")
+    evaluation = run_cli("eval", "--features", prefix, "--model", model, "--two-stage")
     assert evaluation.returncode == 0, evaluation.stderr
     overall = re.search(r"overall accuracy: (\d+)/8", evaluation.stdout)
     assert int(overall.group(1)) >= 6  # tiny train set; routing must work
 
     clip_rel = (tmp_path / "manifest.txt").read_text().splitlines()[0].split(",")[0]
-    predict = run_cli("predict", "--clip", tmp_path / clip_rel,
-                      "--descriptor", descriptor, "--config", config,
-                      "--model", model, "--scaler", prefix, "--two-stage")
+    predict = run_cli("predict", "--clip", tmp_path / clip_rel, "--features", prefix,
+                      "--model", model, "--two-stage")
     assert predict.returncode == 0, predict.stderr
     name, prob = predict.stdout.split()
     assert name in ("solo_sway", "solo_drift", "pair_approach", "pair_circle")
@@ -439,15 +519,13 @@ def test_two_stage_models_must_match_the_partition(interaction_ds, tmp_path, cap
     partition.write_text(partition.read_text().replace("multi = 0,0,1,1", "multi = 0,1,1,1"))
     capsys.readouterr()
     message = f"{tmp_path / 'm.one.model'}: 2 classes, but {partition} gives the one stage 1"
-    assert cli.main(["eval", "--features", str(prefix), "--labels", f"{prefix}.one.test.labels",
-                     "--model", str(tmp_path / "m"), "--two-stage"]) == 1
+    assert cli.main(["eval", "--features", str(prefix), "--model", str(tmp_path / "m"),
+                     "--two-stage"]) == 1
     assert message in capsys.readouterr().err
     root = interaction_ds["root"]
     for line in (root / "manifest.txt").read_text().splitlines()[:8]:
-        assert cli.main(["predict", "--clip", str(root / line.split(",")[0]), "--descriptor",
-                         str(interaction_ds["descriptor"]), "--config",
-                         str(interaction_ds["config"]), "--model", str(tmp_path / "m"),
-                         "--scaler", str(prefix), "--two-stage"]) == 1
+        assert cli.main(["predict", "--clip", str(root / line.split(",")[0]), "--features",
+                         str(prefix), "--model", str(tmp_path / "m"), "--two-stage"]) == 1
         assert message in capsys.readouterr().err
 
 
@@ -497,6 +575,8 @@ def _reference_extract(manifest, descriptor_path, config_path, prefix, two_stage
     records = pio.read_manifest(manifest)
     descriptor = pio.read_descriptor(descriptor_path)
     config, options = pio.read_feature_config(config_path)
+    pio.write_descriptor(descriptor, f"{prefix}.descriptor.txt")
+    pio.write_feature_config(config, options, f"{prefix}.config.txt")
     splits = [(s, [r for r in records if r.split == s], s == "train") for s in ("train", "test")]
 
     def matrix(recs, bodies, augment):
@@ -559,7 +639,7 @@ def test_extract_matches_in_memory_reference(interaction_ds, tmp_path, two_stage
                        interaction_ds["config"], tmp_path / "ref", two_stage)
     ref = sorted(p.name[len("ref"):] for p in tmp_path.glob("ref.*"))
     assert sorted(p.name[len("new"):] for p in tmp_path.glob("new.*")) == ref
-    assert len(ref) == (16 if two_stage else 5)
+    assert len(ref) == (18 if two_stage else 7)
     for suffix in ref:
         assert (tmp_path / f"new{suffix}").read_bytes() == (tmp_path / f"ref{suffix}").read_bytes()
         if suffix.endswith(".feat"):  # every written matrix reads back: the footer tiles it
@@ -671,9 +751,7 @@ def test_huge_clip_index_is_exit_2(trained, tmp_path):
     commands = [
         ["features", "extract", "--manifest", manifest, "--descriptor", trained["descriptor"],
          "--output", tmp_path / "f"],
-        ["predict", "--clip", clip, "--descriptor", trained["descriptor"],
-         "--config", trained["config"], "--model", trained["model"],
-         "--scaler", f"{trained['prefix']}.scaler.feat"],
+        ["predict", "--clip", clip, "--features", trained["prefix"], "--model", trained["model"]],
     ]
     for argv in commands:
         result = run_cli(*argv)
@@ -726,14 +804,13 @@ def test_two_stage_train_and_eval_reject_non_finite_matrix(interaction_ds, tmp_p
                      "--epochs", 1, "--two-stage")
     assert result.returncode == 0, result.stderr
     bad = tmp_path / "bad"
-    for path in tmp_path.glob("good.*"):
-        (tmp_path / path.name.replace("good", "bad")).write_bytes(path.read_bytes())
+    _copy_prefix(good, bad)
     _corrupt(f"{good}.multi.train.feat", f"{bad}.multi.train.feat", 2, np.inf)
     _corrupt(f"{good}.one.test.feat", f"{bad}.one.test.feat", 1, np.nan)
     cases = [(["train", "--features", bad, "--model", tmp_path / "n", "--two-stage"],
               f"{bad}.multi.train.feat: row 2"),
-             (["eval", "--features", bad, "--labels", f"{bad}.one.test.labels",
-               "--model", tmp_path / "m", "--two-stage"], f"{bad}.one.test.feat: row 1")]
+             (["eval", "--features", bad, "--model", tmp_path / "m", "--two-stage"],
+              f"{bad}.one.test.feat: row 1")]
     for argv, message in cases:
         assert cli.main([str(a) for a in argv]) == 1
         assert message in capsys.readouterr().err
@@ -753,8 +830,7 @@ def two_stage_prefix(interaction_ds):
 def _two_stage_train_with_labels(prefix, tmp_path, stage, edit, capsys):
     """Exit status and stderr of a two-stage train on a copy of ``prefix``
     whose ``stage`` train labels are ``edit(labels)``, and that labels file."""
-    for path in prefix.parent.glob(f"{prefix.name}.*"):
-        (tmp_path / path.name.replace(prefix.name, "bad", 1)).write_bytes(path.read_bytes())
+    _copy_prefix(prefix, tmp_path / "bad")
     labels = tmp_path / f"bad.{stage}.train.labels"
     labels.write_text("".join(f"{v}\n" for v in edit(labels.read_text().split())))
     code = cli.main(["train", "--features", str(tmp_path / "bad"), "--model",
@@ -778,6 +854,72 @@ def test_two_stage_train_rejects_out_of_range_gate_label(two_stage_prefix, tmp_p
     assert code == 1
     assert f"{labels}: label 7 is outside 0..1" in err
     assert not list(tmp_path.glob("m.*"))
+
+
+@pytest.fixture(scope="module")
+def two_stage_models(two_stage_prefix):
+    """The train prefix of models trained on ``two_stage_prefix``."""
+    model = two_stage_prefix.parent / "two_models"
+    result = run_cli("train", "--features", two_stage_prefix, "--model", model,
+                     "--epochs", 3, "--two-stage")
+    assert result.returncode == 0, result.stderr
+    return model
+
+
+def _two_stage_inputs(prefix, model):
+    """The models, in ``cli._STAGES`` order, the partition and the scalers of a
+    two-stage extract and train."""
+    models = [classifier.load_model(f"{model}.{stage}.model") for stage, _ in cli._STAGES]
+    partition = classifier.StagePartition(*pio.read_partition(f"{prefix}.partition.txt"))
+    scalers = [pio.read_scaler(f"{prefix}.{stage}.scaler.feat") for stage, _ in cli._STAGES]
+    return models, partition, scalers
+
+
+def test_two_stage_predict_prints_what_the_extract_inputs_give(interaction_ds, two_stage_prefix,
+                                                               two_stage_models, capsys):
+    descriptor = pio.read_descriptor(interaction_ds["descriptor"])
+    config, _ = pio.read_feature_config(interaction_ds["config"])
+    models, partition, scalers = _two_stage_inputs(two_stage_prefix, two_stage_models)
+    clips = _test_clips(interaction_ds["root"])
+    assert len(clips) == 6
+    for clip in clips:
+        read = pio.read_clip_file(clip, descriptor)
+        rows = {bodies: classifier.extract_body_features(read, bodies, config, descriptor)[None]
+                for bodies in (1, 2)}
+        scaled = [apply_scaler(scaler, rows[bodies])
+                  for scaler, (_, bodies) in zip(scalers, cli._STAGES)]
+        labels, probs = classifier.two_stage_route(*models, partition, *scaled)
+        assert cli.main(["predict", "--clip", str(clip), "--features", str(two_stage_prefix),
+                         "--model", str(two_stage_models), "--two-stage"]) == 0
+        assert capsys.readouterr().out == \
+            f"{descriptor.class_names[labels[0]]} {probs[0]:.6f}\n"
+
+
+def test_two_stage_eval_of_the_train_split(two_stage_prefix, two_stage_models, capsys):
+    prefix = two_stage_prefix
+    models, partition, _ = _two_stage_inputs(prefix, two_stage_models)
+    xs = [read_feature_matrix(f"{prefix}.{stage}.train.feat")[0] for stage, _ in cli._STAGES]
+    y = pio.read_labels(f"{prefix}.one.train.labels")
+    assert y.size <= cli._EVAL_ROWS  # eval routes the rows in one block too
+    pred, _ = classifier.two_stage_route(*models, partition, *xs)
+    cli._report_eval(y, pred, partition.multi_body.size)
+    expect = capsys.readouterr().out
+    assert f"overall accuracy: {int((pred == y).sum())}/{y.size} = " in expect
+    # --labels is ignored: the gate's 0/1 body flags are in 0..C-1 but are no class ids
+    for labels in ([], ["--labels", f"{prefix}.gate.train.labels"]):
+        assert cli.main(["eval", "--features", str(prefix), "--model", str(two_stage_models),
+                         "--split", "train", "--two-stage", *labels]) == 0
+        assert capsys.readouterr().out == expect
+
+
+def test_labels_are_required_without_two_stage(trained, tmp_path, capsys):
+    prefix = trained["prefix"]
+    for argv in (["train", "--features", f"{prefix}.train.feat", "--model",
+                  str(tmp_path / "m.model")],
+                 ["eval", "--features", f"{prefix}.test.feat", "--model", str(trained["model"])]):
+        assert cli.main(argv) == 1
+        assert "error: --labels is required without --two-stage" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------- streamed train and eval
@@ -843,8 +985,7 @@ def test_two_stage_train_and_eval_stream_the_same_results(two_stage_prefix, tmp_
     cli._report_eval(y, pred, partition.multi_body.size)
     expect = capsys.readouterr().out
     monkeypatch.setattr(cli, "_EVAL_ROWS", 4)  # 6 rows: blocks of 4 and 2
-    assert cli.main(["eval", "--features", str(prefix), "--labels",
-                     f"{prefix}.one.test.labels", "--model", str(tmp_path / "m"),
+    assert cli.main(["eval", "--features", str(prefix), "--model", str(tmp_path / "m"),
                      "--two-stage"]) == 0
     assert capsys.readouterr().out == expect
 
@@ -868,13 +1009,14 @@ def test_train_does_not_load_the_matrix(tmp_path, capsys):
 
 
 def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, capsys):
-    config = tmp_path / "bodies.cfg"
+    # extract reads the config of a copied prefix, and predict reads it there
+    _copy_prefix(trained["prefix"], tmp_path / "p", (".descriptor.txt",))
+    config = tmp_path / "p.config.txt"
     clip_rel = (trained["root"] / "manifest.txt").read_text().splitlines()[0].split(",")[0]
     argvs = [["features", "extract", "--manifest", trained["manifest"], "--descriptor",
               trained["descriptor"], "--config", config, "--output", tmp_path / "f"],
-             ["predict", "--clip", trained["root"] / clip_rel, "--descriptor",
-              trained["descriptor"], "--config", config, "--model", trained["model"],
-              "--scaler", f"{trained['prefix']}.scaler.feat"]]
+             ["predict", "--clip", trained["root"] / clip_rel, "--features", tmp_path / "p",
+              "--model", trained["model"]]]
     # 5 joints a body: at most 200 bodies; a trillion would never return if
     # its priority and mirror tuples were built before the check
     for body, message in (("bodies = 201", "bodies = 201 is more than the 200 allowed"),
@@ -891,7 +1033,7 @@ def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, capsys):
         for argv in argvs:
             assert cli.main([str(a) for a in argv]) == 2
             assert f"{config}: {message}" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bodies.cfg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.config.txt", "p.descriptor.txt"]
 
 
 def test_default_config_past_the_column_cap_is_exit_2(tmp_path, capsys):
@@ -916,19 +1058,21 @@ def test_two_stage_checks_the_two_body_layout_before_any_clip(tmp_path, monkeypa
         raise AssertionError("read a clip")
 
     monkeypatch.setattr(pio, "read_clip_file", unreachable)
-    config = tmp_path / "features.cfg"
+    # the default settings, as a config file and as the config of a prefix predict reads
+    config = tmp_path / "p.config.txt"
     write_feature_config(FeatureConfig(), ExtractionOptions(), config)
+    pio.write_descriptor(desc, tmp_path / "p.descriptor.txt")
     clip = tmp_path / (tmp_path / "manifest.txt").read_text().split(",")[0]
     outputs = sorted(tmp_path.iterdir())
-    for where, flags in (("default feature config", []), (config, ["--config", config])):
-        argvs = [["features", "extract", "--manifest", manifest, "--descriptor", descriptor,
-                  "--output", tmp_path / "f", "--two-stage", *flags],
-                 ["predict", "--clip", clip, "--descriptor", descriptor, "--model",
-                  tmp_path / "m", "--scaler", tmp_path / "f", "--two-stage", *flags]]
-        for argv in argvs:
-            assert cli.main([str(a) for a in argv]) == 2
-            assert (f"{where}: feature row columns = 186342840 is more than the 67108864 "
-                    "allowed") in capsys.readouterr().err
+    extract = ["features", "extract", "--manifest", manifest, "--descriptor", descriptor,
+               "--output", tmp_path / "f", "--two-stage"]
+    for where, argv in (("default feature config", extract),
+                        (config, extract + ["--config", config]),
+                        (config, ["predict", "--clip", clip, "--features", tmp_path / "p",
+                                  "--model", tmp_path / "m", "--two-stage"])):
+        assert cli.main([str(a) for a in argv]) == 2
+        assert (f"{where}: feature row columns = 186342840 is more than the 67108864 "
+                "allowed") in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == outputs
 
 
@@ -983,8 +1127,12 @@ def test_two_stage_eval_rejects_out_of_range_labels(interaction_ds, tmp_path, ca
         raise AssertionError("ran a model on out-of-range labels")
 
     monkeypatch.setattr(cli, "two_stage_route", unreachable)
-    labels_path = pathlib.Path(f"{prefix}.one.test.labels")
-    for labels, bad in _bad_label_cases(labels_path, tmp_path, 4):
-        assert cli.main(["eval", "--features", str(prefix), "--labels", str(labels),
-                         "--model", str(tmp_path / "m"), "--two-stage"]) == 1
+    # eval reads the labels of the prefix it is given: plant each bad file in a copy
+    _copy_prefix(prefix, tmp_path / "bad")
+    labels = tmp_path / "bad.one.test.labels"
+    for bad_labels, bad in _bad_label_cases(pathlib.Path(f"{prefix}.one.test.labels"),
+                                            tmp_path, 4):
+        labels.write_bytes(bad_labels.read_bytes())
+        assert cli.main(["eval", "--features", str(tmp_path / "bad"), "--model",
+                         str(tmp_path / "m"), "--two-stage"]) == 1
         assert f"{labels}: label {bad} is outside 0..3" in capsys.readouterr().err

@@ -58,18 +58,27 @@ def small_set(tmp_path_factory):
     return {"root": root, "manifest": manifest, "descriptor": descriptor, "clip": clip}
 
 
+# argparse's messages for a flag the parser does not have or one it needs: a
+# test run that draws them tests nothing past the parser
+_USAGE_ERRORS = ("unrecognized arguments", "the following arguments are required")
+
+
 def _run(*argv) -> int:
-    """Exit status of ``cli.main(argv)``, asserting it is 0, 1 or 2 and that
-    the run traced less than ``BOUND`` bytes."""
+    """Exit status of ``cli.main(argv)``, asserting it is 0, 1 or 2, that the
+    command line names only flags the parser has, and every flag it needs,
+    and that the run traced less than ``BOUND`` bytes.  A value argparse
+    rejects, such as ``--epochs=é``, is a usage error the run may draw."""
     argv = [str(a) for a in argv]
+    stderr = io.StringIO()
     tracemalloc.start()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code in (0, 1, 2), argv
+    assert not any(error in stderr.getvalue() for error in _USAGE_ERRORS), (argv, stderr.getvalue())
     assert peak < BOUND, (argv, peak)
     return code
 
@@ -100,8 +109,7 @@ def test_pipeline_exits_cleanly(small_set, config, train_flag, epochs):
              "--model", model, f"--epochs={epochs}", "=".join(train_flag))
         _run("eval", "--features", f"{prefix}.test.feat", "--labels", f"{prefix}.test.labels",
              "--model", model)
-        _run("predict", "--clip", small_set["clip"], "--descriptor", small_set["descriptor"],
-             "--config", cfg, "--model", model, "--scaler", f"{prefix}.scaler.feat")
+        _run("predict", "--clip", small_set["clip"], "--features", prefix, "--model", model)
 
 
 @settings(_HYPOTHESIS, max_examples=100)

@@ -1,6 +1,7 @@
 """Every reader, fed byte-mutated copies of a file its writer wrote, raises
 only FormatError or InputError and holds memory on the order of the file."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -15,6 +16,7 @@ from pathsig.classifier import TrainConfig, init_model, load_model, save_model  
 from pathsig.errors import FormatError, InputError  # noqa: E402
 from pathsig.skeleton import (Block, DatasetDescriptor, FeatureConfig,  # noqa: E402
                               FeatureScaler, SkeletonClip)
+from test_settings import BOUNDS, _edges  # noqa: E402
 
 # The clip reader's dense arrays hold 8 * joints * dims + joints bytes per
 # (frame, actor), and frames x actors may not exceed the file's size, so
@@ -79,6 +81,60 @@ def _seed_files(root):
 def seeds(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     return root, _seed_files(root)
+
+
+@pytest.fixture(scope="module")
+def text_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "file.txt"
+
+
+@st.composite
+def _descriptors(draw):
+    """Any descriptor ``read_descriptor`` can return: a priority permutation,
+    a mirror map swapping drawn pairs of joints, and class names, stripped,
+    non-empty and comma-free, that may hold spaces, ``=`` and ``#``."""
+    joints = draw(st.integers(2, 12))
+    dim = draw(st.sampled_from((2, 3)))
+    order = draw(st.permutations(range(joints)))
+    mirror = list(range(joints))
+    for i in range(0, 2 * draw(st.integers(0, joints // 2)), 2):
+        mirror[order[i]], mirror[order[i + 1]] = order[i + 1], order[i]
+    name = st.text(" =#_-.aé1Z\t", min_size=1, max_size=8).map(str.strip).filter(bool)
+    return DatasetDescriptor(joint_count=joints, dim=dim,
+                             priority=tuple(draw(st.permutations(range(joints)))),
+                             mirror=tuple(mirror), horizontal_axis=draw(st.integers(0, dim - 1)),
+                             class_names=tuple(draw(st.lists(name, max_size=5))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(descriptor=_descriptors())
+def test_descriptor_round_trips(text_file, descriptor):
+    pio.write_descriptor(descriptor, text_file)
+    written = text_file.read_bytes()
+    assert pio.read_descriptor(text_file) == descriptor
+    pio.write_descriptor(pio.read_descriptor(text_file), text_file)
+    assert text_file.read_bytes() == written
+
+
+def _setting_values(cls):
+    """Per field of ``cls``: its default and the accepted edges of its bounds
+    in ``test_settings``, or both bools for an unbounded (bool) field."""
+    return {f.name: st.sampled_from([f.default, *(_edges(cls, f.name)[0] if (cls, f.name) in BOUNDS
+                                                  else (True, False))])
+            for f in dataclasses.fields(cls)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=st.fixed_dictionaries(_setting_values(FeatureConfig)).map(
+           lambda kw: FeatureConfig(**kw)),
+       options=st.fixed_dictionaries(_setting_values(pio.ExtractionOptions)).map(
+           lambda kw: pio.ExtractionOptions(**kw)))
+def test_feature_config_round_trips(text_file, config, options):
+    pio.write_feature_config(config, options, text_file)
+    written = text_file.read_bytes()
+    assert pio.read_feature_config(text_file) == (config, options)
+    pio.write_feature_config(*pio.read_feature_config(text_file), text_file)
+    assert text_file.read_bytes() == written
 
 
 # Values for whole u64 fields: the binary headers' counts and lengths.

@@ -129,8 +129,10 @@ def test_dataclass_refuses_a_fraction_or_a_string_and_takes_a_numpy_number(cls, 
 
 @pytest.fixture(scope="module")
 def small_set(tmp_path_factory):
-    """A 5-joint clip set, a 6 x 3 feature file with its labels, and a model
-    file of 3 inputs, 2 hidden units and 2 classes with the default TrainConfig."""
+    """A 5-joint clip set, a 6 x 3 feature file with its labels, a model file
+    of 3 inputs, 2 hidden units and 2 classes with the default TrainConfig,
+    and an extract prefix holding the set's descriptor and the default config
+    (no scaler: predict fails on each model below before it reads one)."""
     root = tmp_path_factory.mktemp("settings")
     train, _, desc = make_action_dataset(train_clips=4, test_clips=0, joint_count=5, seed=3)
     manifest, descriptor = write_dataset(train, [], desc, root)
@@ -140,8 +142,10 @@ def small_set(tmp_path_factory):
     model = root / "m.model"
     save_model(init_model(3, 2, TrainConfig(), hidden_dim=2), model)
     clip = root / (root / "manifest.txt").read_text().splitlines()[0].split(",")[0]
+    pio.write_descriptor(desc, root / "p.descriptor.txt")
+    pio.write_feature_config(FeatureConfig(), ExtractionOptions(), root / "p.config.txt")
     return {"manifest": manifest, "descriptor": descriptor, "clip": clip, "x": root / "x.feat",
-            "labels": root / "x.labels", "model": model}
+            "labels": root / "x.labels", "model": model, "prefix": root / "p"}
 
 
 @fields_of(FeatureConfig, ExtractionOptions)
@@ -191,9 +195,8 @@ def test_model_file_accepts_each_bound_and_rejects_past_it(cls, name, small_set,
         write(value)
         with pytest.raises(FormatError, match=re.escape(f"{model} config text: {name} = ")):
             load_model(model)
-        assert cli.main(["predict", "--clip", str(small_set["clip"]), "--descriptor",
-                         str(small_set["descriptor"]), "--model", str(model),
-                         "--scaler", str(tmp_path / "unread.scaler.feat")]) == 2
+        assert cli.main(["predict", "--clip", str(small_set["clip"]), "--features",
+                         str(small_set["prefix"]), "--model", str(model)]) == 2
         assert f"format error: {model} config text: {name} = " in capsys.readouterr().err
 
 
@@ -404,8 +407,7 @@ def test_model_file_with_bad_weights_is_a_format_error(weights, message, small_s
     with pytest.raises(FormatError, match=re.escape(f"{model}: {message}")):
         load_model(model)
     for argv in (["eval", "--features", small_set["x"], "--labels", small_set["labels"]],
-                 ["predict", "--clip", small_set["clip"], "--descriptor", small_set["descriptor"],
-                  "--scaler", tmp_path / "unread.scaler.feat"]):
+                 ["predict", "--clip", small_set["clip"], "--features", small_set["prefix"]]):
         assert cli.main([str(a) for a in argv + ["--model", model]]) == 2
         assert f"format error: {model}: {message}" in capsys.readouterr().err
 

@@ -473,6 +473,29 @@ def test_scaler_fit_makes_no_matrix_sized_copy():
     assert peak < 0.25 * x.nbytes
 
 
+def test_scaler_fit_holds_two_rows_and_keeps_its_bits():
+    # features extract fits each scaler on one row: the running max |x| per column
+    rng = np.random.default_rng(15)
+    bound = np.abs(rng.standard_normal(500_000))
+    bound[::7] = 0.0
+    tracemalloc.start()
+    try:
+        scaler = fit_scaler(bound[None])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * bound.nbytes  # the max and min rows, and the check's masks
+    assert scaler.scale.tobytes() == np.where(bound == 0.0, 1.0, bound).tobytes()
+    x = rng.standard_normal((9, 1_000)) * 10.0 ** rng.integers(-3, 4, size=1_000)
+    x[:, 0::5] = 0.0
+    x[:, 1::5] = -0.0
+    x[:, 2::5] = -np.abs(x[:, 2::5])
+    expect = np.maximum(x.max(axis=0), -x.min(axis=0))  # the scale as first written
+    expect[expect == 0.0] = 1.0
+    assert (expect[0::5] == 1.0).all() and (expect[1::5] == 1.0).all()
+    assert fit_scaler(x).scale.tobytes() == expect.tobytes()
+
+
 def test_scaler_validates():
     with pytest.raises(InputError):
         FeatureScaler(np.array([1.0, 0.0]))
