@@ -74,6 +74,26 @@ from 16.2 to 17.6 ms (30.7 to 32.3 ms dyadic), and the split at B > 1
 past 2^16 entries of d^n B from 19.8 to 23.8 ms (31.6 to 35.5 ms
 dyadic).
 
+A split pass takes its top level's first K = min(M, d) segments in one
+contraction.  Nothing reads the top level before the fold ends, so the
+pass keeps segment t's top-level Horner partial (a_{n-1} + ..) as row t
+of one (K, d^(n-2)) array Q and, at segment K - 1, writes the letter's
+top slice, viewed as (d^(n-2), d), with np.einsum('tr,tc->rc', Q, D)
+over the first K increments (D/1 is D exactly).  numpy's own einsum
+loop, not BLAS, zeroes its ``out`` and then adds each t's rounded
+product in order of t: the same adds onto +0.0 that the per-segment
+fold makes, with no fused multiply-add at numpy's x86-64 baseline
+(``test_einsum_contraction_is_an_in_order_sum_from_zero`` pins this, so
+a numpy build that fuses or reorders fails there by name).  Later
+segments are added one at a time as before: einsum restarts from zero,
+so a second chunk could only be added onto the level, which rounds
+differently.  With K <= d, Q is at most one level-(n-1) block
+(8 d^(n-1) bytes), and its last row is also the scratch of the
+partial.  At d = 60, n = 4 over 16 points that halved the fold's time
+(359 to 180 ms, medians of 9 interleaved calls on a 2-core x86-64 box).
+np.matmul of the same contraction took about half that again, but
+BLAS's fused multiply-add changes the last bits.
+
 einsum writes +0.0 where np.multiply writes -0.0 (for -0.0 * 1.0).  The
 fold never shows it: its levels start at +0.0 and only receive
 additions, so none is ever -0.0, and every partial is added onto a level
@@ -232,9 +252,12 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
 def path_signature(path, level: int) -> TruncatedSignature:
     """Signature of a piecewise-linear path through the given points.
 
-    Folds one segment at a time into the accumulator (see module
-    docstring).  A path with fewer than two points, or one whose segments
-    all have zero increment, has the zero signature.
+    Folds one segment at a time into the accumulator, except that a top
+    level folded one first letter at a time takes its first d segments
+    in one contraction (see module docstring); the coefficients are
+    bit for bit those of the per-segment fold.  A path with fewer than
+    two points, or one whose segments all have zero increment, has the
+    zero signature.
 
     Args:
         path: (L, d) array-like of points (a 1-D sequence is a path in R^1).
@@ -286,7 +309,13 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
     letters = d if B == 1 and d ** (level - 1) >= _BLOCK_ENTRIES else 1
     rows = d // letters
     # Scratch: q[j] holds a (rows * d**j, B) block, dscaled[i - 1] the increment / i.
+    # A split pass keeps its top level's first K Horner partials in Q (module
+    # docstring); q[-1] is Q[K - 1], scratch until segment K - 1 writes it.
     q = [np.empty((rows * d ** j, B)) for j in range(level - 1)]
+    K = min(len(increments), d) if letters > 1 else 0
+    if K:
+        Q = np.empty((K, *q[-1].shape))
+        q[-1] = Q[-1]
     dscaled = np.empty((level, d, B))
     scratch = np.empty(max(min(_BLOCK_ENTRIES, out.size), d * B))
     divisors = np.arange(1.0, level + 1)[:, None, None]
@@ -297,7 +326,7 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
         # tops[k - 2]: row blocks of level k += q[k - 2] (x) dscaled[0], the last Horner step.
         tops = [_row_blocks(part[k - 1].reshape(-1, d, B), q[k - 2], scratch)
                 for k in range(2, level + 1)]
-        for delta in increments:
+        for t, delta in enumerate(increments):
             np.divide(delta, divisors, out=dscaled)
             for k in range(level, 1, -1):
                 acc = dscaled[k - 1, first]
@@ -305,6 +334,12 @@ def _horner_fold(increments: np.ndarray, level: int) -> np.ndarray:
                     np.add(acc, part[j - 1], out=q[j - 1])
                     _outer(q[j - 1], dscaled[k - j - 1], q[j].reshape(-1, d, B))
                     acc = q[j]
+                if k == level and t < K:
+                    np.add(acc, part[k - 2], out=Q[t])
+                    if t == K - 1:  # the top level's first K segments, in order from +0.0
+                        np.einsum("tr,tc->rc", Q[:, :, 0], increments[:K, :, 0],
+                                  out=part[k - 1].reshape(-1, d))
+                    continue
                 np.add(acc, part[k - 2], out=q[k - 2])
                 _add_outer(tops[k - 2], dscaled[0])
             part[0] += dscaled[0, first]

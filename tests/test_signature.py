@@ -490,10 +490,13 @@ def reference_chen_product(a, b, d, level):
 # first letter at a time once a letter's share of the top level, d**(level-1),
 # fills a block: at the default size d = 20, level 5, d = 8, level 7 and
 # d = 2, level 17 (2^17 entries over two prefixes); at 50 entries d = 60,
-# level 3 as well
+# level 3 as well.  A split pass contracts its top level's first min(M, d)
+# segments in one einsum and adds the rest one at a time: M > d runs both
+# halves (d = 8, level 7 over 10 segments; d = 2, level 17; at 50 entries
+# d = 60, level 3 over 61 segments), M = d only the contraction
 BLOCKED_CASES = [(5, 3, 1, 4), (5, 3, 2, 4), (4, 3, 7, 5), (6, 4, 1, 1), (6, 1, 5, 6),
                  (0, 3, 2, 3), (1, 2, 1, 2), (3, 60, 1, 3), (4, 20, 1, 5), (3, 8, 1, 7),
-                 (5, 2, 1, 17)]
+                 (5, 2, 1, 17), (10, 8, 1, 7), (60, 60, 1, 3), (61, 60, 1, 3)]
 
 
 @pytest.mark.parametrize("block_entries", [50, signature._BLOCK_ENTRIES])
@@ -511,6 +514,27 @@ def test_blocked_fold_is_byte_identical_to_unblocked(monkeypatch, block_entries)
         batch = path_signature_batch(paths, level)
         assert batch.tobytes() == reference_horner_fold(
             np.ascontiguousarray(np.diff(paths, axis=1).transpose(1, 2, 0)), level).T.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 15, 99])
+def test_einsum_contraction_is_an_in_order_sum_from_zero(K):
+    # The split fold's top level rests on this: np.einsum('tr,tc->rc', Q, D,
+    # out=) zeroes out and adds each rounded product Q[t, r] * D[t, c] in
+    # order of t, with no fused multiply-add, as the per-segment fold does.
+    # A numpy build whose einsum fuses or reorders them fails here.
+    rng = np.random.default_rng(89)
+    for R, C in ((1, 1), (7, 3), (3600, 60)):
+        Q, D = rng.standard_normal((K, R)), rng.standard_normal((K, C))
+        Q[:, 0] = -0.0  # products -0.0 and +0.0; a sum from +0.0 stays +0.0
+        Q[::2, -1] = -0.0
+        Q[1::2, -1] = 0.0
+        expect = np.zeros((R, C))
+        for t in range(K):
+            expect += Q[t][:, None] * D[t]
+        got = np.full((R, C), np.nan)
+        np.einsum("tr,tc->rc", Q, D, out=got)
+        assert got.tobytes() == expect.tobytes(), (K, R, C)
+        assert not np.signbit(got[0]).any()
 
 
 @pytest.mark.parametrize("block_entries", [50, signature._BLOCK_ENTRIES])
@@ -583,6 +607,15 @@ def test_path_signature_holds_little_beyond_its_output():
     path = np.random.default_rng(73).standard_normal((5, 40))
     sig, peak = traced_peak(path_signature, path, 4)
     assert peak < sig.data.nbytes + 2 * 2**20
+
+
+@pytest.mark.parametrize("d, level, points", [(20, 5, 40), (8, 7, 20)])
+def test_split_fold_holds_one_block_beyond_its_output(d, level, points):
+    # The split fold's top-level partials of up to d segments are at most
+    # one level-(level - 1) block; its other scratch stays under 1 MiB
+    path = np.random.default_rng(97).standard_normal((points, d))
+    sig, peak = traced_peak(path_signature, path, level)
+    assert peak < sig.data.nbytes + 8 * d ** (level - 1) + 2**20
 
 
 def test_chen_concat_holds_little_beyond_its_output():
