@@ -108,9 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="labels file (ignored with --two-stage)")
     train_p.add_argument("--model", required=True,
                          help="output model file, or an output prefix with --two-stage")
-    train_p.add_argument("--history", default=None, help="per-epoch history output file")
+    train_p.add_argument("--history", help="per-epoch history file (ignored with --two-stage)")
     train_p.add_argument("--classes", type=int, default=0,
-                         help="class count (default: 1 + max training label)")
+                         help="class count (default 1 + max label; ignored with --two-stage)")
     train_p.add_argument("--hidden", type=int, default=HIDDEN_UNITS, help="hidden units")
     for field in dataclasses.fields(TrainConfig):
         flag = _TRAIN_FLAGS.get(field.name, field.name).replace("_", "-")
@@ -273,14 +273,17 @@ def cmd_extract(args) -> int:
     body_counts = list(dict.fromkeys(bodies for _, bodies, _, _ in outputs))
     splits = [(split, recs) for split, recs in (("train", train_recs), ("test", test_recs)) if recs]
     labels = {split: [] for split, _ in splits}
-    # Every matrix streams raw to a temporary file.  A training row, once written
-    # to every output, is made |row| in place and folded into the bound of each
-    # output it fits: fit_scaler(bound[None]) is fit_scaler of those rows, bit for
-    # bit.  After the last split each scaler divides its output's matrices in
-    # place; the files are published together only when everything succeeds.
+    # Each output's temporary name is entered before any writer, so every file is
+    # whole before the first rename.  A training row, once written to every output,
+    # is made |row| in place and folded into the bound of each output it fits; each
+    # scaler, fit_scaler(bound[None]) bit for bit, then divides its matrices in place.
+    kinds = [".scaler.feat"] + [f".{split}.{ext}" for split in labels for ext in ("feat", "labels")]
+    names = [".descriptor.txt", ".config.txt"] + [".partition.txt"] * args.two_stage
+    names += [suffix + kind for suffix, *_ in outputs for kind in kinds]
     with contextlib.ExitStack() as stack:
+        tmp = {name: stack.enter_context(pio.published(args.output + name)) for name in names}
         writers = {split: [stack.enter_context(pio.FeatureMatrixWriter(
-            f"{args.output}{suffix}.{split}.feat", width, layout))
+            tmp[f"{suffix}.{split}.feat"], width, layout))
             for (suffix, *_), width, layout in zip(outputs, widths, layouts)]
             for split, _ in splits}
         for split, recs in splits:
@@ -299,16 +302,16 @@ def cmd_extract(args) -> int:
         for split_writers in writers.values():
             for writer, scaler in zip(split_writers, scalers):
                 writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))
-        pio.write_descriptor(descriptor, f"{args.output}.descriptor.txt")
-        pio.write_feature_config(config, options, f"{args.output}.config.txt")
+        pio.write_descriptor(descriptor, tmp[".descriptor.txt"])
+        pio.write_feature_config(config, options, tmp[".config.txt"])
         if args.two_stage:
             pio.write_partition(partition.mean_actor_counts, partition.multi_body,
-                                f"{args.output}.partition.txt")
+                                tmp[".partition.txt"])
         for (suffix, _, _, label_of), scaler in zip(outputs, scalers):
-            pio.write_scaler(scaler, f"{args.output}{suffix}.scaler.feat")
+            pio.write_scaler(scaler, tmp[f"{suffix}.scaler.feat"])
             for split, split_labels in labels.items():
                 pio.write_labels([label_of(y) for y in split_labels],
-                                 f"{args.output}{suffix}.{split}.labels")
+                                 tmp[f"{suffix}.{split}.labels"])
     _print_layout(config, descriptor.merged(min(bodies for _, bodies, _, _ in outputs)))
     if args.two_stage:
         print(f"one-body classes: {partition.one_body_classes.tolist()}, "
@@ -348,16 +351,14 @@ def _write_history(history, path) -> None:
             f.write(f"{s.epoch},{s.lr:.17g},{s.loss:.17g},{s.accuracy:.17g}\n")
 
 
-def _fit(x, y, class_count, config, hidden, model_path, history_path):
+def _fit(x, y, class_count, config, hidden, model_path, history_path, stack):
     model = init_model(x.shape[1], class_count, config, hidden_dim=hidden)
     history = train(model, x, y)
-    save_model(model, model_path)
-    if history_path:
-        _write_history(history, history_path)
+    save_model(model, stack.enter_context(pio.published(model_path)))
+    _write_history(history, stack.enter_context(pio.published(history_path)))
     last = history[-1]
     print(f"{model_path}: {len(history)} epochs, final loss {last.loss:.6f}, "
           f"train accuracy {last.accuracy:.4f}")
-    return model
 
 
 def cmd_train(args) -> int:
@@ -369,7 +370,7 @@ def cmd_train(args) -> int:
             x, y = _read_labeled(args.features, args.labels, stack)
             class_count = args.classes or int(y.max()) + 1
             _fit(x, y, class_count, config, args.hidden, args.model,
-                 args.history or f"{args.model}.history.txt")
+                 args.history or f"{args.model}.history.txt", stack)
             return 0
 
         prefix = args.features
@@ -384,7 +385,7 @@ def cmd_train(args) -> int:
             keep = np.flatnonzero(np.isin(y, classes))
             y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
             _fit(x.select(keep), y_local, classes.size, config, args.hidden,
-                 f"{args.model}.{stage}.model", f"{args.model}.{stage}.history.txt")
+                 f"{args.model}.{stage}.model", f"{args.model}.{stage}.history.txt", stack)
     return 0
 
 
@@ -404,6 +405,12 @@ def _report_eval(y_true, y_pred, class_count) -> float:
     accuracy = correct / total
     print(f"overall accuracy: {correct}/{total} = {accuracy:.6f}")
     return accuracy
+
+
+def _check_width(model, path, width: int, features) -> None:
+    """InputError naming ``path`` and ``features`` if ``model`` takes rows of another width."""
+    if width != model.input_dim:
+        raise InputError(f"{features}: {width} feature dims, {path} expects {model.input_dim}")
 
 
 def _load_two_stage(model_prefix, extract_prefix):
@@ -426,10 +433,7 @@ def cmd_eval(args) -> int:
         if not args.two_stage:
             x, y = _read_labeled(args.features, args.labels, stack)
             model = load_model(args.model)
-            if x.shape[1] != model.input_dim:
-                raise InputError(
-                    f"{args.features}: {x.shape[1]} feature dims, model expects {model.input_dim}"
-                )
+            _check_width(model, args.model, x.shape[1], args.features)
             check_labels(y, model.class_count, args.labels)
             pred = np.concatenate([forward(model, block).argmax(axis=1)
                                    for block in x.blocks(_EVAL_ROWS)])
@@ -440,9 +444,12 @@ def cmd_eval(args) -> int:
         y = pio.read_labels(labels_path)
         xs = [_read_features(f"{args.features}.{stage}.{args.split}.feat", stack)
               for stage, _ in _STAGES]
-        if any(x.shape[0] != y.size for x in xs):
-            raise InputError("two-stage feature files and labels disagree on row count")
+        for x in xs:
+            if x.shape[0] != y.size:
+                raise InputError(f"{labels_path}: {y.size} labels, {x.shape[0]} rows in {x.path}")
         models, partition = _load_two_stage(args.model, args.features)
+        for (stage, _), model, x in zip(_STAGES, models, xs):
+            _check_width(model, f"{args.model}.{stage}.model", x.shape[1], x.path)
         check_labels(y, partition.multi_body.size, labels_path)
         pred = np.concatenate([two_stage_route(*models, partition, *blocks)[0]
                                for blocks in zip(*(x.blocks(_EVAL_ROWS) for x in xs))])
@@ -459,6 +466,7 @@ def cmd_predict(args) -> int:
         model = load_model(args.model)
         scaler = pio.read_scaler(f"{args.features}.scaler.feat")
         x = extract_body_features(clip, options.bodies, config, descriptor)
+        _check_width(model, args.model, x.size, args.features)
         probs = forward(model, apply_scaler(scaler, x))
         label = int(probs.argmax())
         prob = float(probs[label])
@@ -467,6 +475,8 @@ def cmd_predict(args) -> int:
         scalers = [pio.read_scaler(f"{args.features}.{stage}.scaler.feat") for stage, _ in _STAGES]
         rows = {bodies: extract_body_features(clip, bodies, config, descriptor)[None, :]
                 for bodies in dict.fromkeys(bodies for _, bodies in _STAGES)}
+        for (stage, bodies), model in zip(_STAGES, models):
+            _check_width(model, f"{args.model}.{stage}.model", rows[bodies].shape[1], args.features)
         labels, probs = two_stage_route(*models, partition, *(
             apply_scaler(scaler, rows[bodies]) for scaler, (_, bodies) in zip(scalers, _STAGES)))
         label, prob = int(labels[0]), float(probs[0])

@@ -9,12 +9,12 @@ feature matrix format is binary for bulk float data:
 
 A non-empty footer tiles ``[0, cols)`` in order.  ``FeatureMatrixWriter``
 is the one SIGFEAT1 writer: it writes the header with a row count of 0,
-appends rows as they come, and can rewrite the rows in place block by
-block (``map_rows``).  On success ``close`` patches the row count,
-appends the footer and renames the temporary file, in the same
-directory, onto the final name; on an exception it deletes the temporary
-file, so a failed run publishes no matrix.  ``write_feature_matrix`` is
-its one-shot caller.  ``FeatureRows`` is the one SIGFEAT1 reader:
+appends rows as they come, can rewrite the rows in place block by block
+(``map_rows``), and on success ``close`` patches the row count and appends
+the footer.  ``write_feature_matrix`` is its one-shot caller.  Every file a
+command writes goes through ``published``, the one code that renames or
+deletes a file: a temporary name, renamed onto the file's own only when the
+block succeeds.  ``FeatureRows`` is the one SIGFEAT1 reader:
 ``read_feature_matrix``, ``read_scaler``, ``map_rows`` and the CLI's
 ``train`` and ``eval`` read through it, a block or a batch at a time.
 
@@ -34,6 +34,7 @@ codec (``_parse_settings``, ``_format_settings``).
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import math
@@ -60,6 +61,7 @@ __all__ = [
     "read_feature_config",
     "write_feature_config",
     "ExtractionOptions",
+    "published",
     "FeatureMatrixWriter",
     "FeatureRows",
     "read_feature_matrix",
@@ -341,18 +343,29 @@ def write_feature_config(config: FeatureConfig, options: ExtractionOptions, path
         f.write(_format_settings(config, options) + "\n")
 
 
-class FeatureMatrixWriter:
-    """A SIGFEAT1 file written row by row to a temporary file next to ``path``.
+@contextlib.contextmanager
+def published(path):
+    """A temporary name next to ``path``: renamed onto it if the block succeeds, deleted if
+    the block or the rename raises.  Entered for every output before any is written, these
+    rename all or none; a rename failing after others did (as a crash) is out of scope."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
-    As a context manager it publishes the file under ``path`` (``close``)
-    when the block succeeds, and deletes the temporary file when it raises.
-    """
+
+class FeatureMatrixWriter:
+    """A SIGFEAT1 file written row by row to ``path``, a name from ``published``; as a
+    context manager it finishes the file (``close``) only when the block succeeds."""
 
     def __init__(self, path, cols: int, layout=()):
         self.path, self.layout, self.rows = os.fspath(path), layout, 0
         self.cols = check_number(cols, "cols", ge=0)
-        self._tmp = f"{self.path}.{os.getpid()}.tmp"
-        self._file = open(self._tmp, "w+b")
+        self._file = open(self.path, "w+b")
         self._file.write(_FEAT_MAGIC + struct.pack("<QQ", 0, self.cols))
 
     def write(self, rows) -> None:
@@ -365,9 +378,9 @@ class FeatureMatrixWriter:
 
     def map_rows(self, fn) -> None:
         """Replace each block of the rows written so far by ``fn(block)``, in
-        place; the blocks are ``FeatureRows.blocks`` of the temporary file."""
-        self._patch_rows()  # the temporary file is now a SIGFEAT1 file without a footer
-        with FeatureRows(self._tmp) as rows:
+        place; the blocks are ``FeatureRows.blocks`` of the file."""
+        self._patch_rows()  # the file is now a SIGFEAT1 file without a footer
+        with FeatureRows(self.path) as rows:
             offset = _FEAT_HEADER
             for block in rows.blocks():
                 self._file.seek(offset)
@@ -381,12 +394,11 @@ class FeatureMatrixWriter:
         self._file.flush()
 
     def close(self) -> None:
-        """Append the footer, patch the row count and rename onto ``path``."""
+        """Append the footer, patch the row count and close the file."""
         footer = "".join(f"{b.name} {b.offset} {b.width}\n" for b in self.layout)
         self._file.write(footer.encode("ascii"))
         self._patch_rows()
         self._file.close()
-        os.replace(self._tmp, self.path)
 
     def __enter__(self):
         return self
@@ -394,9 +406,7 @@ class FeatureMatrixWriter:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
             self.close()
-        else:
-            self._file.close()
-            os.remove(self._tmp)
+        self._file.close()  # a no-op after close
 
 
 def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
@@ -404,7 +414,7 @@ def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise InputError(f"feature matrix must be 2-D, got shape {arr.shape}")
-    with FeatureMatrixWriter(path, arr.shape[1], layout) as writer:
+    with published(path) as tmp, FeatureMatrixWriter(tmp, arr.shape[1], layout) as writer:
         writer.write(arr)
 
 

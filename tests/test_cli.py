@@ -1136,3 +1136,115 @@ def test_two_stage_eval_rejects_out_of_range_labels(interaction_ds, tmp_path, ca
         assert cli.main(["eval", "--features", str(tmp_path / "bad"), "--model",
                          str(tmp_path / "m"), "--two-stage"]) == 1
         assert f"{labels}: label {bad} is outside 0..3" in capsys.readouterr().err
+
+
+def test_width_errors_name_the_model_and_the_features(trained, interaction_ds, two_stage_prefix,
+                                                      two_stage_models, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "forward", lambda *args: pytest.fail("ran a model on narrow rows"))
+    monkeypatch.setattr(cli, "two_stage_route",
+                        lambda *args: pytest.fail("routed rows to a model of another width"))
+    single, two, short = tmp_path / "single", tmp_path / "two", tmp_path / "short"
+    _copy_prefix(trained["prefix"], single)
+    _copy_prefix(two_stage_prefix, two)
+    _copy_prefix(two_stage_prefix, short)
+    for prefix in (single, two):  # a narrower pair signature than the models were trained on
+        write_feature_config(dataclasses.replace(SMALL_CONFIG, pair_level=1),
+                             ExtractionOptions(noise_copies=1), f"{prefix}.config.txt")
+    for feat in [f"{single}.test.feat"] + [f"{two}.{stage}.test.feat" for stage, _ in cli._STAGES]:
+        x, _ = read_feature_matrix(feat)
+        write_feature_matrix(feat, x[:, 1:])
+    labels = pathlib.Path(f"{short}.one.test.labels")
+    labels.write_text("".join(f"{v}\n" for v in labels.read_text().split()[:-1]))
+    model, gate = trained["model"], f"{two_stage_models}.gate.model"
+    cases = [
+        (["eval", "--features", f"{single}.test.feat", "--labels", f"{single}.test.labels",
+          "--model", model], f"{single}.test.feat: ", model),
+        (["eval", "--features", two, "--model", two_stage_models, "--two-stage"],
+         f"{two}.gate.test.feat: ", gate),
+        (["predict", "--clip", _test_clips(trained["root"])[0], "--features", single,
+          "--model", model], f"{single}: ", model),
+        (["predict", "--clip", _test_clips(interaction_ds["root"])[0], "--features", two,
+          "--model", two_stage_models, "--two-stage"], f"{two}: ", gate),
+    ]
+    for argv, features, model_path in cases:
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert features in err and f"feature dims, {model_path} expects" in err, err
+    assert cli.main(["eval", "--features", str(short), "--model", str(two_stage_models),
+                     "--two-stage"]) == 1
+    err = capsys.readouterr().err
+    assert f"{labels}: 5 labels, 6 rows in {short}.gate.test.feat" in err
+
+
+# ------------------------------------------------------- all-or-none outputs
+
+
+def _files(directory):
+    """Every file under ``directory``: its bytes by its relative path."""
+    return {str(path.relative_to(directory)): path.read_bytes()
+            for path in sorted(pathlib.Path(directory).rglob("*")) if path.is_file()}
+
+
+def _fails_and_replaces_nothing(directory, argv, capsys, message):
+    """Run ``argv`` in-process; it exits 1 with ``message`` on stderr, and
+    every file under ``directory`` keeps its bytes: none appears (no
+    ``*.tmp`` either) and none goes.  Returns the run's stdout."""
+    before = _files(directory)
+    assert cli.main([str(a) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert message in err
+    assert _files(directory) == before
+    return out
+
+
+def test_two_stage_train_whose_last_stage_diverges_replaces_no_model(two_stage_prefix,
+                                                                     tmp_path, capsys):
+    prefix = tmp_path / "p"
+    _copy_prefix(two_stage_prefix, prefix)
+    argv = ["train", "--features", prefix, "--model", tmp_path / "m", "--epochs", 3,
+            "--two-stage"]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert len(list(tmp_path.glob("m.*.model"))) == len(list(tmp_path.glob("m.*.history.txt"))) == 3
+    feat = f"{prefix}.{cli._STAGES[-1][0]}.train.feat"
+    x, layout = read_feature_matrix(feat)
+    write_feature_matrix(feat, np.full_like(x, 1e300), layout)
+    # another seed: the first two stages train models of other bytes before the last fails
+    out = _fails_and_replaces_nothing(tmp_path, argv + ["--seed", 1], capsys, "training diverged")
+    assert f"{tmp_path / 'm'}.one.model: 3 epochs" in out
+
+
+def test_train_with_a_history_it_cannot_write_replaces_no_model(extracted, tmp_path, capsys):
+    prefix = extracted["prefix"]
+    argv = ["train", "--features", f"{prefix}.train.feat", "--labels", f"{prefix}.train.labels",
+            "--model", tmp_path / "m.model", "--epochs", 1]
+    history = ["--history", tmp_path / "nodir" / "h.txt"]
+    _fails_and_replaces_nothing(tmp_path, argv + history, capsys, "nodir")
+    assert not list(tmp_path.iterdir())
+    assert cli.main([str(a) for a in argv]) == 0
+    _fails_and_replaces_nothing(tmp_path, argv + history + ["--seed", 1], capsys, "nodir")
+
+
+@pytest.mark.parametrize("flag", [[], ["--two-stage"]])
+def test_extract_whose_last_output_fails_replaces_nothing(interaction_ds, tmp_path, monkeypatch,
+                                                          capsys, flag):
+    write_labels, calls, last = pio.write_labels, [], []
+
+    def fails_last(labels, path):
+        calls.append(path)
+        if len(calls) in last:
+            raise OSError(f"{path}: no space left on device")
+        write_labels(labels, path)
+
+    monkeypatch.setattr(pio, "write_labels", fails_last)
+    argv = ["features", "extract", "--manifest", interaction_ds["manifest"], "--descriptor",
+            interaction_ds["descriptor"], "--config", interaction_ds["config"],
+            "--output", tmp_path / "f", *flag]
+    assert cli.main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    # a rerun writes the same bytes: mark the old files so a replaced one shows
+    for path in tmp_path.iterdir():
+        path.write_bytes(b"old " + path.name.encode())
+    last.append(len(calls) * 2)
+    _fails_and_replaces_nothing(tmp_path, argv, capsys, "no space left on device")
+    assert len(list(tmp_path.iterdir())) == (18 if flag else 7)

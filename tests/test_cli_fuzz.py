@@ -1,7 +1,8 @@
 """``cli.main``, run in-process on a small 5-joint set with settings and flag
 values drawn from edge sets (negative, zero, huge, nan, inf, non-ASCII),
 ends every run with exit status 0, 1 or 2: no exception escapes, and the
-memory a run traces stays under a fixed bound."""
+memory a run traces stays under a fixed bound.  A pipeline run leaves no
+``*.tmp`` file, and one that fails replaces no file."""
 
 import contextlib
 import dataclasses
@@ -83,6 +84,22 @@ def _run(*argv) -> int:
     return code
 
 
+def _files(directory) -> dict:
+    return {path.name: path.read_bytes() for path in Path(directory).iterdir()}
+
+
+def _run_in(directory, *argv) -> int:
+    """``_run(*argv)``, asserting that the run leaves no ``*.tmp`` file in
+    ``directory`` and, when it fails, every file there as it was: none
+    replaced, none added."""
+    before = _files(directory)
+    code = _run(*argv)
+    after = _files(directory)
+    assert not [name for name in after if name.endswith(".tmp")], argv
+    assert code == 0 or after == before, argv
+    return code
+
+
 def _pairs(names, values):
     """One of ``names`` with one of ``values``: one edge per run, so no other
     rejected value can stop the run before it reaches the drawn one."""
@@ -103,13 +120,14 @@ def test_pipeline_exits_cleanly(small_set, config, train_flag, epochs):
         cfg, prefix, model = Path(tmp, "cfg.txt"), Path(tmp, "f"), Path(tmp, "m.model")
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**_BASE_CONFIG, **config}.items()),
                        encoding="utf-8")
-        _run("features", "extract", "--manifest", small_set["manifest"], "--descriptor",
-             small_set["descriptor"], "--config", cfg, "--output", prefix)
-        _run("train", "--features", f"{prefix}.train.feat", "--labels", f"{prefix}.train.labels",
-             "--model", model, f"--epochs={epochs}", "=".join(train_flag))
-        _run("eval", "--features", f"{prefix}.test.feat", "--labels", f"{prefix}.test.labels",
-             "--model", model)
-        _run("predict", "--clip", small_set["clip"], "--features", prefix, "--model", model)
+        _run_in(tmp, "features", "extract", "--manifest", small_set["manifest"], "--descriptor",
+                small_set["descriptor"], "--config", cfg, "--output", prefix)
+        _run_in(tmp, "train", "--features", f"{prefix}.train.feat", "--labels",
+                f"{prefix}.train.labels", "--model", model, f"--epochs={epochs}",
+                "=".join(train_flag))
+        _run_in(tmp, "eval", "--features", f"{prefix}.test.feat", "--labels",
+                f"{prefix}.test.labels", "--model", model)
+        _run_in(tmp, "predict", "--clip", small_set["clip"], "--features", prefix, "--model", model)
 
 
 @settings(_HYPOTHESIS, max_examples=100)

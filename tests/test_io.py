@@ -420,11 +420,13 @@ def test_feature_footer_empty_or_tiling_is_legal(tmp_path):
 
 
 def test_feature_matrix_writer_matches_one_shot_write(tmp_path):
+    import pathsig.io as pio
+
     matrix = np.random.default_rng(6).standard_normal((9, 5))
     layout = (Block("alpha", 0, 3), Block("beta", 3, 2))
     write_feature_matrix(tmp_path / "ref.feat", matrix / 3.0, layout)
     out = tmp_path / "rows.feat"
-    with FeatureMatrixWriter(out, 5, layout) as writer:
+    with pio.published(out) as tmp, FeatureMatrixWriter(tmp, 5, layout) as writer:
         writer.write(matrix[0])
         writer.write(matrix[1:4])
         for row in matrix[4:]:
@@ -449,14 +451,16 @@ def test_feature_matrix_writer_map_rows_uses_bounded_blocks(tmp_path, monkeypatc
 
 
 def test_feature_matrix_writer_discards_on_error(tmp_path):
+    import pathsig.io as pio
+
     out = tmp_path / "m.feat"
     with pytest.raises(RuntimeError):
-        with FeatureMatrixWriter(out, 3) as writer:
+        with pio.published(out) as tmp, FeatureMatrixWriter(tmp, 3) as writer:
             writer.write(np.ones(3))
             raise RuntimeError("extraction failed")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(InputError, match="need 3 columns"):
-        with FeatureMatrixWriter(out, 3) as writer:
+        with pio.published(out) as tmp, FeatureMatrixWriter(tmp, 3) as writer:
             writer.write(np.ones((2, 4)))
     assert list(tmp_path.iterdir()) == []
 

@@ -104,6 +104,27 @@ def test_only_errors_spells_out_a_bound():
     assert not found
 
 
+def test_only_published_renames_or_deletes_a_file():
+    """``io.published`` is the one publish path: no other code in the package
+    names ``os.replace``, ``os.rename``, ``os.remove`` or ``os.unlink``."""
+    names = {"replace", "rename", "remove", "unlink"}
+    found, inside = [], []
+    for path in sorted((REPO / "src" / "pathsig").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        publish = {id(node) for func in ast.walk(tree)
+                   if path.name == "io.py" and isinstance(func, ast.FunctionDef)
+                   and func.name == "published" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                (inside if id(node) in publish else found).append(
+                    f"{path.name}:{node.lineno}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                          for alias in node.names if alias.name in names]
+    assert inside and not found
+
+
 def test_only_the_field_parser_catches_a_value_error():
     """``io._parse`` reads every text field of every reader: no other handler
     in ``io`` or ``classifier`` catches ValueError."""
