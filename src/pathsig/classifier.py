@@ -22,6 +22,13 @@ bits are the same either way.  From a file, training holds the weights,
 the momentum, two chunk buffers, one chunk of batch rows and one batch's
 kept indices, whatever the number of rows.
 
+Precision: W1, its momentum and the chunk buffers are float32 (master
+weights, as in mixed-precision training); b1, W2, b2, the hidden layer
+and the softmax head are float64.  The W1 products take float32 batch
+rows and hidden gradient, and their chunks sum into the float64 hidden
+layer.  ``forward`` widens W1 one chunk at a time and ``gradient_check``
+copies it, so no W1-sized float64 array is ever made.
+
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
 exponentially decaying learning rate lr(t) = lr0 * exp(-decay * t), t
@@ -32,8 +39,9 @@ produces the same model bit for bit, at any BLAS thread count.
 Two-stage routing (a binary body-count gate, then one of two class
 models) serves datasets that mix single-actor and two-actor classes;
 ``two_stage_route``, its one router, takes a batch of scaled rows per
-model for both ``eval`` and ``predict``.  SIGNET1 model files are read
-with the size-checked readers and ``key = value`` settings codec of ``io``.
+model for both ``eval`` and ``predict``.  Model files (magic ``SIGNET1``,
+version 2) are read with the size-checked readers and ``key = value``
+settings codec of ``io``.
 """
 
 from __future__ import annotations
@@ -81,10 +89,17 @@ __all__ = [
 HIDDEN_UNITS = 64
 
 _MODEL_MAGIC = b"SIGNET1"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2  # version 1 stored W1 as float64
+_MODEL_ARRAYS = (("w1", "<f4"), ("b1", "<f8"), ("w2", "<f8"), ("b2", "<f8"))  # in file order
 
-# W1 rows per training chunk: an 8 MB float64 block at 64 hidden units.
+# W1 rows per training chunk: a 4 MB float32 block at 64 hidden units.
 _CHUNK_ROWS = 16384
+
+# W1 rows ``forward`` widens at a time: 512 KB of float64 at 64 hidden
+# units, still in cache when it is multiplied.
+_WIDEN_ROWS = 1024
+
+_CAST_ROWS = 8  # batch rows read as float64 at a time by ``_batch_rows``
 
 
 @dataclass(frozen=True)
@@ -106,7 +121,7 @@ class TrainConfig:
 class LinearNetModel:
     """Weights of the network plus the config it was built with."""
 
-    w1: np.ndarray  # (D, H)
+    w1: np.ndarray  # (D, H), float32
     b1: np.ndarray  # (H,)
     w2: np.ndarray  # (H, C)
     b2: np.ndarray  # (C,)
@@ -114,7 +129,8 @@ class LinearNetModel:
 
     def __post_init__(self):
         for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1)):
-            setattr(self, name, check_array(getattr(self, name), ndim, name))
+            dtype = np.float32 if name == "w1" else np.float64
+            setattr(self, name, check_array(getattr(self, name), ndim, name, dtype))
         H, C = self.w2.shape
         if self.w1.shape[1] != H or self.b1.shape != (H,) or self.b2.shape != (C,):
             raise InputError(f"inconsistent weight shapes: w1 {self.w1.shape}, b1 {self.b1.shape}, "
@@ -149,14 +165,17 @@ def init_model(
     config: TrainConfig | None = None,
     hidden_dim: int = HIDDEN_UNITS,
 ) -> LinearNetModel:
-    """Fresh model with seeded Gaussian weights (std 1/sqrt(fan-in)), zero biases."""
+    """Fresh model with seeded Gaussian weights (std 1/sqrt(fan-in)), zero biases;
+    W1 is one float64 draw rounded to float32, drawn and rounded by chunks."""
     config = config or TrainConfig()
     input_dim = check_number(input_dim, "input_dim", ge=1)
     class_count = check_number(class_count, "class_count", ge=2)
     hidden_dim = check_number(hidden_dim, "hidden_dim", ge=1)
     check_entries(hidden_dim * (input_dim + class_count), "the model's weights")
     rng = np.random.default_rng([config.seed, 0])
-    w1 = rng.standard_normal((input_dim, hidden_dim)) / np.sqrt(input_dim)
+    w1 = np.empty((input_dim, hidden_dim), dtype=np.float32)
+    for r0, r1 in _chunk_plan(input_dim):
+        w1[r0:r1] = rng.standard_normal((r1 - r0, hidden_dim)) / np.sqrt(input_dim)
     w2 = rng.standard_normal((hidden_dim, class_count)) / np.sqrt(hidden_dim)
     return LinearNetModel(w1, np.zeros(hidden_dim), w2, np.zeros(class_count), config)
 
@@ -172,7 +191,8 @@ def forward(model: LinearNetModel, x) -> np.ndarray:
 
     The hidden pre-activation x @ w1 is scaled by the expected dropconnect
     mask value 1 - drop_rate (equal to scaling w1, without copying it).
-    Rows sum to 1.
+    It is summed over chunks of ``_WIDEN_ROWS`` rows of w1, each widened
+    to float64 in one reused buffer.  Rows sum to 1.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -182,7 +202,13 @@ def forward(model: LinearNetModel, x) -> np.ndarray:
         raise InputError(
             f"input has shape {np.shape(x)}, model expects dimension {model.input_dim}"
         )
-    h = (1.0 - model.config.drop_rate) * (arr @ model.w1) + model.b1
+    D, H = model.w1.shape
+    w = np.empty((min(_WIDEN_ROWS, D), H))  # one chunk of w1, widened
+    h = np.zeros((arr.shape[0], H))
+    for r0, r1 in _chunk_plan(D, _WIDEN_ROWS):
+        w[:r1 - r0] = model.w1[r0:r1]
+        h += arr[:, r0:r1] @ w[:r1 - r0]
+    h = (1.0 - model.config.drop_rate) * h + model.b1
     probs = _softmax(h @ model.w2 + model.b2)
     return probs[0] if single else probs
 
@@ -237,15 +263,25 @@ def _kept_entries(rng: np.random.Generator, size: int, keep: float) -> np.ndarra
     return kept[:np.searchsorted(kept, size)]
 
 
-def _chunk_plan(D: int) -> list[tuple[int, int]]:
-    """W1 row ranges [r0, r1) of ``_CHUNK_ROWS`` rows, the last split at its
-    largest multiple of 256 rows: OpenBLAS sums a longer ragged inner length
-    in an order that depends on its thread count."""
-    edges = [*range(0, D, _CHUNK_ROWS), D]
+def _chunk_plan(D: int, rows: int | None = None) -> list[tuple[int, int]]:
+    """W1 row ranges [r0, r1) of ``rows`` rows (``_CHUNK_ROWS`` by default),
+    the last split at its largest multiple of 256 rows: OpenBLAS sums a
+    longer ragged inner length in an order that depends on its thread count."""
+    edges = [*range(0, D, rows or _CHUNK_ROWS), D]
     last = edges[-1] - edges[-2]
     if 256 < last and last % 256:
         edges.insert(-1, edges[-2] + last // 256 * 256)
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _batch_rows(x, batch: np.ndarray, r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+    """``x[batch, r0:r1]`` cast to float32 in ``out[:batch.size, :r1 - r0]``,
+    read ``_CAST_ROWS`` rows at a time so no float64 copy of the whole chunk
+    is made."""
+    out = out[:batch.size, :r1 - r0]
+    for i in range(0, batch.size, _CAST_ROWS):
+        out[i:i + _CAST_ROWS] = x[batch[i:i + _CAST_ROWS], r0:r1]
+    return out
 
 
 # overflow on the way to a diverged run is reported by the finiteness checks below
@@ -260,10 +296,11 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
     indices of its kept entries (see ``_kept_entries``).  The masked
     product and the update walk w1 in row chunks and take the batch's rows
     one chunk of columns at a time (``x[batch, r0:r1]``, which a file
-    answers with one read per row), so no batch-sized copy of the features
-    is made and the only W1-sized array is the momentum; masked-out entries
-    move by their momentum alone (v <- mu*v).  Loss and accuracy
-    are accumulated from the same masked forward passes the updates use.
+    answers with one read per row, cast to float32 by ``_batch_rows``), so
+    no batch-sized copy of the features is made and the only W1-sized array
+    is the float32 momentum; masked-out entries move by their momentum
+    alone (v <- mu*v).  Loss and accuracy are accumulated from the same
+    masked forward passes the updates use.
     Deterministic: the same model and data give bit-identical results.
     Raises InputError, naming the epoch and batch, when a batch loss is
     not finite (before that batch updates the weights), or when the final
@@ -291,8 +328,9 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
     chunk_rows = min(_CHUNK_ROWS, D)
     chunks = _chunk_plan(D)
     chunk_edges = np.array([r0 for r0, _ in chunks] + [D]) * H  # flat w1 index bounds
-    w_buf = np.zeros((chunk_rows, H))  # zero outside one chunk's scattered kept weights
-    g_buf = np.empty((chunk_rows, H))
+    w_buf = np.zeros((chunk_rows, H), np.float32)  # zero outside one chunk's kept weights
+    g_buf = np.empty((chunk_rows, H), np.float32)
+    x_buf = np.empty((min(config.batch_size, n), chunk_rows), np.float32)
     w_buf_flat, g_buf_flat = w_buf.reshape(-1), g_buf.reshape(-1)
     w1_flat, v_flat = model.w1.reshape(-1), v_w1.reshape(-1)
     history = []
@@ -310,14 +348,15 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
                 bounds = np.searchsorted(kept, chunk_edges)
             h = np.zeros((batch.size, H))
             for c, (r0, r1) in enumerate(chunks):
+                rows = _batch_rows(x, batch, r0, r1, x_buf)
                 if masked:
                     idx = kept[bounds[c]:bounds[c + 1]]
                     local = idx - r0 * H
                     w_buf_flat[local] = w1_flat[idx]
-                    h += x[batch, r0:r1] @ w_buf[:r1 - r0]
+                    h += rows @ w_buf[:r1 - r0]
                     w_buf_flat[local] = 0.0
                 else:
-                    h += x[batch, r0:r1] @ model.w1[r0:r1]
+                    h += rows @ model.w1[r0:r1]
             h += model.b1
             loss, probs, g_h, g_b1, g_w2, g_b2 = _softmax_head(h, yb, model.w2, model.b2)
             if not np.isfinite(loss):
@@ -326,8 +365,10 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
                 )
             loss_sum += loss
             correct += int((probs.argmax(axis=1) == yb).sum())
+            g_h = g_h.astype(np.float32)
             for c, (r0, r1) in enumerate(chunks):
-                g = np.matmul(x[batch, r0:r1].T, g_h, out=g_buf[:r1 - r0])
+                rows = _batch_rows(x, batch, r0, r1, x_buf)
+                g = np.matmul(rows.T, g_h, out=g_buf[:r1 - r0])
                 v = v_w1[r0:r1]
                 v *= config.momentum
                 if masked:
@@ -352,8 +393,8 @@ def gradient_check(model: LinearNetModel, x, label: int, step: float = 1e-5) -> 
     """Max relative error of analytic vs central finite-difference gradients.
 
     Evaluates the inference-mode loss (w1 scaled by 1 - drop_rate) on a
-    single sample.  Relative error per entry is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-3); the floor
+    single sample, with float64 copies of the weights.  Relative error per
+    entry is |analytic - numeric| / max(|analytic|, |numeric|, 1e-3); the floor
     keeps finite-difference noise on near-zero entries from dominating.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -368,7 +409,7 @@ def gradient_check(model: LinearNetModel, x, label: int, step: float = 1e-5) -> 
         h = scale * (xb @ params["w1"]) + params["b1"]
         return _softmax_head(h, yb, params["w2"], params["b2"])
 
-    params = {"w1": model.w1.copy(), "b1": model.b1.copy(), "w2": model.w2.copy(), "b2": model.b2.copy()}
+    params = {name: getattr(model, name).astype(np.float64) for name in ("w1", "b1", "w2", "b2")}
     _, _, g_h, g_b1, g_w2, g_b2 = head(params)
     analytic = {
         "w1": scale * (xb.T @ g_h),  # chain rule through the (1-p) scaling
@@ -492,26 +533,28 @@ def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: 
 
 
 def save_model(model: LinearNetModel, path) -> None:
-    """Write the model in the binary SIGNET1 layout (see load_model)."""
+    """Write the model in the binary layout that load_model reads."""
     config_text = _format_settings(model.config).encode("ascii")
     with open(path, "wb") as f:
         f.write(_MODEL_MAGIC)
         f.write(struct.pack("<B", _MODEL_VERSION))
         f.write(struct.pack("<QQQ", model.input_dim, model.hidden_dim, model.class_count))
-        for arr in (model.w1, model.b1, model.w2, model.b2):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
+        for name, dtype in _MODEL_ARRAYS:
+            f.write(np.ascontiguousarray(getattr(model, name), dtype=dtype).data)
         f.write(struct.pack("<Q", len(config_text)))
         f.write(config_text)
 
 
 def load_model(path) -> LinearNetModel:
-    """Read a SIGNET1 model file; the round-trip with save_model is bit-exact.
+    """Read a model file; the round-trip with save_model is bit-exact.
 
-    Layout: magic ``SIGNET1``, a version byte, input/hidden/class counts
-    as little-endian u64, then w1, b1, w2, b2 as row-major little-endian
-    f64, then a u64-length-prefixed text block of a ``key = value`` line for
-    each TrainConfig field.  Every size taken from the file is checked
-    against the file size before the read it governs.
+    Layout: magic ``SIGNET1``, version byte 2, input/hidden/class counts
+    as little-endian u64, then w1 as row-major little-endian f4, b1, w2
+    and b2 as row-major little-endian f8, then a u64-length-prefixed text
+    block of a ``key = value`` line for each TrainConfig field.  Every size
+    taken from the file is checked against the file size before the read
+    it governs.  Another version byte, such as version 1's (w1 in f8), is
+    a FormatError that asks for the model to be retrained.
     """
     with open(path, "rb") as f:
         magic = _read_exact(f, len(_MODEL_MAGIC), path, "magic")
@@ -519,10 +562,11 @@ def load_model(path) -> LinearNetModel:
             raise FormatError(f"{path}: bad magic {bytes(magic)!r}, expected {_MODEL_MAGIC!r}")
         version = struct.unpack("<B", _read_exact(f, 1, path, "version"))[0]
         if version != _MODEL_VERSION:
-            raise FormatError(f"{path}: unsupported model version {version}")
+            raise FormatError(f"{path}: unsupported model version {version}, expected "
+                              f"{_MODEL_VERSION}: retrain the model to write one")
         D, H, C = struct.unpack("<QQQ", _read_exact(f, 24, path, "dimensions"))
-        arrays = [_read_array(f, shape, path, name)
-                  for name, shape in (("w1", (D, H)), ("b1", (H,)), ("w2", (H, C)), ("b2", (C,)))]
+        shapes = {"w1": (D, H), "b1": (H,), "w2": (H, C), "b2": (C,)}
+        arrays = [_read_array(f, shapes[name], path, name, dtype) for name, dtype in _MODEL_ARRAYS]
         text_len = struct.unpack("<Q", _read_exact(f, 8, path, "config length"))[0]
         text = _decode(_read_exact(f, text_len, path, "config text"), f"{path} config text")
         extra = f.read(1)

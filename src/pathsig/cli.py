@@ -352,10 +352,13 @@ def _write_history(history, path) -> None:
 
 
 def _fit(x, y, class_count, config, hidden, model_path, history_path, stack):
+    # both outputs are created first: one that cannot be written fails before training
+    model_tmp, history_tmp = (stack.enter_context(pio.published(path))
+                              for path in (model_path, history_path))
     model = init_model(x.shape[1], class_count, config, hidden_dim=hidden)
     history = train(model, x, y)
-    save_model(model, stack.enter_context(pio.published(model_path)))
-    _write_history(history, stack.enter_context(pio.published(history_path)))
+    save_model(model, model_tmp)
+    _write_history(history, history_tmp)
     last = history[-1]
     print(f"{model_path}: {len(history)} epochs, final loss {last.loss:.6f}, "
           f"train accuracy {last.accuracy:.4f}")

@@ -9,7 +9,8 @@ written once, here:
   ``ge``/``gt``/``le``/``lt`` bounds, and refuses an int given as a float or
   a string rather than truncate it; ``check_settings`` applies it to each
   field a settings dataclass declares with ``setting``;
-* arrays: ``check_array`` (float64, rank, no empty axis, finite entries);
+* arrays: ``check_array`` (float64 or a given dtype, rank, no empty axis,
+  finite entries);
 * labels: ``check_labels`` (every label one of 0..count-1);
 * sizes: ``check_entries`` (a count of float64 values past any array's
   byte count is a MemoryError).
@@ -86,10 +87,11 @@ def check_settings(settings) -> None:
                          **field.metadata)
 
 
-def check_array(values, ndim: int, what: str) -> np.ndarray:
-    """``values`` as a float64 array of ``ndim`` axes, none of them empty and
-    every entry finite; otherwise an InputError naming ``what``."""
-    arr = np.asarray(values, dtype=np.float64)
+def check_array(values, ndim: int, what: str, dtype=np.float64) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (float64 by default; not copied when
+    it is one) of ``ndim`` axes, none of them empty and every entry finite;
+    otherwise an InputError naming ``what``."""
+    arr = np.asarray(values, dtype=dtype)
     if arr.ndim != ndim or 0 in arr.shape:
         raise InputError(f"{what} must be a non-empty {ndim}-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():

@@ -11,12 +11,13 @@ A non-empty footer tiles ``[0, cols)`` in order.  ``FeatureMatrixWriter``
 is the one SIGFEAT1 writer: it writes the header with a row count of 0,
 appends rows as they come, can rewrite the rows in place block by block
 (``map_rows``), and on success ``close`` patches the row count and appends
-the footer.  ``write_feature_matrix`` is its one-shot caller.  Every file a
-command writes goes through ``published``, the one code that renames or
-deletes a file: a temporary name, renamed onto the file's own only when the
-block succeeds.  ``FeatureRows`` is the one SIGFEAT1 reader:
-``read_feature_matrix``, ``read_scaler``, ``map_rows`` and the CLI's
-``train`` and ``eval`` read through it, a block or a batch at a time.
+the footer.  ``write_feature_matrix`` (published) and ``write_scaler``
+(written in place) are its one-shot callers.  Every file a command writes
+goes through ``published``, the one code that renames or deletes a file: a
+temporary name, renamed onto the file's own only when the block succeeds.
+``FeatureRows`` is the one SIGFEAT1 reader: ``read_feature_matrix``,
+``read_scaler``, ``map_rows`` and the CLI's ``train`` and ``eval`` read
+through it, a block or a batch at a time.
 
 Malformed input raises FormatError naming the file and the line number or
 byte offset.  Readers only parse: every text field goes through ``_parse``,
@@ -343,15 +344,26 @@ def write_feature_config(config: FeatureConfig, options: ExtractionOptions, path
         f.write(_format_settings(config, options) + "\n")
 
 
+def _naming(path, fn, *args):
+    """``fn(*args)``; an OSError it raises is raised again naming ``path`` alone."""
+    try:
+        return fn(*args)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
 @contextlib.contextmanager
 def published(path):
-    """A temporary name next to ``path``: renamed onto it if the block succeeds, deleted if
-    the block or the rename raises.  Entered for every output before any is written, these
-    rename all or none; a rename failing after others did (as a crash) is out of scope."""
+    """A temporary name next to ``path``, created on entry: renamed onto ``path`` if the block
+    succeeds, deleted if the block or the rename raises.  A failed creation or rename names
+    ``path``.  Entered for every output before any work, these fail first on an output that
+    cannot be written and rename all or none; a rename failing after others did (as a crash)
+    is out of scope."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
+        _naming(path, open, tmp, "wb").close()
         yield tmp
-        os.replace(tmp, path)
+        _naming(path, os.replace, tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -436,19 +448,20 @@ def _read_exact(f, count: int, path, what: str, buffer=bytearray):
     return data
 
 
-def _array_bytes(shape, path, what: str) -> int:
-    """Bytes of a float64 array of ``shape``; a shape numpy cannot make, even
-    one with no entries, is a FormatError."""
-    if 8 * math.prod(n for n in shape if n) > np.iinfo(np.intp).max:
+def _array_bytes(shape, path, what: str, itemsize: int = 8) -> int:
+    """Bytes of an array of ``shape`` with ``itemsize``-byte entries; a shape
+    numpy cannot make, even one with no entries, is a FormatError."""
+    if itemsize * math.prod(n for n in shape if n) > np.iinfo(np.intp).max:
         raise FormatError(f"{path}: {what} shape {shape} is too large for an array")
-    return 8 * math.prod(shape)
+    return itemsize * math.prod(shape)
 
 
-def _read_array(f, shape, path, what: str) -> np.ndarray:
-    """Read a row-major little-endian f64 array of ``shape`` into a fresh array."""
+def _read_array(f, shape, path, what: str, dtype) -> np.ndarray:
+    """Read a row-major array of ``shape`` and ``dtype`` into a fresh array."""
     shape = tuple(int(n) for n in shape)  # Python ints: a hostile product cannot wrap
-    return _read_exact(f, _array_bytes(shape, path, what), path, what,
-                       lambda _: np.empty(shape, dtype="<f8"))
+    dtype = np.dtype(dtype)
+    return _read_exact(f, _array_bytes(shape, path, what, dtype.itemsize), path, what,
+                       lambda _: np.empty(shape, dtype=dtype))
 
 
 def _parse_footer(footer: str, cols: int, path) -> tuple[Block, ...]:
@@ -609,7 +622,9 @@ def write_labels(labels, path) -> None:
 
 def write_scaler(scaler: FeatureScaler, path) -> None:
     """Persist a scaler as a single-row SIGFEAT1 matrix."""
-    write_feature_matrix(path, scaler.scale[None, :], (Block("scale", 0, scaler.scale.size),))
+    width = scaler.scale.size
+    with FeatureMatrixWriter(path, width, (Block("scale", 0, width),)) as writer:
+        writer.write(scaler.scale)
 
 
 def read_scaler(path) -> FeatureScaler:

@@ -98,8 +98,9 @@ def test_forward_collapsed_affine():
 
 
 def explicit_forward(model, x):
-    """softmax((x @ ((1-p) W1) + b1) @ W2 + b2), scaling W1 before the product."""
-    h = x @ ((1.0 - model.config.drop_rate) * model.w1) + model.b1
+    """softmax((x @ ((1-p) W1) + b1) @ W2 + b2), scaling W1, widened to float64,
+    before the product."""
+    h = x @ ((1.0 - model.config.drop_rate) * model.w1.astype(np.float64)) + model.b1
     logits = h @ model.w2 + model.b2
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -215,12 +216,13 @@ def test_full_batch_no_momentum_equals_plain_gd():
               "w2": model.w2.copy(), "b2": model.b2.copy()}
     train(model, x, y)
 
-    # replay: plain descent on the summed-CE gradient, same shuffles
+    # replay: plain descent on the summed-CE gradient, same shuffles; w1 and
+    # its products in float32
     replay_rng = np.random.default_rng([cfg.seed, 1])
     for epoch in range(3):
         lr = 0.01 * math.exp(-0.005 * epoch)
         order = replay_rng.permutation(n)
-        xb, yb = x[order], y[order]
+        xb, yb = x[order].astype(np.float32), y[order]
         h = xb @ manual["w1"] + manual["b1"]
         logits = h @ manual["w2"] + manual["b2"]
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -230,7 +232,7 @@ def test_full_batch_no_momentum_equals_plain_gd():
         g_h = g @ manual["w2"].T
         manual["w2"] = manual["w2"] - lr * (h.T @ g)
         manual["b2"] = manual["b2"] - lr * g.sum(axis=0)
-        manual["w1"] = manual["w1"] - lr * (xb.T @ g_h)
+        manual["w1"] = manual["w1"] - lr * (xb.T @ g_h.astype(np.float32))
         manual["b1"] = manual["b1"] - lr * g_h.sum(axis=0)
 
     assert np.allclose(model.w1, manual["w1"], rtol=1e-10, atol=1e-12)
@@ -292,6 +294,9 @@ def dense_reference_train(model, x, y, config):
 
     It builds a W1-shaped 0/1 mask per batch from the same ``_kept_entries``
     draws, in the same rng order, and updates every entry of w1 densely.
+    Like ``train``, it holds w1 and its momentum in float32, takes the
+    float32 products of the batch rows with w1 chunk by chunk and sums them
+    in float64.
     """
     n = x.shape[0]
     rng = np.random.default_rng([config.seed, 1])
@@ -304,14 +309,18 @@ def dense_reference_train(model, x, y, config):
         correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            xb, yb = x[batch], y[batch]
-            mask = np.ones(model.w1.size)
+            xb, yb = x[batch].astype(np.float32), y[batch]
+            mask = np.ones(model.w1.size, dtype=np.float32)
             if config.drop_rate > 0.0:
                 mask[:] = 0.0
                 mask[_kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)] = 1.0
             mask = mask.reshape(model.w1.shape)
             B = xb.shape[0]
-            h = xb @ (model.w1 * mask) + model.b1
+            masked_w1 = model.w1 * mask
+            h = np.zeros((B, model.hidden_dim))
+            for r0, r1 in _chunk_plan(model.input_dim):
+                h += xb[:, r0:r1] @ masked_w1[r0:r1]
+            h += model.b1
             logits = h @ model.w2 + model.b2
             shifted = logits - logits.max(axis=1, keepdims=True)
             log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -321,7 +330,7 @@ def dense_reference_train(model, x, y, config):
             g_logits = probs.copy()
             g_logits[np.arange(B), yb] -= 1.0
             g_h = g_logits @ model.w2.T
-            grads = {"w1": (xb.T @ g_h) * mask, "b1": g_h.sum(axis=0),
+            grads = {"w1": (xb.T @ g_h.astype(np.float32)) * mask, "b1": g_h.sum(axis=0),
                      "w2": h.T @ g_logits, "b2": g_logits.sum(axis=0)}
             for k, g in grads.items():
                 v[k] *= config.momentum
@@ -427,8 +436,8 @@ def test_train_takes_batch_rows_one_chunk_at_a_time():
 def batch_copy_reference_train(model, x, y, config):
     """The chunked training loop as it was before rows were taken per chunk.
 
-    It copies each mini-batch whole (``xb = x[batch]``) and slices the
-    copy's columns in both chunk loops.
+    It copies each mini-batch whole (``xb = x[batch]``, in float32) and
+    slices the copy's columns in both chunk loops.
     """
     n = x.shape[0]
     D, H = model.w1.shape
@@ -441,8 +450,8 @@ def batch_copy_reference_train(model, x, y, config):
     chunk_rows = min(classifier._CHUNK_ROWS, D)
     chunks = [(r0, min(r0 + chunk_rows, D)) for r0 in range(0, D, chunk_rows)]
     chunk_edges = np.array([r0 for r0, _ in chunks] + [D]) * H
-    w_buf = np.zeros((chunk_rows, H))
-    g_buf = np.empty((chunk_rows, H))
+    w_buf = np.zeros((chunk_rows, H), np.float32)
+    g_buf = np.empty((chunk_rows, H), np.float32)
     w_buf_flat, g_buf_flat = w_buf.reshape(-1), g_buf.reshape(-1)
     w1_flat, v_flat = model.w1.reshape(-1), v_w1.reshape(-1)
     history = []
@@ -453,7 +462,7 @@ def batch_copy_reference_train(model, x, y, config):
         correct = 0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            xb, yb = x[batch], y[batch]
+            xb, yb = x[batch].astype(np.float32), y[batch]
             if masked:
                 kept = _kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)
                 bounds = np.searchsorted(kept, chunk_edges)
@@ -471,6 +480,7 @@ def batch_copy_reference_train(model, x, y, config):
             loss, probs, g_h, g_b1, g_w2, g_b2 = _softmax_head(h, yb, model.w2, model.b2)
             loss_sum += loss
             correct += int((probs.argmax(axis=1) == yb).sum())
+            g_h = g_h.astype(np.float32)
             for c, (r0, r1) in enumerate(chunks):
                 g = np.matmul(xb[:, r0:r1].T, g_h, out=g_buf[:r1 - r0])
                 v = v_w1[r0:r1]
@@ -636,7 +646,7 @@ def test_train_stops_on_non_finite_final_weights():
     model = LinearNetModel(1e-3 * np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InputError, match="not finite"):
-            train(model, np.full((100, 2), 1e307), np.zeros(100, dtype=int))
+            train(model, np.full((100, 2), 1e38), np.zeros(100, dtype=int))
 
 
 def test_train_validates():
@@ -689,8 +699,68 @@ def test_save_model_writes_the_arrays_without_copying(tmp_path):
     assert peak < model.w1.nbytes / 4
     with open(path, "rb") as f:
         f.seek(32)  # magic, version byte, three u64 sizes
-        assert f.read(model.w1.nbytes) == model.w1.astype("<f8").tobytes()
+        assert f.read(model.w1.nbytes) == model.w1.astype("<f4").tobytes()
         assert f.read(model.b1.nbytes) == model.b1.astype("<f8").tobytes()
+
+
+def test_float32_w1_survives_init_train_and_a_save_load_round_trip(tmp_path):
+    rng = np.random.default_rng(23)
+    x, y = rng.standard_normal((20, 300)), rng.integers(0, 3, size=20)
+    model = init_model(300, 3, TrainConfig(max_epochs=2, seed=5), hidden_dim=8)
+    assert model.w1.dtype == np.float32
+    w1 = model.w1
+    train(model, x, y)
+    assert model.w1 is w1 and w1.dtype == np.float32
+    save_model(model, tmp_path / "m.model")
+    loaded = load_model(tmp_path / "m.model")
+    assert loaded.w1.dtype == np.float32
+    assert loaded.w1.tobytes() == model.w1.tobytes()
+    assert LinearNetModel(w1, model.b1, model.w2, model.b2).w1 is w1  # kept, not copied
+
+
+def test_init_w1_is_the_one_shot_float64_draw_rounded_to_float32():
+    D, H, C = 2 * _CHUNK_ROWS + 300, 3, 4  # two chunks and a ragged last one, split
+    model = init_model(D, C, TrainConfig(seed=6), hidden_dim=H)
+    rng = np.random.default_rng([6, 0])
+    w1 = rng.standard_normal((D, H)) / np.sqrt(D)
+    w2 = rng.standard_normal((H, C)) / np.sqrt(H)
+    assert np.array_equal(model.w1, w1.astype(np.float32))
+    assert np.array_equal(model.w2, w2)
+
+
+def test_no_w1_sized_float64_array_in_init_train_or_forward():
+    # a float64 W1 would take w1_f64 bytes on its own
+    rng = np.random.default_rng(24)
+    D, H = 200_000, 64
+    w1_f64 = 8 * D * H
+    x = rng.standard_normal((64, D))
+    y = rng.integers(0, 3, size=64)
+    for step in ("init", "train", "forward"):
+        tracemalloc.start()
+        try:
+            if step == "init":
+                model = init_model(D, 3, TrainConfig(max_epochs=1, batch_size=32), hidden_dim=H)
+            elif step == "train":
+                train(model, x, y)
+            else:
+                forward(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # init: w1 (half of w1_f64) and a chunk; train: the momentum (half) and
+        # chunk buffers; forward: one chunk of w1 widened
+        assert peak < (0.75 if step != "forward" else 0.125) * w1_f64, step
+
+
+def test_load_rejects_a_version_1_file(tmp_path):
+    path = tmp_path / "m.model"
+    save_model(init_model(4, 2, TrainConfig(), hidden_dim=3), path)
+    data = bytearray(path.read_bytes())
+    assert data[7] == 2
+    data[7] = 1
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match="unsupported model version 1, expected 2: retrain"):
+        load_model(path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):
@@ -725,18 +795,18 @@ def test_load_rejects_trailing_bytes(tmp_path):
 
 def test_load_rejects_oversized_header_before_allocating(tmp_path):
     path = tmp_path / "huge.model"
-    path.write_bytes(b"SIGNET1" + struct.pack("<B", 1)
+    path.write_bytes(b"SIGNET1" + struct.pack("<B", 2)
                      + struct.pack("<QQQ", 10**12, 64, 3) + b"\x00" * 64)
     with pytest.raises(FormatError) as err:
         load_model(path)
     message = str(err.value)
     assert str(path) in message
-    assert str(8 * 64 * 10**12) in message and str(path.stat().st_size) in message
+    assert str(4 * 64 * 10**12) in message and str(path.stat().st_size) in message
 
 
 def test_load_rejects_zero_hidden_hostile_width(tmp_path):
     path = tmp_path / "hostile.model"
-    path.write_bytes(b"SIGNET1" + struct.pack("<B", 1)
+    path.write_bytes(b"SIGNET1" + struct.pack("<B", 2)
                      + struct.pack("<QQQ", 2**62, 0, 3) + b"\x00" * 64)  # w1 holds 0 bytes
     with pytest.raises(FormatError, match=rf"w1 shape \({2**62}, 0\) is too large"):
         load_model(path)
@@ -747,7 +817,7 @@ def test_load_rejects_oversized_config_length(tmp_path):
     path = tmp_path / "m.model"
     save_model(model, path)
     data = path.read_bytes()
-    at = 32 + 8 * (4 * 3 + 3 + 3 * 2 + 2)  # header, then w1, b1, w2, b2
+    at = 32 + 4 * 4 * 3 + 8 * (3 + 3 * 2 + 2)  # header, then w1 (f4), b1, w2, b2
     assert struct.unpack("<Q", data[at:at + 8])[0] == len(data) - at - 8
     path.write_bytes(data[:at] + struct.pack("<Q", 2**62) + data[at + 8:])
     with pytest.raises(FormatError, match="config text"):
@@ -776,7 +846,7 @@ def test_load_rejects_duplicate_config_key(tmp_path):
     path = tmp_path / "m.model"
     save_model(model, path)
     data = path.read_bytes()
-    at = 32 + 8 * (4 * 3 + 3 + 3 * 2 + 2)  # header, then w1, b1, w2, b2
+    at = 32 + 4 * 4 * 3 + 8 * (3 + 3 * 2 + 2)  # header, then w1 (f4), b1, w2, b2
     text = data[at + 8:] + b"\nseed = 5"
     path.write_bytes(data[:at] + struct.pack("<Q", len(text)) + text)
     with pytest.raises(FormatError, match="duplicate key 'seed'"):

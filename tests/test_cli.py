@@ -1225,6 +1225,41 @@ def test_train_with_a_history_it_cannot_write_replaces_no_model(extracted, tmp_p
     _fails_and_replaces_nothing(tmp_path, argv + history + ["--seed", 1], capsys, "nodir")
 
 
+def test_train_checks_its_outputs_before_training(extracted, two_stage_prefix, tmp_path,
+                                                   monkeypatch, capsys):
+    # an output that cannot be written fails before any model trains, named as given
+    def no_training(*args):
+        raise AssertionError("a model trained before its outputs were checked")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    prefix = extracted["prefix"]
+    nodir = tmp_path / "nodir"
+    single = ["train", "--features", f"{prefix}.train.feat", "--labels",
+              f"{prefix}.train.labels", "--model", tmp_path / "m.model"]
+    for argv, named in ((single + ["--history", nodir / "h.txt"], nodir / "h.txt"),
+                        (single[:-1] + [nodir / "m.model"], nodir / "m.model"),
+                        (["train", "--features", two_stage_prefix, "--two-stage", "--model",
+                          nodir / "m"], f"{nodir / 'm'}.gate.model")):
+        before = _files(tmp_path)
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{named}'" in err
+        assert ".tmp" not in err
+        assert _files(tmp_path) == before
+
+
+def test_an_output_that_cannot_be_renamed_is_named_as_given(interaction_ds, tmp_path, capsys):
+    (tmp_path / "f.test.labels").mkdir()
+    argv = ["features", "extract", "--manifest", interaction_ds["manifest"], "--descriptor",
+            interaction_ds["descriptor"], "--config", interaction_ds["config"],
+            "--output", tmp_path / "f"]
+    assert cli.main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"Is a directory: '{tmp_path / 'f.test.labels'}'" in err
+    assert ".tmp" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["f.test.labels"]
+
+
 @pytest.mark.parametrize("flag", [[], ["--two-stage"]])
 def test_extract_whose_last_output_fails_replaces_nothing(interaction_ds, tmp_path, monkeypatch,
                                                           capsys, flag):

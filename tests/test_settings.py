@@ -171,7 +171,7 @@ def test_config_file_accepts_each_bound_and_rejects_past_it(cls, name, small_set
 def _with_config_text(model_path, path, edit):
     """Copy the model at ``model_path`` to ``path`` with ``edit`` applied to its config text."""
     data = model_path.read_bytes()
-    at = 32 + 8 * (3 * 2 + 2 + 2 * 2 + 2)  # header, then w1, b1, w2, b2 of a 3-2-2 model
+    at = 32 + 4 * 3 * 2 + 8 * (2 + 2 * 2 + 2)  # header, w1 (f4), b1, w2, b2 of a 3-2-2 model
     assert struct.unpack("<Q", data[at:at + 8])[0] == len(data) - at - 8
     text = edit(data[at + 8:].decode("ascii")).encode("ascii")
     path.write_bytes(data[:at] + struct.pack("<Q", len(text)) + text)
