@@ -26,8 +26,8 @@ Precision: W1, its momentum and the chunk buffers are float32 (master
 weights, as in mixed-precision training); b1, W2, b2, the hidden layer
 and the softmax head are float64.  The W1 products take float32 batch
 rows and hidden gradient, and their chunks sum into the float64 hidden
-layer.  ``forward`` widens W1 one chunk at a time and ``gradient_check``
-copies it, so no W1-sized float64 array is ever made.
+layer.  ``forward`` multiplies W1 one chunk at a time, which numpy widens,
+and ``gradient_check`` copies it, so no W1-sized float64 array is ever made.
 
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
@@ -95,8 +95,8 @@ _MODEL_ARRAYS = (("w1", "<f4"), ("b1", "<f8"), ("w2", "<f8"), ("b2", "<f8"))  # 
 # W1 rows per training chunk: a 4 MB float32 block at 64 hidden units.
 _CHUNK_ROWS = 16384
 
-# W1 rows ``forward`` widens at a time: 512 KB of float64 at 64 hidden
-# units, still in cache when it is multiplied.
+# W1 rows ``forward`` multiplies at a time, each chunk widened to float64 by
+# numpy: 512 KB at 64 hidden units, still in cache when it is multiplied.
 _WIDEN_ROWS = 1024
 
 _CAST_ROWS = 8  # batch rows read as float64 at a time by ``_batch_rows``
@@ -191,8 +191,9 @@ def forward(model: LinearNetModel, x) -> np.ndarray:
 
     The hidden pre-activation x @ w1 is scaled by the expected dropconnect
     mask value 1 - drop_rate (equal to scaling w1, without copying it).
-    It is summed over chunks of ``_WIDEN_ROWS`` rows of w1, each widened
-    to float64 in one reused buffer.  Rows sum to 1.
+    It is summed over chunks of ``_WIDEN_ROWS`` rows of w1; numpy widens
+    each chunk to float64 for its product, with no reused buffer.  Rows
+    sum to 1.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -203,11 +204,9 @@ def forward(model: LinearNetModel, x) -> np.ndarray:
             f"input has shape {np.shape(x)}, model expects dimension {model.input_dim}"
         )
     D, H = model.w1.shape
-    w = np.empty((min(_WIDEN_ROWS, D), H))  # one chunk of w1, widened
     h = np.zeros((arr.shape[0], H))
     for r0, r1 in _chunk_plan(D, _WIDEN_ROWS):
-        w[:r1 - r0] = model.w1[r0:r1]
-        h += arr[:, r0:r1] @ w[:r1 - r0]
+        h += arr[:, r0:r1] @ model.w1[r0:r1]
     h = (1.0 - model.config.drop_rate) * h + model.b1
     probs = _softmax(h @ model.w2 + model.b2)
     return probs[0] if single else probs

@@ -199,22 +199,14 @@ def _extract_split(records, descriptor, config, options, body_counts, augment):
 
 
 def _print_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> None:
+    """One line per block name of ``feature_layout``: its count, width and total."""
     layout = feature_layout(config, descriptor)
-    per_frame = {}
-    totals = {}
-    for block in layout:
-        totals[block.name] = totals.get(block.name, 0) + block.width
-        per_frame.setdefault(block.name, block.width)
-    spatial = per_frame["pair_sig"] + per_frame["triple_sig"]
-    D = sum(totals.values())
     print(f"feature layout: {descriptor.joint_count} joints, dim {descriptor.dim}, "
           f"{config.sampled_frames} sampled frames")
-    for name in ("joints", "pair_sig", "triple_sig"):
-        print(f"  {name:<22}per frame {per_frame[name]:>8}  total {totals[name]:>9}")
-    print(f"  spatial sig per frame (pair+triple): {spatial}")
-    for name in ("joint_motion_sig", "spatial_evolution_sig"):
-        print(f"  {name:<22}{totals[name]:>9}")
-    print(f"  total dimension: {D}")
+    for name in dict.fromkeys(block.name for block in layout):
+        widths = [block.width for block in layout if block.name == name]
+        print(f"  {name:<22}{len(widths):>3} x {widths[0]:>8}  total {sum(widths):>9}")
+    print(f"  total dimension: {sum(block.width for block in layout)}")
 
 
 def _stage_labels(partition: StagePartition):

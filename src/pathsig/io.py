@@ -11,10 +11,12 @@ A non-empty footer tiles ``[0, cols)`` in order.  ``FeatureMatrixWriter``
 is the one SIGFEAT1 writer: it writes the header with a row count of 0,
 appends rows as they come, can rewrite the rows in place block by block
 (``map_rows``), and on success ``close`` patches the row count and appends
-the footer.  ``write_feature_matrix`` (published) and ``write_scaler``
-(written in place) are its one-shot callers.  Every file a command writes
-goes through ``published``, the one code that renames or deletes a file: a
-temporary name, renamed onto the file's own only when the block succeeds.
+the footer.  ``write_feature_matrix`` is its one one-shot caller, and
+``write_scaler`` is one call of it.  Every writer writes where it is told,
+and only the commands publish: each file a command writes goes through
+``published``, the one code that renames or deletes a file, which yields
+a temporary name and renames it onto the file's own only when the block
+succeeds.
 ``FeatureRows`` is the one SIGFEAT1 reader: ``read_feature_matrix``,
 ``read_scaler``, ``map_rows`` and the CLI's ``train`` and ``eval`` read
 through it, a block or a batch at a time.
@@ -153,8 +155,9 @@ def read_path_file(path) -> np.ndarray:
 
 
 def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None,
-                   min_actors: int = 1, clip_id: str = "") -> SkeletonClip:
-    """Read a clip: rows of frame, actor, joint, then d coordinates.
+                   min_actors: int = 1) -> SkeletonClip:
+    """Read a clip, with its file path as its clip id: rows of frame, actor,
+    joint, then d coordinates.
 
     Indices are 0-based; entries absent from the file are marked invalid.
     Frame and actor counts come from the largest indices seen
@@ -205,7 +208,7 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
     for (frame, actor, joint), coords in entries.items():
         joints[frame, actor, joint] = coords
         valid[frame, actor, joint] = True
-    return _checked(path, SkeletonClip, joints, valid, label=label, clip_id=clip_id or str(path))
+    return _checked(path, SkeletonClip, joints, valid, label=label, clip_id=str(path))
 
 
 def write_clip_file(clip: SkeletonClip, path) -> None:
@@ -371,8 +374,8 @@ def published(path):
 
 
 class FeatureMatrixWriter:
-    """A SIGFEAT1 file written row by row to ``path``, a name from ``published``; as a
-    context manager it finishes the file (``close``) only when the block succeeds."""
+    """A SIGFEAT1 file written row by row to ``path``; as a context manager it
+    finishes the file (``close``) only when the block succeeds."""
 
     def __init__(self, path, cols: int, layout=()):
         self.path, self.layout, self.rows = os.fspath(path), layout, 0
@@ -426,7 +429,7 @@ def write_feature_matrix(path, matrix: np.ndarray, layout=()) -> None:
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise InputError(f"feature matrix must be 2-D, got shape {arr.shape}")
-    with published(path) as tmp, FeatureMatrixWriter(tmp, arr.shape[1], layout) as writer:
+    with FeatureMatrixWriter(path, arr.shape[1], layout) as writer:
         writer.write(arr)
 
 
@@ -622,9 +625,7 @@ def write_labels(labels, path) -> None:
 
 def write_scaler(scaler: FeatureScaler, path) -> None:
     """Persist a scaler as a single-row SIGFEAT1 matrix."""
-    width = scaler.scale.size
-    with FeatureMatrixWriter(path, width, (Block("scale", 0, width),)) as writer:
-        writer.write(scaler.scale)
+    write_feature_matrix(path, scaler.scale[None], (Block("scale", 0, scaler.scale.size),))
 
 
 def read_scaler(path) -> FeatureScaler:

@@ -54,8 +54,8 @@ building the whole product first.
 A single path (B = 1) takes two more steps, both bit-for-bit as well.
 Every outer product goes through ``_outer``, which at B = 1 is
 ``np.einsum('rb,cb->rcb')``: there the broadcast ``np.multiply`` runs
-one short inner loop per row, at about twice einsum's cost per entry
-for the same rounded products.  And once one letter's share of the top
+one short inner loop per row, and costs more per entry than einsum for
+the same rounded products.  And once one letter's share of the top
 level fills a scratch (d^(n-1) >= ``_BLOCK_ENTRIES``), the fold
 runs its segment loop once per first letter a, on the rows of every
 level whose words start with a (rows a d^(k-1) to (a+1) d^(k-1) of
@@ -65,14 +65,11 @@ same order; the partials shrink d-fold, and each letter's 1.7 MB slice
 of the top level (d = 60, n = 4) stays in cache across all segments
 instead of the whole 104 MB level streaming from memory once per
 segment.  Each pass repeats every numpy call of a segment, so a smaller
-share costs more in calls than it saves: splitting whenever
-d^n > ``_BLOCK_ENTRIES`` made d = 300, n = 2 over 100 points 29 times
-slower.  Both stop at B > 1, where the batch axis already gives each
-numpy call a long inner loop: on one 30-frame clip's features (medians
-of 60 interleaved calls), einsum at every B took ``assemble_features``
-from 16.2 to 17.6 ms (30.7 to 32.3 ms dyadic), and the split at B > 1
-past 2^16 entries of d^n B from 19.8 to 23.8 ms (31.6 to 35.5 ms
-dyadic).
+share costs more in calls than it saves, and splitting whenever
+d^n > ``_BLOCK_ENTRIES`` made small top levels slower.  Both stop at
+B > 1, where the batch axis already gives each numpy call a long inner
+loop, and either one made ``assemble_features`` slower.  ROADMAP's
+"Measured and not pursued" keeps the timings.
 
 A split pass takes its top level's first K = min(M, d) segments in one
 contraction.  Nothing reads the top level before the fold ends, so the
@@ -89,10 +86,8 @@ segments are added one at a time as before: einsum restarts from zero,
 so a second chunk could only be added onto the level, which rounds
 differently.  With K <= d, Q is at most one level-(n-1) block
 (8 d^(n-1) bytes), and its last row is also the scratch of the
-partial.  At d = 60, n = 4 over 16 points that halved the fold's time
-(359 to 180 ms, medians of 9 interleaved calls on a 2-core x86-64 box).
-np.matmul of the same contraction took about half that again, but
-BLAS's fused multiply-add changes the last bits.
+partial.  The contraction makes the fold faster; np.matmul of it is
+faster still, but BLAS's fused multiply-add changes the last bits.
 
 einsum writes +0.0 where np.multiply writes -0.0 (for -0.0 * 1.0).  The
 fold never shows it: its levels start at +0.0 and only receive
@@ -104,8 +99,9 @@ the two compare equal.
 
 ``signature_bruteforce`` is an intentionally independent check: it refines
 the path onto a uniform grid and evaluates the iterated integrals as
-nested left-point Riemann sums, sharing no code path with the closed-form
-routines.  Its error decays like 1/subdivisions.
+nested Riemann sums that weight each step by the lower level averaged at
+the step's two ends, sharing no code path with the closed-form routines.
+It is second-order accurate: its error decays like 1/subdivisions^2.
 
 All functions are pure and safe to call concurrently.
 """

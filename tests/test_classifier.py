@@ -666,6 +666,13 @@ def test_train_validates():
         init_model(3, 2, cfg, hidden_dim=2**62)
 
 
+def test_train_rejects_labels_that_do_not_match_the_rows():
+    model = init_model(3, 2, TrainConfig())
+    for labels, shape in (([0, 1, 0], r"\(3,\)"), ([[0], [1], [0], [1]], r"\(4, 1\)")):
+        with pytest.raises(InputError, match=rf"^labels shape {shape} does not match 4 rows$"):
+            train(model, np.zeros((4, 3)), labels)
+
+
 # --------------------------------------------------------------- persistence
 
 
@@ -891,6 +898,17 @@ def test_stage_partition_threshold():
     assert part.multi_body_classes.tolist() == [1]
     with pytest.raises(InputError):
         stage_partition(np.array([0, 0]), np.array([1.0, 1.0]), 2)
+
+
+def test_stage_partition_arrays_must_be_equal_length_vectors():
+    with pytest.raises(InputError, match="partition arrays must be 1-D and of equal length"):
+        StagePartition(np.array([1.0, 2.0]), np.array([False]))
+    with pytest.raises(InputError, match="partition arrays must be 1-D and of equal length"):
+        StagePartition(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
+    for labels, counts in (([0, 1], [1.0]), ([[0, 1]], [[1.0, 2.0]]), ([], [])):
+        with pytest.raises(InputError, match="labels and actor counts must be equal-length "
+                                             "non-empty vectors"):
+            stage_partition(labels, counts, 2)
 
 
 def biased_gate(input_dim, pick):

@@ -275,6 +275,17 @@ def test_extract_unknown_label_fails(action_ds, tmp_path):
     assert "unheard_of" in result.stderr
 
 
+def test_extract_needs_a_train_record(action_ds, tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    first_clip = next((action_ds["root"] / "clips").iterdir())
+    name = pio.read_descriptor(action_ds["descriptor"]).class_names[0]
+    manifest.write_text(f"{first_clip},{name},test,1\n")
+    assert cli.main(["features", "extract", "--manifest", str(manifest), "--descriptor",
+                     str(action_ds["descriptor"]), "--output", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: no train records\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt"]
+
+
 # ---------------------------------------------------------------- train/eval
 
 

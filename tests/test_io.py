@@ -99,6 +99,13 @@ def test_clip_roundtrip(tmp_path):
     assert not back.joints[~back.valid].any()  # absent rows read as zero
 
 
+def test_clip_id_is_the_file_path(tmp_path):
+    p = tmp_path / "c.clip"
+    write_clip_file(SkeletonClip(np.zeros((2, 1, 3, 2)), np.ones((2, 1, 3), dtype=bool),
+                                 clip_id="written"), p)
+    assert read_clip_file(p, DESC).clip_id == str(p)
+
+
 def test_clip_min_actors_pads(tmp_path):
     rng = np.random.default_rng(1)
     clip = SkeletonClip(rng.standard_normal((2, 1, 3, 2)),
@@ -323,6 +330,13 @@ def test_feature_matrix_roundtrip_exact(tmp_path):
     back, blocks = read_feature_matrix(p)
     assert np.array_equal(back, matrix)  # bit-exact float64 round-trip
     assert blocks == layout
+
+
+def test_feature_matrix_write_needs_a_2d_matrix(tmp_path):
+    for shape in ((3,), (2, 3, 4)):
+        with pytest.raises(InputError, match=r"^feature matrix must be 2-D, got shape"):
+            write_feature_matrix(tmp_path / "m.feat", np.zeros(shape))
+    assert not list(tmp_path.iterdir())
 
 
 def test_feature_matrix_bad_magic(tmp_path):

@@ -1,9 +1,11 @@
 """Package surface: the exported names, the import footprint, the demos."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -123,6 +125,39 @@ def test_only_published_renames_or_deletes_a_file():
                 found += [f"{path.name}:{node.lineno}: from os import {alias.name}"
                           for alias in node.names if alias.name in names]
     assert inside and not found
+
+
+def test_only_the_commands_publish():
+    """Writers write where they are told; only ``cli`` calls ``published``."""
+    callers = set()
+    for path in sorted((REPO / "src" / "pathsig").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "published" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(path.name)
+    assert callers == {"cli.py"}
+
+
+def test_only_skeleton_names_a_feature_block():
+    """``skeleton.feature_layout`` owns the block names: no other module spells one."""
+    blocks = {"pair_sig", "triple_sig", "joint_motion_sig", "spatial_evolution_sig"}
+    found = []
+    for path in sorted((REPO / "src" / "pathsig").glob("*.py")):
+        if path.name == "skeleton.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in blocks:
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert not found
+
+
+def test_forward_leaves_the_widening_to_numpy():
+    """``forward`` multiplies each float32 W1 chunk as it is, so the one array it
+    allocates is its hidden layer: no float64 copy of a chunk is kept."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(classifier.forward)))
+    made = [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("empty", "empty_like", "zeros", "zeros_like")]
+    assert made == ["zeros"]
 
 
 def test_only_the_field_parser_catches_a_value_error():

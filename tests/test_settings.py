@@ -30,7 +30,8 @@ from pathsig.signature import (TruncatedSignature, as_path, path_signature, path
 from pathsig.skeleton import (DatasetDescriptor, FeatureConfig, SkeletonClip, add_gaussian_noise,
                               enumerate_pathlets, merge_actors, temporal_joint_features,
                               temporal_spatial_features)
-from pathsig.synth import make_action_dataset, write_dataset
+from pathsig.synth import (make_action_clip, make_action_dataset, make_interaction_clip,
+                           write_dataset)
 from pathsig.transforms import dyadic_windows, lead_lag, uniform_sample
 
 LEVEL = {"ge": 1, "le": 32}
@@ -281,6 +282,8 @@ NUMBER_INPUTS = {
                                           "horizontal_axis", 1, 2),
     "DatasetDescriptor.priority": (lambda v, f: DatasetDescriptor(3, 2, priority=(v, 0, 2)),
                                    "priority", 1, 3),
+    "DatasetDescriptor.mirror": (lambda v, f: DatasetDescriptor(3, 2, mirror=(v, 0, 2)),
+                                 "mirror", 1, 3),
     "DatasetDescriptor.merged": (lambda v, f: DatasetDescriptor(3, 2).merged(v), "bodies", 2, 0),
     "enumerate_pathlets.joint_count": (lambda v, f: enumerate_pathlets(v, 2), "joint_count", 4, 1),
     "enumerate_pathlets.size": (lambda v, f: enumerate_pathlets(4, v), "size", 3, 4),
@@ -324,6 +327,14 @@ def test_noise_sigma_is_a_finite_float_at_least_0():
             add_gaussian_noise(CLIP, bad)
     assert np.array_equal(add_gaussian_noise(CLIP, np.float64(0.01)).joints,
                           add_gaussian_noise(CLIP, 0.01).joints)
+
+
+def test_synthetic_clips_take_their_classes_in_two_dimensions():
+    for make, kind in ((make_action_clip, "action"), (make_interaction_clip, "interaction")):
+        with pytest.raises(InputError, match=f"^unknown {kind} class id 4$"):
+            make(4, 0)
+        with pytest.raises(InputError, match="^synthetic actions are generated in 2 dimensions$"):
+            make(0, 0, dim=3)
 
 
 def test_a_label_outside_the_classes_is_named():

@@ -123,6 +123,11 @@ def test_zeros_constructor():
     assert not sig.data.any()
 
 
+def test_repr_names_the_shape():
+    sig = path_signature([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 3)
+    assert repr(sig) == "TruncatedSignature(d=2, n=3, 14 coefficients)"
+
+
 def test_buffer_shape_validated():
     with pytest.raises(InputError):
         TruncatedSignature(2, 2, np.zeros(5))
@@ -363,6 +368,13 @@ def test_oracle_agrees_with_path_signature():
 def test_oracle_validates_subdivisions():
     with pytest.raises(InputError):
         signature_bruteforce(np.zeros((2, 2)), 2, 0)
+
+
+def test_oracle_of_a_one_point_path_is_zero():
+    point = np.array([[1.0, -2.0, 0.5]])
+    sig = signature_bruteforce(point, 3, 10)
+    assert (sig.d, sig.n) == (3, 3) and not sig.data.any()
+    assert np.array_equal(sig.data, path_signature(point, 3).data)
 
 
 # --------------------------------------------------------------------- batch

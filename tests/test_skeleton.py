@@ -345,6 +345,23 @@ def test_normalize_zero_clip_guard():
     assert not out.joints.any()
 
 
+def test_normalize_skips_an_actor_with_no_valid_joint():
+    rng = np.random.default_rng(10)
+    clip = random_clip(rng, 4, 2, 5)
+    clip.valid[:, 1] = False
+    out = normalize_clip(clip)
+    alone = normalize_clip(SkeletonClip(clip.joints[:, :1], clip.valid[:, :1]))
+    assert np.array_equal(out.joints[:, 0], alone.joints[:, 0])  # actor 1 sets no scale
+    ratio = out.joints[:, 1] / clip.joints[:, 1]
+    assert np.allclose(ratio, ratio.flat[0], rtol=1e-15, atol=0)  # scaled, not centered
+
+
+def test_normalize_leaves_a_clip_with_no_valid_joint_unchanged():
+    clip = random_clip(np.random.default_rng(11), 3, 2, 4)
+    clip.valid[:] = False
+    assert np.array_equal(normalize_clip(clip).joints, clip.joints)
+
+
 def test_flip_is_involution():
     rng = np.random.default_rng(7)
     desc = DatasetDescriptor(joint_count=5, dim=2, mirror=(0, 2, 1, 4, 3))
@@ -361,6 +378,16 @@ def test_flip_negates_axis_and_swaps():
     out = horizontal_flip(clip, desc)
     assert out.joints[0, 0, 0].tolist() == [-3.0, 4.0]
     assert out.joints[0, 0, 1].tolist() == [-1.0, 2.0]
+
+
+def test_flip_and_features_reject_a_clip_of_another_layout():
+    clip = random_clip(np.random.default_rng(12), 6, 1, 5)
+    for desc in (DESC15, DatasetDescriptor(joint_count=5, dim=3)):
+        with pytest.raises(InputError, match=r"^clip layout \(5 joints, dim 2\) does not match"):
+            horizontal_flip(clip, desc)
+        with pytest.raises(InputError,
+                           match=r"^actor joints \(5 joints, dim 2\) do not match descriptor"):
+            assemble_features(clip.joints[:, 0], FeatureConfig(sampled_frames=2), desc)
 
 
 def test_noise_statistics_and_masking():

@@ -235,6 +235,14 @@ def test_fill_all_missing_is_zero():
     assert not out.any()
 
 
+def test_fill_rejects_other_shapes():
+    with pytest.raises(InputError, match=r"^values must be 1-D or 2-D, got shape \(4, 2, 2\)$"):
+        fill_missing(np.zeros((4, 2, 2)), np.ones(4, dtype=bool))
+    for mask in (np.ones(3, dtype=bool), np.ones((4, 2), dtype=bool)):
+        with pytest.raises(InputError, match=r"^validity mask shape .* does not match 4 frames$"):
+            fill_missing(np.zeros((4, 2)), mask)
+
+
 def test_fill_edges_hold_nearest():
     values = np.array([[9.0], [9.0], [1.0], [2.0], [9.0]])
     valid = np.array([False, False, True, True, False])
