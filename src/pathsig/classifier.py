@@ -444,8 +444,7 @@ def rank_actors(clip: SkeletonClip) -> np.ndarray:
     diffs = np.diff(clip.joints, axis=0)  # (F-1, A, N, d)
     both = clip.valid[:-1] & clip.valid[1:]  # (F-1, A, N)
     dist = np.linalg.norm(diffs, axis=-1) * both
-    movement = dist.sum(axis=(0, 2)) if dist.size else np.zeros(clip.actor_count)
-    return np.argsort(-movement, kind="stable")
+    return np.argsort(-dist.sum(axis=(0, 2)), kind="stable")
 
 
 @dataclass

@@ -237,13 +237,7 @@ def normalize_clip(clip: SkeletonClip) -> SkeletonClip:
             continue
         center = joints[:, a][mask].mean(axis=0)
         joints[:, a] -= center
-    if valid.any():
-        scale = float(np.max(np.abs(joints[valid])))
-    else:
-        scale = 0.0
-    if scale == 0.0:
-        scale = 1.0
-    joints /= scale
+    joints /= float(np.max(np.abs(joints[valid]), initial=0.0)) or 1.0
     return replace(clip, joints=joints)
 
 

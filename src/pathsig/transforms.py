@@ -7,7 +7,6 @@ arguments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,6 @@ class IndexWindow:
     start: int
     end: int
     level: int
-
-
-def _round_half_up(x: float) -> int:
-    # round() is banker's rounding; the split rule wants 0.5 to round up
-    return int(math.floor(x + 0.5))
 
 
 def add_time(path) -> np.ndarray:
@@ -77,10 +71,10 @@ def lead_lag(series, delay_dim: int) -> np.ndarray:
 def dyadic_windows(length: int, depth: int) -> list[IndexWindow]:
     """Dyadic partition of point indices 0..length-1 into 2**depth - 1 windows.
 
-    Level j in 0..depth-1 splits the index range at
-    s_m = round_half_up(m * (length-1) / 2**j) for m in 0..2**j; window m
-    spans s_m..s_{m+1} inclusive.  Every window keeps at least two points
-    as long as length-1 >= 2**(depth-1).
+    Level j in 0..depth-1 splits at s = uniform_sample(length, 2**j + 1):
+    s_m = round_half_up(m * (length-1) / 2**j), exact while m * (length-1)
+    < 2**53, so for every length below 2**26.  Window m spans s_m..s_{m+1}
+    inclusive, with two points or more while length-1 >= 2**(depth-1).
     """
     length = check_number(length, "length", ge=2)
     depth = check_number(depth, "depth", ge=1)
@@ -91,9 +85,8 @@ def dyadic_windows(length: int, depth: int) -> list[IndexWindow]:
         )
     windows = []
     for j in range(depth):
-        pieces = 2 ** j
-        splits = [_round_half_up(m * (length - 1) / pieces) for m in range(pieces + 1)]
-        for m in range(pieces):
+        splits = uniform_sample(length, 2 ** j + 1).tolist()
+        for m in range(2 ** j):
             windows.append(IndexWindow(splits[m], splits[m + 1], j))
     return windows
 
@@ -107,8 +100,8 @@ def uniform_sample(frame_count: int, count: int) -> np.ndarray:
     frame_count = check_number(frame_count, "frame_count", ge=1)
     count = check_number(count, "count", ge=1)
     check_entries(count, "the sampled frame indices")
-    if count == 1 or frame_count == 1:
-        return np.zeros(count, dtype=np.intp)
+    if count == 1:
+        return np.zeros(1, dtype=np.intp)
     # products below 2**53 are exact, so each quotient is the correctly rounded one
     steps = np.arange(count, dtype=np.float64) * (frame_count - 1) / (count - 1)
     return np.floor(steps + 0.5).astype(np.intp)
@@ -156,7 +149,7 @@ def fill_missing(values, valid) -> np.ndarray:
     ends); leading and trailing gaps hold the nearest valid value.  A
     series with a single valid frame is constant; one with no valid frame
     is all zeros.  Idempotent: a fully valid series is returned unchanged
-    (as a copy).
+    (as a copy).  Every valid value must be finite, whatever the mask.
 
     Args:
         values: (F,) or (F, k) array of per-frame values.
@@ -177,11 +170,6 @@ def fill_missing(values, valid) -> np.ndarray:
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         out[:] = 0.0
-        return out
-    if idx.size == arr.shape[0]:
-        return out
-    if idx.size == 1:
-        out[:] = arr[idx[0]]
         return out
     if not np.all(np.isfinite(arr[idx])):
         raise InputError("valid frames contain non-finite values")

@@ -881,6 +881,9 @@ def test_rank_actors_orders_by_movement():
 def test_rank_actors_stable_on_ties():
     clip = little_clip(lambda f, a, j: (f * 1.0, j * 1.0), actors=3)
     assert rank_actors(clip).tolist() == [0, 1, 2]
+    # one frame: no step, so every actor's movement is zero
+    clip = little_clip(lambda f, a, j: (a * 1.0, j * 1.0), frames=1, actors=3)
+    assert rank_actors(clip).tolist() == [0, 1, 2]
 
 
 def test_rank_actors_zero_actor_last():

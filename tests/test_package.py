@@ -127,6 +127,23 @@ def test_only_published_renames_or_deletes_a_file():
     assert inside and not found
 
 
+def test_only_uniform_sample_rounds():
+    """``transforms.uniform_sample`` owns the split rule, round half up: no
+    other code in the package calls ``floor`` or ``round``, from ``math``,
+    numpy or the builtins."""
+    found, inside = [], []
+    for path in sorted((REPO / "src" / "pathsig").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sampler = {id(node) for func in ast.walk(tree)
+                   if path.name == "transforms.py" and isinstance(func, ast.FunctionDef)
+                   and func.name == "uniform_sample" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and {"floor", "round"} & {
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
+                (inside if id(node) in sampler else found).append(f"{path.name}:{node.lineno}")
+    assert inside and not found
+
+
 def test_only_the_commands_publish():
     """Writers write where they are told; only ``cli`` calls ``published``."""
     callers = set()

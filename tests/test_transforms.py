@@ -110,6 +110,16 @@ def test_dyadic_windows_round_half_up():
     # split of 5 at depth 1 lands on round(2.5) = 3, not banker's 2
     wins = dyadic_windows(6, 2)
     assert [(w.start, w.end) for w in wins] == [(0, 5), (0, 3), (3, 5)]
+    # dividing by 2**j is exact, so round_half_up(m * (L-1) / 2**j) is this
+    # integer form at every length and depth below
+    for length in range(2, 2001):
+        expected = []
+        for depth in range(1, (length - 1).bit_length() + 1):
+            j = depth - 1
+            splits = [(2 * m * (length - 1) + 2 ** j) // 2 ** (j + 1) for m in range(2 ** j + 1)]
+            expected += [(a, b, j) for a, b in zip(splits, splits[1:])]
+            got = [(w.start, w.end, w.level) for w in dyadic_windows(length, depth)]
+            assert got == expected, (length, depth)
 
 
 def test_dyadic_windows_share_boundaries():
@@ -333,5 +343,10 @@ def test_fill_rejects_non_finite_valid_frames():
     valid = np.array([True, True, False, True])
     with pytest.raises(InputError):
         fill_missing([1.0, np.nan, 3.0, 4.0], valid)
+    # the same rule for one valid frame and for a fully valid series
+    with pytest.raises(InputError):
+        fill_missing([np.nan, 0.0], [True, False])
+    with pytest.raises(InputError):
+        fill_missing([1.0, np.inf], [True, True])
     # placeholders in missing frames are ignored
     assert fill_missing([1.0, 2.0, np.nan, 4.0], valid)[2] == pytest.approx(3.0)
