@@ -49,12 +49,13 @@ from .skeleton import (
     DatasetDescriptor,
     ExtractionOptions,
     FeatureConfig,
+    FeatureScaler,
     apply_scaler,
     assemble_features,
     augment_clips,
     feature_layout,
     fill_clip,  # noqa: F401  (not called here; perfbench wraps it on this module)
-    fit_scaler,
+    fit_scaler,  # noqa: F401  (not called here; perfbench wraps it on this module)
     normalize_clip,  # noqa: F401  (not called here; perfbench wraps it on this module)
 )
 from .transforms import add_time, lead_lag
@@ -267,8 +268,9 @@ def cmd_extract(args) -> int:
     labels = {split: [] for split, _ in splits}
     # Each output's temporary name is entered before any writer, so every file is
     # whole before the first rename.  A training row, once written to every output,
-    # is made |row| in place and folded into the bound of each output it fits; each
-    # scaler, fit_scaler(bound[None]) bit for bit, then divides its matrices in place.
+    # is made |row| in place and folded into the bound of each output it fits.  Each
+    # bound, its zeros set to 1, is the scale (fit_scaler(bound[None]) bit for bit)
+    # and divides its matrices in place, as apply_scaler would.
     kinds = [".scaler.feat"] + [f".{split}.{ext}" for split in labels for ext in ("feat", "labels")]
     names = [".descriptor.txt", ".config.txt"] + [".partition.txt"] * args.two_stage
     names += [suffix + kind for suffix, *_ in outputs for kind in kinds]
@@ -285,15 +287,18 @@ def cmd_extract(args) -> int:
                 for (_, bodies, _, _), writer in zip(outputs, writers[split]):
                     writer.write(rows[bodies])
                 if split == "train":
-                    for row in rows.values():
-                        np.abs(row, out=row)
+                    for bodies in rows:
+                        np.abs(rows[bodies], out=rows[bodies])
                     for (_, bodies, classes, label_of), bound in zip(outputs, bounds):
                         if label_of(label) in classes:
                             np.maximum(bound, rows[bodies], out=bound)
-        scalers = [fit_scaler(bound[None]) for bound in bounds]
+                del rows  # the next clip's rows are built without this clip's
+        for bound in bounds:
+            bound[bound == 0.0] = 1.0
+        scalers = [FeatureScaler(bound) for bound in bounds]
         for split_writers in writers.values():
             for writer, scaler in zip(split_writers, scalers):
-                writer.map_rows(lambda block, scaler=scaler: apply_scaler(scaler, block))
+                writer.map_rows(lambda block, s=scaler.scale: np.divide(block, s, out=block))
         pio.write_descriptor(descriptor, tmp[".descriptor.txt"])
         pio.write_feature_config(config, options, tmp[".config.txt"])
         if args.two_stage:

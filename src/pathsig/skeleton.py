@@ -14,11 +14,13 @@ one float64 row of five kinds of blocks, placed as ``feature_layout`` says:
   triple signature blocks, the signature of its lead-lag lifted evolution
   over all frames, truncated at ``evolution_level``.
 
-The three spatial blocks are built once, as one row per frame, and enter
-the final row once per sampled frame (``sampled_frames`` frames chosen by
-``uniform_sample``); the spatial-evolution block reads the pair and triple
-columns of those same rows.  The two temporal blocks always see every
-frame, so the output width does not depend on clip length.  With
+The three spatial blocks are built once, as one row per frame.  The
+feature row is allocated once and filled in place: the rows of the
+``sampled_frames`` frames chosen by ``uniform_sample`` are copied in, and
+the spatial-evolution block, read from the pair and triple columns of
+every frame's row, is filled one tile of columns at a time.  The two
+temporal blocks always see every frame, so the output width does not
+depend on clip length.  With
 ``dyadic`` enabled, each temporal signature is replaced by the
 concatenation of signatures over ``dyadic_windows``, multiplying the
 temporal widths by 2**depth - 1.  Each temporal block builds its
@@ -66,6 +68,7 @@ __all__ = [
 
 _MAX_JOINTS = 1000  # a descriptor's checks build lists this long; NTU RGB+D has 25 a body
 _MAX_COLUMNS = 1 << 26  # widest feature row: about 10x NTU RGB+D's 6,186,050
+_TILE_COLUMNS = 2048  # evolution columns per fold: narrower tiles cost time, wider ones memory
 
 
 @dataclass
@@ -408,20 +411,30 @@ def feature_layout(config: FeatureConfig, descriptor: DatasetDescriptor) -> tupl
 def assemble_features(actor_joints, config: FeatureConfig, descriptor: DatasetDescriptor) -> np.ndarray:
     """The 1-D float64 feature row of one actor's (frames, joints, dim) trajectory.
 
-    Concatenates, in order: the three spatial blocks for each of the
+    Holds, in order: the three spatial blocks for each of the
     ``sampled_frames`` uniformly sampled frames, then the joint-motion
     block, then the spatial-evolution block.  ``feature_layout`` gives
     each block's offset and width.  The output width depends only on the
     configuration and descriptor, never on the frame count (dyadic
-    windowing fixes its window count up front).
+    windowing fixes its window count up front).  Its evolution block is
+    signed ``_TILE_COLUMNS`` columns at a time, with the whole block's bits:
+    the fold and Chen products work elementwise along the path axis.
     """
     frames = _check_actor_array(actor_joints, descriptor)
     F, N, d = frames.shape
     spatial = _spatial_rows(frames, config, descriptor)
-    return np.concatenate([spatial[i] for i in uniform_sample(F, config.sampled_frames)] + [
-        temporal_joint_features(frames, config),
-        temporal_spatial_features(spatial[:, N * d:], config),
-    ])
+    *_, motion, evolution = feature_layout(config, descriptor)
+    row = np.empty(evolution.offset + evolution.width)
+    S, D = config.sampled_frames, spatial.shape[1]
+    np.take(spatial, uniform_sample(F, S), axis=0, out=row[:S * D].reshape(S, D))
+    row[motion.offset:evolution.offset] = temporal_joint_features(frames, config)
+    pathlets = spatial[:, N * d:]
+    blocks = row[evolution.offset:].reshape(pathlets.shape[1], -1)  # row c: column c's block
+    for c0 in range(0, pathlets.shape[1], _TILE_COLUMNS):
+        tile = slice(c0, c0 + _TILE_COLUMNS)
+        blocks[tile] = temporal_spatial_features(pathlets[:, tile], config).reshape(
+            -1, blocks.shape[1])
+    return row
 
 
 def fit_scaler(features: np.ndarray) -> FeatureScaler:

@@ -17,8 +17,8 @@ from pathsig import io as pio
 from pathsig.errors import InputError
 from pathsig.io import (ExtractionOptions, read_feature_matrix, write_feature_config,
                         write_feature_matrix)
-from pathsig.skeleton import (FeatureConfig, apply_scaler, assemble_features, augment_clips,
-                              feature_layout, fit_scaler)
+from pathsig.skeleton import (FeatureConfig, FeatureScaler, apply_scaler, assemble_features,
+                              augment_clips, feature_layout, fit_scaler)
 from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
 
 
@@ -685,6 +685,13 @@ def _running_max_abs(x):
     return bound
 
 
+def _streamed_scaler(x):
+    """The scaler ``cmd_extract`` writes: the running bound, its zeros set to 1 in place."""
+    bound = _running_max_abs(x)
+    bound[bound == 0.0] = 1.0
+    return FeatureScaler(bound)
+
+
 def test_streamed_scaler_matches_fit_scaler_bit_for_bit():
     rng = np.random.default_rng(11)
     for trial in range(20):
@@ -697,20 +704,28 @@ def test_streamed_scaler_matches_fit_scaler_bit_for_bit():
         x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
         bound = _running_max_abs(x)
         assert fit_scaler(bound[None]).scale.tobytes() == fit_scaler(x).scale.tobytes(), trial
+        scale = _streamed_scaler(x).scale
+        assert scale.tobytes() == fit_scaler(x).scale.tobytes(), trial
+        scaled = x.copy()
+        for row in scaled:  # map_rows' blocks, divided in place
+            np.divide(row, scale, out=row)
+        assert scaled.tobytes() == apply_scaler(fit_scaler(x), x).tobytes(), trial
     x[rows // 2, cols // 2] = np.nan
     with pytest.raises(InputError, match="scale contains non-finite values"):
         fit_scaler(_running_max_abs(x)[None])
     with pytest.raises(InputError, match="scale contains non-finite values"):
+        _streamed_scaler(x)
+    with pytest.raises(InputError, match="scale contains non-finite values"):
         fit_scaler(x)
 
 
-def _extract_peak(root, clips):
+def _extract_peak(root, clips, joint_count=5, feature_config=FeatureConfig()):
     """tracemalloc peak of an in-process extract of ``clips`` train and test clips."""
     train, test, desc = make_action_dataset(train_clips=clips, test_clips=clips,
-                                            joint_count=5, dim=2, seed=clips)
+                                            joint_count=joint_count, dim=2, seed=clips)
     manifest, descriptor = write_dataset(train, test, desc, root)
     config = root / "featcfg.txt"
-    write_feature_config(FeatureConfig(), ExtractionOptions(noise_copies=1), config)
+    write_feature_config(feature_config, ExtractionOptions(noise_copies=1), config)
     tracemalloc.start()
     try:
         code = cli.main(["features", "extract", "--manifest", str(manifest),
@@ -732,6 +747,13 @@ def test_extract_memory_does_not_grow_with_clips(tmp_path, capsys):
     assert row_bytes > 50_000  # rows wide enough that a held matrix would show
     assert large < small + row_bytes  # 48 train rows cost what 12 do
     assert large < 32 * row_bytes  # a whole-matrix path holds 3 copies of 48 rows
+
+
+def test_dyadic_extract_holds_about_one_row(tmp_path, capsys):
+    # the benchmark's shape: 15 joints, 2-D, dyadic rows of 1,380,735 columns
+    peak, row_bytes = _extract_peak(tmp_path, 2, 15, FeatureConfig(dyadic=True))
+    capsys.readouterr()
+    assert peak < 3.2 * row_bytes, peak / row_bytes
 
 
 @pytest.mark.parametrize("split", ["train", "test"])

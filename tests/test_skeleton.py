@@ -31,6 +31,8 @@ from pathsig import (
     temporal_joint_features,
     temporal_spatial_features,
 )
+from pathsig import skeleton
+from pathsig.transforms import uniform_sample
 
 DESC15 = DatasetDescriptor(joint_count=15, dim=2)
 DESC5 = DatasetDescriptor(joint_count=5, dim=2)
@@ -261,10 +263,11 @@ def test_evolution_block_delays_past_the_clip_are_zero_channels():
                                          (F, k, dyadic))
 
 
-@pytest.mark.parametrize("dyadic, most", [(True, 3), (False, 8)])
+@pytest.mark.parametrize("dyadic, most", [(True, 1.9), (False, 4)])
 def test_feature_row_peak_memory_is_a_few_rows(dyadic, most):
     """At the benchmark's clip shape the evolution increments are the only
-    lead-lag array, and they and the window list are freed once folded."""
+    lead-lag array, and they and the window list are freed once folded;
+    the row is allocated once and its evolution block filled tile by tile."""
     frames = np.random.default_rng(65).standard_normal((30, 15, 2))
     config = FeatureConfig(dyadic=dyadic)
     assemble_features(frames, config, DESC15)  # first-call allocations stay out of the peak
@@ -275,6 +278,41 @@ def test_feature_row_peak_memory_is_a_few_rows(dyadic, most):
     finally:
         tracemalloc.stop()
     assert peak < most * row.nbytes, peak / row.nbytes
+
+
+def concatenated_row(frames, config, descriptor):
+    """The row as one concatenation of whole blocks, as it was built before tiling."""
+    F, N, d = frames.shape
+    spatial = skeleton._spatial_rows(frames, config, descriptor)
+    return np.concatenate([spatial[i] for i in uniform_sample(F, config.sampled_frames)] + [
+        temporal_joint_features(frames, config),
+        temporal_spatial_features(spatial[:, N * d:], config),
+    ])
+
+
+TILED_DESCRIPTORS = [DESC5, DatasetDescriptor(5, 2, priority=(2, 0, 4, 1, 3)).merged(2),
+                     DatasetDescriptor(2, 3)]  # the last has no triples
+
+
+@pytest.mark.parametrize("tile", [1, 7, 11])
+def test_tiled_row_matches_the_concatenated_row(monkeypatch, tile):
+    monkeypatch.setattr(skeleton, "_TILE_COLUMNS", tile)
+    rng = np.random.default_rng(66)
+    for desc in TILED_DESCRIPTORS:
+        columns = sum(b.width for b in feature_layout(FeatureConfig(sampled_frames=1), desc)[1:3])
+        assert tile < columns and columns % 11  # several tiles, a short last one at 11
+        for F in (1, 2, 30):
+            frames = rng.standard_normal((F, desc.joint_count, desc.dim))
+            for config in (FeatureConfig(), FeatureConfig(dyadic=True),
+                           FeatureConfig(dyadic=True, dyadic_depth=1, sampled_frames=3)):
+                try:
+                    expect = concatenated_row(frames, config, desc)
+                except InputError:  # a clip too short for its dyadic windows
+                    with pytest.raises(InputError):
+                        assemble_features(frames, config, desc)
+                    continue
+                got = assemble_features(frames, config, desc)
+                assert got.tobytes() == expect.tobytes(), (desc, F, config)
 
 
 def test_temporal_blocks_single_frame_and_short_dyadic_clip():
