@@ -5,8 +5,8 @@ hidden activation, so at inference the whole network collapses to one
 affine map.  The hidden layer earns its keep during training: dropconnect
 zeroes a random subset of W1's entries on every mini-batch (Bernoulli keep
 probability 1 - drop_rate), which regularizes the very wide input layer.
-At inference the hidden pre-activation is scaled by (1 - drop_rate), the
-expected value of the training-time mask.
+At inference the expected mask, 1 - drop_rate, scales W2 in that map,
+which ``forward`` builds once per model and runs every row through.
 
 A batch's mask is held as the sorted flat indices of the kept W1 entries,
 drawn as cumulative geometric gaps (about (1 - drop_rate) * W1.size draws,
@@ -26,8 +26,8 @@ Precision: W1, its momentum and the chunk buffers are float32 (master
 weights, as in mixed-precision training); b1, W2, b2, the hidden layer
 and the softmax head are float64.  The W1 products take float32 batch
 rows and hidden gradient, and their chunks sum into the float64 hidden
-layer.  ``forward`` multiplies W1 one chunk at a time, which numpy widens,
-and ``gradient_check`` copies it, so no W1-sized float64 array is ever made.
+layer.  ``forward``'s D x C map is float64; only ``gradient_check``, meant
+for small models, makes a float64 copy of W1.
 
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
@@ -47,6 +47,7 @@ settings codec of ``io``.
 from __future__ import annotations
 
 import dataclasses
+import mmap
 import struct
 from dataclasses import dataclass, field
 
@@ -95,9 +96,10 @@ _MODEL_ARRAYS = (("w1", "<f4"), ("b1", "<f8"), ("w2", "<f8"), ("b2", "<f8"))  # 
 # W1 rows per training chunk: a 4 MB float32 block at 64 hidden units.
 _CHUNK_ROWS = 16384
 
-# W1 rows ``forward`` multiplies at a time, each chunk widened to float64 by
-# numpy: 512 KB at 64 hidden units, still in cache when it is multiplied.
+# W1 rows ``_affine_map`` widens to float64 at a time: 512 KB at 64 hidden units.
 _WIDEN_ROWS = 1024
+
+_MAP_ROWS = 8  # rows per product of ``forward``, a padded fixed-shape block
 
 _CAST_ROWS = 8  # batch rows read as float64 at a time by ``_batch_rows``
 
@@ -126,6 +128,7 @@ class LinearNetModel:
     w2: np.ndarray  # (H, C)
     b2: np.ndarray  # (C,)
     config: TrainConfig = field(default_factory=TrainConfig)
+    _map: tuple | None = field(default=None, init=False, repr=False, compare=False)  # _affine_map
 
     def __post_init__(self):
         for name, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1)):
@@ -187,13 +190,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(model: LinearNetModel, x) -> np.ndarray:
-    """Class probabilities for one input vector or a batch of rows.
+    """Class probabilities for one input vector or a batch of rows (each sums to 1).
 
-    The hidden pre-activation x @ w1 is scaled by the expected dropconnect
-    mask value 1 - drop_rate (equal to scaling w1, without copying it).
-    It is summed over chunks of ``_WIDEN_ROWS`` rows of w1; numpy widens
-    each chunk to float64 for its product, with no reused buffer.  Rows
-    sum to 1.
+    softmax(x @ A + c) through the model's cached affine map (``_affine_map``).
+    Rows go through A in fixed blocks of ``_MAP_ROWS``, the last padded with
+    zero rows, and the columns split by ``_chunk_plan`` into one reused
+    buffer, so every product has one shape and a row's probabilities are the
+    same bits alone, in any batch and at any BLAS thread count.  A takes
+    8 * D * C bytes and float32 W1 4 * D * H: above C = H / 2 the map is the
+    larger, and this stays the one path.  A has its own anonymous mapping,
+    so freeing the model returns it to the operating system instead of
+    leaving a heap block resident under a later peak.
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
@@ -203,13 +210,45 @@ def forward(model: LinearNetModel, x) -> np.ndarray:
         raise InputError(
             f"input has shape {np.shape(x)}, model expects dimension {model.input_dim}"
         )
-    D, H = model.w1.shape
-    h = np.zeros((arr.shape[0], H))
-    for r0, r1 in _chunk_plan(D, _WIDEN_ROWS):
-        h += arr[:, r0:r1] @ model.w1[r0:r1]
-    h = (1.0 - model.config.drop_rate) * h + model.b1
-    probs = _softmax(h @ model.w2 + model.b2)
+    a, c = _affine_map(model)
+    chunks = _chunk_plan(model.input_dim)
+    buf = np.zeros((_MAP_ROWS, chunks[0][1]))
+    logits = np.zeros((arr.shape[0], model.class_count))
+    for b0 in range(0, arr.shape[0], _MAP_ROWS):
+        n = min(_MAP_ROWS, arr.shape[0] - b0)
+        buf[n:] = 0.0
+        for q0, q1 in chunks:
+            buf[:n, :q1 - q0] = arr[b0:b0 + n, q0:q1]
+            logits[b0:b0 + n] += (buf[:, :q1 - q0] @ a[q0:q1])[:n]
+    probs = _softmax(logits + c)
     return probs[0] if single else probs
+
+
+def _affine_map(model: LinearNetModel) -> tuple[np.ndarray, np.ndarray]:
+    """A = W1 @ ((1 - drop_rate) * W2) as float64 (D, C), the scale rounded
+    into W2 first, and c = b1 @ W2 + b2, built from ``_WIDEN_ROWS``-row W1
+    pieces that numpy widens.  Cached on the model with the arrays and
+    config it came from, rebuilt when one is replaced; while cached, the
+    weights are read-only, so an in-place write raises instead of leaving
+    the map stale (``train``, their one writer, calls ``_drop_map``)."""
+    sources = (model.w1, model.b1, model.w2, model.b2, model.config)
+    if model._map is None or any(s is not t for s, t in zip(model._map[0], sources)):
+        D, C = model.input_dim, model.class_count
+        a = np.frombuffer(mmap.mmap(-1, 8 * D * C), np.float64).reshape(D, C)
+        w2 = (1.0 - model.config.drop_rate) * model.w2
+        for q0, q1 in _chunk_plan(D, _WIDEN_ROWS):
+            np.matmul(model.w1[q0:q1], w2, out=a[q0:q1])
+        for arr in sources[:4]:
+            arr.flags.writeable = False
+        model._map = (sources, a, model.b1 @ model.w2 + model.b2)
+    return model._map[1:]
+
+
+def _drop_map(model: LinearNetModel) -> None:
+    """Forget the model's affine map and make its weights writable."""
+    model._map = None
+    for arr in (model.w1, model.b1, model.w2, model.b2):
+        arr.flags.writeable = True
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -299,7 +338,8 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
     no batch-sized copy of the features is made and the only W1-sized array
     is the float32 momentum; masked-out entries move by their momentum
     alone (v <- mu*v).  Loss and accuracy are accumulated from the same
-    masked forward passes the updates use.
+    masked forward passes the updates use.  The cached affine map is
+    dropped on entry and on exit.
     Deterministic: the same model and data give bit-identical results.
     Raises InputError, naming the epoch and batch, when a batch loss is
     not finite (before that batch updates the weights), or when the final
@@ -316,6 +356,7 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
     if x.shape[1] != model.input_dim:
         raise InputError(f"features have {x.shape[1]} dims, model expects {model.input_dim}")
 
+    _drop_map(model)
     n = x.shape[0]
     D, H = model.w1.shape
     masked = config.drop_rate > 0.0
@@ -382,6 +423,7 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
                 vel -= lr * grad
                 param += vel
         history.append(EpochStats(epoch, lr, loss_sum / n, correct / n))
+    _drop_map(model)
     parts = [model.w1[r0:r1] for r0, r1 in chunks] + [model.b1, model.w2, model.b2]
     if not all(np.isfinite(a).all() for a in parts):
         raise InputError(f"training diverged: weights are not finite after epoch {epoch}")

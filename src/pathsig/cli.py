@@ -31,6 +31,7 @@ from .errors import FormatError, InputError, check_entries, check_labels, check_
 from . import io as pio
 from .classifier import (
     HIDDEN_UNITS,
+    _MAP_ROWS,
     TrainConfig,
     StagePartition,
     extract_body_features,
@@ -64,10 +65,6 @@ __all__ = ["main"]
 
 # ``train`` flags whose names differ from their ``TrainConfig`` field.
 _TRAIN_FLAGS = {"learning_rate": "lr", "max_epochs": "epochs"}
-
-# Rows per ``forward`` call in ``eval`` (all rows when there are fewer): the
-# row count of ``x @ W1`` can change its bits, so it stays fixed.
-_EVAL_ROWS = 64
 
 # The two-stage models in the order ``two_stage_route`` takes them: the name
 # in their file names and how many ranked actors their features merge.
@@ -436,7 +433,7 @@ def cmd_eval(args) -> int:
             _check_width(model, args.model, x.shape[1], args.features)
             check_labels(y, model.class_count, args.labels)
             pred = np.concatenate([forward(model, block).argmax(axis=1)
-                                   for block in x.blocks(_EVAL_ROWS)])
+                                   for block in x.blocks(_MAP_ROWS)])
             _report_eval(y, pred, model.class_count)
             return 0
 
@@ -452,7 +449,7 @@ def cmd_eval(args) -> int:
             _check_width(model, f"{args.model}.{stage}.model", x.shape[1], x.path)
         check_labels(y, partition.multi_body.size, labels_path)
         pred = np.concatenate([two_stage_route(*models, partition, *blocks)[0]
-                               for blocks in zip(*(x.blocks(_EVAL_ROWS) for x in xs))])
+                               for blocks in zip(*(x.blocks(_MAP_ROWS) for x in xs))])
         _report_eval(y, pred, partition.multi_body.size)
     return 0
 

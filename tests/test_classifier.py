@@ -1,5 +1,6 @@
 """Linear network, training loop, persistence, and two-stage routing."""
 
+import hashlib
 import math
 import os
 import struct
@@ -138,6 +139,75 @@ def test_forward_validates():
     model = hand_model()
     with pytest.raises(InputError):
         forward(model, np.zeros(3))
+
+
+def forward_digest() -> str:
+    """Check that each of 17 rows gets the same probabilities alone and in
+    batches of 1, 7, 8, 9 and 17 rows; return the sha256 of the batch's."""
+    D = _CHUNK_ROWS + 300  # chunks of _CHUNK_ROWS, 256 and a ragged 44 rows
+    rng = np.random.default_rng(31)
+    model = init_model(D, 5, TrainConfig(seed=8), hidden_dim=8)
+    model.b1[:] = rng.standard_normal(8)
+    model.b2[:] = rng.standard_normal(5)
+    x = rng.standard_normal((17, D))
+    alone = [forward(model, row).tobytes() for row in x]
+    for n in (1, 7, 8, 9, 17):
+        probs = forward(model, x[:n])
+        assert [p.tobytes() for p in probs] == alone[:n], n
+    return hashlib.sha256(probs.tobytes()).hexdigest()
+
+
+def test_a_rows_probabilities_do_not_depend_on_its_batch():
+    forward_digest()
+
+
+def test_forward_bits_do_not_depend_on_the_blas_thread_count():
+    paths = [os.path.dirname(os.path.dirname(classifier.__file__)), os.path.dirname(__file__)]
+    digests = set()
+    for threads in ("1", "2", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", "from test_classifier import forward_digest as f; print(f())"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
+
+
+def test_train_drops_the_map_forward_built(tmp_path):
+    rng = np.random.default_rng(32)
+    x, y = rng.standard_normal((20, 300)), rng.integers(0, 3, size=20)
+    model = init_model(300, 3, TrainConfig(max_epochs=2, seed=9), hidden_dim=8)
+    before = forward(model, x)
+    train(model, x, y)
+    after = forward(model, x)
+    save_model(model, tmp_path / "m.model")
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, forward(load_model(tmp_path / "m.model"), x))
+
+
+def test_weights_are_read_only_while_a_map_exists():
+    model = init_model(30, 3, TrainConfig(seed=10), hidden_dim=4)
+    model.b1[0] = 0.5  # no map yet
+    forward(model, np.ones(30))
+    for name in ("w1", "b1", "w2", "b2"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0] += 1.0
+    assert model.b1[0] == 0.5
+
+
+def test_a_replaced_weight_array_rebuilds_the_map():
+    rng = np.random.default_rng(34)
+    model = init_model(30, 3, TrainConfig(seed=11), hidden_dim=4)
+    x = rng.standard_normal((5, 30))
+    before = forward(model, x)
+    model.w2 = rng.standard_normal((4, 3))
+    after = forward(model, x)
+    fresh = LinearNetModel(model.w1.copy(), model.b1.copy(), model.w2.copy(), model.b2.copy(),
+                           model.config)
+    assert not np.allclose(after, before)
+    assert np.array_equal(after, forward(fresh, x))
 
 
 # ------------------------------------------------------------------ schedule
@@ -1049,3 +1119,26 @@ def test_two_stage_route_matches_per_row_loop():
         for i in range(rows):
             model, x = (multi, x_multi[i]) if to_multi[i] else (one, x_one[i])
             assert probs[i] == pytest.approx(forward(model, x).max(), abs=1e-12)
+
+
+def test_two_stage_route_runs_each_model_through_its_own_map():
+    partition = StagePartition(np.array([1.0, 2.0, 1.2, 1.9]), np.array([False, True, False, True]))
+    rng = np.random.default_rng(35)
+    x_gate, x_one, x_multi = (rng.standard_normal((20, d)) for d in (12, 7, 12))
+
+    def models():  # gate and multi have one shape
+        return [init_model(d, 2, TrainConfig(seed=seed), hidden_dim=5)
+                for d, seed in ((12, 1), (7, 2), (12, 3))]
+
+    routed = models()
+    labels, probs = two_stage_route(*routed, partition, x_gate, x_one, x_multi)
+    for model in routed:  # the map each model cached was built from its own arrays
+        assert [s is t for s, t in zip(model._map[0], (model.w1, model.b1, model.w2, model.b2))] \
+            == [True] * 4
+    assert not np.array_equal(routed[0]._map[1], routed[2]._map[1])
+    gate, one, multi = models()
+    to_multi = forward(gate, x_gate).argmax(axis=1) == 1
+    assert 0 < to_multi.sum() < 20
+    for i in range(20):
+        model, x = (multi, x_multi[i]) if to_multi[i] else (one, x_one[i])
+        assert probs[i] == forward(model, x).max()

@@ -933,7 +933,7 @@ def test_two_stage_eval_of_the_train_split(two_stage_prefix, two_stage_models, c
     models, partition, _ = _two_stage_inputs(prefix, two_stage_models)
     xs = [read_feature_matrix(f"{prefix}.{stage}.train.feat")[0] for stage, _ in cli._STAGES]
     y = pio.read_labels(f"{prefix}.one.train.labels")
-    assert y.size <= cli._EVAL_ROWS  # eval routes the rows in one block too
+    assert y.size > cli._MAP_ROWS  # eval routes the rows in blocks, the reference in one call
     pred, _ = classifier.two_stage_route(*models, partition, *xs)
     cli._report_eval(y, pred, partition.multi_body.size)
     expect = capsys.readouterr().out
@@ -943,6 +943,41 @@ def test_two_stage_eval_of_the_train_split(two_stage_prefix, two_stage_models, c
         assert cli.main(["eval", "--features", str(prefix), "--model", str(two_stage_models),
                          "--split", "train", "--two-stage", *labels]) == 0
         assert capsys.readouterr().out == expect
+
+
+@pytest.mark.parametrize("two_stage", [False, True])
+def test_eval_and_predict_give_a_clip_the_same_probabilities(two_stage, request, monkeypatch,
+                                                             capsys):
+    """``eval`` runs a clip inside a block of rows and ``predict`` runs it alone:
+    the same probability bits."""
+    if two_stage:
+        root = request.getfixturevalue("interaction_ds")["root"]
+        prefix = request.getfixturevalue("two_stage_prefix")
+        model = request.getfixturevalue("two_stage_models")
+        run, features, flags = "two_stage_route", [str(prefix)], ["--two-stage"]
+    else:
+        trained = request.getfixturevalue("trained")
+        root, prefix, model = trained["root"], trained["prefix"], trained["model"]
+        run, flags = "forward", []
+        features = [f"{prefix}.test.feat", "--labels", f"{prefix}.test.labels"]
+    inner, outputs = getattr(cli, run), []
+
+    def record(*args):
+        out = inner(*args)
+        outputs.append(out[1] if two_stage else out)  # the route gives (labels, probabilities)
+        return out
+
+    monkeypatch.setattr(cli, run, record)
+    assert cli.main(["eval", "--features", *features, "--model", str(model), *flags]) == 0
+    evaluated = np.concatenate(outputs)
+    clips = _test_clips(root)
+    assert len(clips) == len(evaluated) > 1
+    for clip, probs in zip(clips, evaluated):
+        outputs.clear()
+        assert cli.main(["predict", "--clip", str(clip), "--features", str(prefix),
+                         "--model", str(model), *flags]) == 0
+        assert np.ravel(outputs[0]).tobytes() == np.ravel(probs).tobytes()
+    capsys.readouterr()
 
 
 def test_labels_are_required_without_two_stage(trained, tmp_path, capsys):
@@ -989,7 +1024,7 @@ def test_eval_in_blocks_prints_the_whole_matrix_report(trained, monkeypatch, cap
     cli._report_eval(y, classifier.forward(model, x).argmax(axis=1), model.class_count)
     expect = capsys.readouterr().out
     for rows in (64, 3):  # 8 rows: one block, then blocks of 3, 3 and 2
-        monkeypatch.setattr(cli, "_EVAL_ROWS", rows)
+        monkeypatch.setattr(cli, "_MAP_ROWS", rows)
         assert cli.main(["eval", "--features", f"{prefix}.test.feat", "--labels",
                          f"{prefix}.test.labels", "--model", str(trained["model"])]) == 0
         assert capsys.readouterr().out == expect
@@ -1017,7 +1052,7 @@ def test_two_stage_train_and_eval_stream_the_same_results(two_stage_prefix, tmp_
     pred, _ = classifier.two_stage_route(*models, partition, *xs)
     cli._report_eval(y, pred, partition.multi_body.size)
     expect = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_EVAL_ROWS", 4)  # 6 rows: blocks of 4 and 2
+    monkeypatch.setattr(cli, "_MAP_ROWS", 4)  # 6 rows: blocks of 4 and 2
     assert cli.main(["eval", "--features", str(prefix), "--model", str(tmp_path / "m"),
                      "--two-stage"]) == 0
     assert capsys.readouterr().out == expect
