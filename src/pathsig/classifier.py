@@ -559,13 +559,16 @@ def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: 
     Row i of ``x_gate``, ``x_one`` and ``x_multi`` is one clip, already
     scaled for the gate, the one-body and the multi-body model; the gate's
     output 0 means one-body.  Returns (class ids, probabilities) in the
-    original class numbering.
+    original class numbering.  A class model no row is routed to is not
+    run, so it builds no affine map.
     """
     to_multi = forward(gate, x_gate).argmax(axis=1) != 0
     labels = np.empty(to_multi.size, dtype=np.int64)
     probs = np.empty(to_multi.size)
     for rows, model, x, classes in ((~to_multi, one_body, x_one, partition.one_body_classes),
                                     (to_multi, multi_body, x_multi, partition.multi_body_classes)):
+        if not rows.any():
+            continue
         p = forward(model, x[rows])
         labels[rows] = classes[p.argmax(axis=1)]
         probs[rows] = p.max(axis=1)

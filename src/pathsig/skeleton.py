@@ -14,19 +14,20 @@ one float64 row of five kinds of blocks, placed as ``feature_layout`` says:
   triple signature blocks, the signature of its lead-lag lifted evolution
   over all frames, truncated at ``evolution_level``.
 
-The three spatial blocks are built once, as one row per frame.  The
-feature row is allocated once and filled in place: the rows of the
-``sampled_frames`` frames chosen by ``uniform_sample`` are copied in, and
-the spatial-evolution block, read from the pair and triple columns of
-every frame's row, is filled one tile of columns at a time.  The two
-temporal blocks always see every frame, so the output width does not
-depend on clip length.  With
-``dyadic`` enabled, each temporal signature is replaced by the
-concatenation of signatures over ``dyadic_windows``, multiplying the
-temporal widths by 2**depth - 1.  Each temporal block builds its
-increments once, channel-first (the evolution block's straight from the
-series: its lead-lag lift never exists) and frees them once the finest
-windows are signed; every coarser window is the Chen product of its halves.
+The row is allocated once and filled in place, one pathlet tile at a
+time: each tile of pairs or triples is signed for every frame, the
+``sampled_frames`` frames chosen by ``uniform_sample`` are copied into
+their spatial blocks, and the tile's evolution is signed into its slice of
+the evolution block.  No array spans every frame and every pathlet, so a
+clip's working set is set by its row and one tile, not by its length.
+The two temporal blocks always see every frame, so the output width does
+not depend on clip length.  With ``dyadic`` enabled, each temporal
+signature is replaced by the concatenation of signatures over
+``dyadic_windows``, multiplying the temporal widths by 2**depth - 1.  Each
+temporal block builds its increments once, channel-first (the evolution
+block's straight from the series: its lead-lag lift never exists) and
+frees them once the finest windows are signed; every coarser window is
+the Chen product of its halves.
 
 Everything here is a pure function of its inputs; augmentation noise is
 drawn from an explicitly seeded generator.
@@ -68,7 +69,7 @@ __all__ = [
 
 _MAX_JOINTS = 1000  # a descriptor's checks build lists this long; NTU RGB+D has 25 a body
 _MAX_COLUMNS = 1 << 26  # widest feature row: about 10x NTU RGB+D's 6,186,050
-_TILE_COLUMNS = 2048  # evolution columns per fold: narrower tiles cost time, wider ones memory
+_TILE_COLUMNS = 2048  # spatial columns per tile, in whole pathlets: narrower cost time, wider memory
 
 
 @dataclass
@@ -303,24 +304,6 @@ def enumerate_pathlets(joint_count: int, size: int, priority=None) -> list[tuple
     return list(itertools.combinations(order, size))
 
 
-def _spatial_rows(frames: np.ndarray, config: FeatureConfig, descriptor: DatasetDescriptor):
-    """Every frame's spatial blocks, one row per frame.
-
-    frames: (F, N, d).  Returns the (F, N*d + Wp + Wt) array whose row f
-    is frame f's joints | pair_sig | triple_sig blocks in layout order.
-    Each pathlet size is signed for all frames in one batched call; a size
-    with no pathlets (two joints make no triple) adds no columns.
-    """
-    F, N, d = frames.shape
-    blocks = [frames.reshape(F, N * d)]
-    for size, level in ((2, config.pair_level), (3, config.triple_level)):
-        pathlets = enumerate_pathlets(N, size, descriptor.priority)
-        if pathlets:
-            paths = frames[:, np.array(pathlets, dtype=np.intp)].reshape(-1, size, d)
-            blocks.append(path_signature_batch(paths, level).reshape(F, -1))
-    return np.concatenate(blocks, axis=1)
-
-
 def _temporal_signatures(increments: np.ndarray, level: int, config: FeatureConfig) -> np.ndarray:
     """Signatures of B temporal paths, whole-interval or over dyadic windows.
 
@@ -366,8 +349,8 @@ def temporal_joint_features(actor_joints, config: FeatureConfig) -> np.ndarray:
 def temporal_spatial_features(spatial, config: FeatureConfig) -> np.ndarray:
     """Evolution signatures of every pair/triple signature dimension.
 
-    spatial: the (F, D_S) pair and triple blocks of every frame (raw
-    joints excluded).  Each scalar dimension's evolution is lifted by
+    spatial: (F, D) pair and triple signature columns, one row per frame
+    (raw joints excluded).  Each scalar dimension's evolution is lifted by
     lead-lag to ``lead_lag_dim`` and signed at ``evolution_level``; blocks
     are concatenated dimension by dimension.
     """
@@ -416,24 +399,34 @@ def assemble_features(actor_joints, config: FeatureConfig, descriptor: DatasetDe
     block, then the spatial-evolution block.  ``feature_layout`` gives
     each block's offset and width.  The output width depends only on the
     configuration and descriptor, never on the frame count (dyadic
-    windowing fixes its window count up front).  Its evolution block is
-    signed ``_TILE_COLUMNS`` columns at a time, with the whole block's bits:
-    the fold and Chen products work elementwise along the path axis.
+    windowing fixes its window count up front).  Pairs, then triples, are
+    taken ``max(1, _TILE_COLUMNS // m)`` pathlets at a time, m being their
+    signature width; each tile is signed for every frame in one batched
+    call, and its evolution is signed from those rows, with the whole
+    block's bits: the fold, the lead-lag increments and the Chen products
+    work elementwise along the path axis.
     """
     frames = _check_actor_array(actor_joints, descriptor)
     F, N, d = frames.shape
-    spatial = _spatial_rows(frames, config, descriptor)
     *_, motion, evolution = feature_layout(config, descriptor)
     row = np.empty(evolution.offset + evolution.width)
-    S, D = config.sampled_frames, spatial.shape[1]
-    np.take(spatial, uniform_sample(F, S), axis=0, out=row[:S * D].reshape(S, D))
+    sampled = uniform_sample(F, config.sampled_frames)
+    spatial = row[:motion.offset].reshape(sampled.size, -1)  # row i: sampled frame i's blocks
+    spatial[:, :N * d] = frames[sampled].reshape(sampled.size, N * d)
+    pathlet_sigs = spatial[:, N * d:]
     row[motion.offset:evolution.offset] = temporal_joint_features(frames, config)
-    pathlets = spatial[:, N * d:]
-    blocks = row[evolution.offset:].reshape(pathlets.shape[1], -1)  # row c: column c's block
-    for c0 in range(0, pathlets.shape[1], _TILE_COLUMNS):
-        tile = slice(c0, c0 + _TILE_COLUMNS)
-        blocks[tile] = temporal_spatial_features(pathlets[:, tile], config).reshape(
-            -1, blocks.shape[1])
+    blocks = row[evolution.offset:].reshape(pathlet_sigs.shape[1], -1)  # row c: column c's block
+    c0 = 0
+    for size, level in ((2, config.pair_level), (3, config.triple_level)):
+        pathlets = np.array(enumerate_pathlets(N, size, descriptor.priority), dtype=np.intp)
+        step = max(1, _TILE_COLUMNS // signature_dimension(d, level))
+        for p0 in range(0, len(pathlets), step):
+            sigs = path_signature_batch(frames[:, pathlets[p0:p0 + step]].reshape(-1, size, d),
+                                        level).reshape(F, -1)
+            tile = slice(c0, c0 + sigs.shape[1])
+            pathlet_sigs[:, tile] = sigs[sampled]
+            blocks[tile] = temporal_spatial_features(sigs, config).reshape(-1, blocks.shape[1])
+            c0 = tile.stop
     return row
 
 

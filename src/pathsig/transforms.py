@@ -50,15 +50,14 @@ def add_time(path) -> np.ndarray:
 
 
 def lead_lag(series, delay_dim: int) -> np.ndarray:
-    """Lift a scalar series to ``delay_dim`` delayed copies of itself.
+    """Lift a 1-D scalar series to ``delay_dim`` delayed copies of itself.
 
     Output coordinate j at time t is series[t - j] when t >= j, else 0
     (delay by j steps with zero front-padding), so a coordinate delayed by
     the series' length or more is all zeros.  delay_dim=1 returns the
     series as a one-column path.
     """
-    arr = np.asarray(series, dtype=np.float64)
-    arr = check_array(arr[:, 0] if arr.ndim == 2 and arr.shape[1] == 1 else arr, 1, "series")
+    arr = check_array(series, 1, "series")
     delay_dim = check_number(delay_dim, "delay_dim", ge=1)
     L = arr.size
     check_entries(L * delay_dim, "the lead-lag path")

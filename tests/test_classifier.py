@@ -410,13 +410,15 @@ def dense_reference_train(model, x, y, config):
     return history
 
 
+@pytest.mark.parametrize("rows", [40, 1])
 @pytest.mark.parametrize("drop_rate", [0.0, 0.5, 0.95])
-def test_chunked_training_matches_dense_masked_loop(drop_rate):
-    # several chunks plus a ragged last one; the last batch is short too
+def test_chunked_training_matches_dense_masked_loop(drop_rate, rows):
+    # several chunks plus a ragged last one; the last batch is short too,
+    # and a one-row matrix is one short batch
     D = 3 * _CHUNK_ROWS + 5
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((40, D))
-    y = rng.integers(0, 3, size=40)
+    x = rng.standard_normal((rows, D))
+    y = rng.integers(0, 3, size=rows)
     cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=4)
     model = init_model(D, 3, cfg, hidden_dim=4)
     reference = init_model(D, 3, cfg, hidden_dim=4)
@@ -450,6 +452,19 @@ def test_kept_entries_are_bernoulli(keep):
 def test_kept_entries_keep_all():
     for size in (1, 17, 40_000):
         assert np.array_equal(_kept_entries(np.random.default_rng(0), size, 1.0), np.arange(size))
+
+
+def test_kept_entries_stream_is_pinned():
+    """Two consecutive draws from one seeded generator, the first keeping the
+    last index: the block size and the stopping rule fix where every later
+    draw starts, and so the bits of every model trained with dropconnect."""
+    rng = np.random.default_rng(0)
+    first, second = _kept_entries(rng, 1000, 0.05), _kept_entries(rng, 1000, 0.05)
+    assert first[-1] == 999 and (first.size, second.size) == (44, 47)
+    digest = hashlib.sha256(first.astype("<i8").tobytes() + second.astype("<i8").tobytes())
+    assert digest.hexdigest() == \
+        "5489d90cb7c5f404fb4ba92693fbba5781170fd5319f809734215c55285e34ad", \
+        f"numpy {np.__version__} draws another stream: {digest.hexdigest()}"
 
 
 def test_kept_entries_hold_one_index_array():
@@ -1119,6 +1134,20 @@ def test_two_stage_route_matches_per_row_loop():
         for i in range(rows):
             model, x = (multi, x_multi[i]) if to_multi[i] else (one, x_one[i])
             assert probs[i] == pytest.approx(forward(model, x).max(), abs=1e-12)
+
+
+def test_two_stage_route_skips_a_class_model_no_row_reaches():
+    partition = StagePartition(np.array([1.0, 2.0, 1.2, 1.9]), np.array([False, True, False, True]))
+    rng = np.random.default_rng(36)
+    x_gate, x_one, x_multi = (rng.standard_normal((20, d)) for d in (12, 7, 12))
+    gate, one, multi = (init_model(d, 2, TrainConfig(seed=seed), hidden_dim=5)
+                        for d, seed in ((12, 1), (7, 2), (12, 3)))
+    gate.b2[:] = (0.0, 1e6)  # every row goes to the multi-body model
+    labels, probs = two_stage_route(gate, one, multi, partition, x_gate, x_one, x_multi)
+    assert one._map is None and multi._map is not None
+    p = forward(multi, x_multi)
+    assert np.array_equal(labels, partition.multi_body_classes[p.argmax(axis=1)])
+    assert np.array_equal(probs, p.max(axis=1))
 
 
 def test_two_stage_route_runs_each_model_through_its_own_map():

@@ -263,12 +263,14 @@ def test_evolution_block_delays_past_the_clip_are_zero_channels():
                                          (F, k, dyadic))
 
 
-@pytest.mark.parametrize("dyadic, most", [(True, 1.9), (False, 4)])
-def test_feature_row_peak_memory_is_a_few_rows(dyadic, most):
+@pytest.mark.parametrize("frame_count, dyadic, most", [(30, True, 1.5), (30, False, 2.5),
+                                                       (120, False, 6)])
+def test_feature_row_peak_memory_is_a_few_rows(frame_count, dyadic, most):
     """At the benchmark's clip shape the evolution increments are the only
     lead-lag array, and they and the window list are freed once folded;
-    the row is allocated once and its evolution block filled tile by tile."""
-    frames = np.random.default_rng(65).standard_normal((30, 15, 2))
+    the row is allocated once and filled one pathlet tile at a time, so a
+    longer clip adds only to a tile's working set."""
+    frames = np.random.default_rng(65).standard_normal((frame_count, 15, 2))
     config = FeatureConfig(dyadic=dyadic)
     assemble_features(frames, config, DESC15)  # first-call allocations stay out of the peak
     tracemalloc.start()
@@ -283,11 +285,34 @@ def test_feature_row_peak_memory_is_a_few_rows(dyadic, most):
 def concatenated_row(frames, config, descriptor):
     """The row as one concatenation of whole blocks, as it was built before tiling."""
     F, N, d = frames.shape
-    spatial = skeleton._spatial_rows(frames, config, descriptor)
+    blocks = [frames.reshape(F, N * d)]
+    for size, level in ((2, config.pair_level), (3, config.triple_level)):
+        pathlets = enumerate_pathlets(N, size, descriptor.priority)
+        if pathlets:  # each pathlet size signed for every frame in one batched call
+            paths = frames[:, np.array(pathlets, dtype=np.intp)].reshape(-1, size, d)
+            blocks.append(path_signature_batch(paths, level).reshape(F, -1))
+    spatial = np.concatenate(blocks, axis=1)
     return np.concatenate([spatial[i] for i in uniform_sample(F, config.sampled_frames)] + [
         temporal_joint_features(frames, config),
         temporal_spatial_features(spatial[:, N * d:], config),
     ])
+
+
+@pytest.mark.parametrize("tile", [1, 2048])
+def test_each_batched_call_signs_one_tile_of_pathlets(monkeypatch, tile):
+    monkeypatch.setattr(skeleton, "_TILE_COLUMNS", tile)
+    calls = []
+
+    def recording(paths, level):
+        calls.append((len(paths) // 30, level))
+        return path_signature_batch(paths, level)
+
+    monkeypatch.setattr(skeleton, "path_signature_batch", recording)
+    frames = np.random.default_rng(67).standard_normal((30, 15, 2))
+    assemble_features(frames, FeatureConfig(), DESC15)
+    assert sum(count for count, level in calls) == 105 + 455  # every pair and triple once
+    for count, level in calls:
+        assert count <= max(1, tile // signature_dimension(2, level)), calls
 
 
 TILED_DESCRIPTORS = [DESC5, DatasetDescriptor(5, 2, priority=(2, 0, 4, 1, 3)).merged(2),

@@ -83,8 +83,9 @@ def test_lead_lag_identity_matches_closed_form():
 def test_lead_lag_validates():
     with pytest.raises(InputError):
         lead_lag([1.0, 2.0], 0)
-    with pytest.raises(InputError):
-        lead_lag([[1.0, 2.0], [3.0, 4.0]], 2)
+    for series in ([[1.0, 2.0], [3.0, 4.0]], [[1.0], [2.0]]):  # the CLI passes a 1-D series
+        with pytest.raises(InputError, match="^series must be a non-empty 1-D array"):
+            lead_lag(series, 2)
     for delay_dim in (2**62, 10**5000):  # past 4,300 digits, named by its bit length
         with pytest.raises(MemoryError, match="^the lead-lag path: "):
             lead_lag([1.0, 2.0], delay_dim)
