@@ -15,12 +15,12 @@ update walk W1 in the row chunks of ``_chunk_plan`` and take the batch's
 rows of the matching feature columns only: the forward pass scatters each
 chunk's kept weights into a zeroed chunk buffer, and the update computes
 the chunk's gradient into a second buffer and applies it at the kept
-entries only.  Features come as an in-memory matrix or as an
-``io.FeatureRows`` file (this is how ``pathsig train`` runs), and both
-answer ``x[batch, r0:r1]`` with the same array, so the products and the
-bits are the same either way.  From a file, training holds the weights,
-the momentum, two chunk buffers, one chunk of batch rows and one batch's
-kept indices, whatever the number of rows.
+entries only.  ``train`` and ``forward`` take an in-memory matrix or an
+``io.FeatureRows`` file (as ``pathsig train`` and ``eval`` pass them), and
+both answer ``x[batch, r0:r1]`` with the same array, so the products and
+the bits are the same either way.  From a file, training holds the
+weights, the momentum, two chunk buffers, one chunk of batch rows and one
+batch's kept indices, whatever the number of rows.
 
 Precision: W1, its momentum and the chunk buffers are float32 (master
 weights, as in mixed-precision training); b1, W2, b2, the hidden layer
@@ -193,20 +193,21 @@ def forward(model: LinearNetModel, x) -> np.ndarray:
     """Class probabilities for one input vector or a batch of rows (each sums to 1).
 
     softmax(x @ A + c) through the model's cached affine map (``_affine_map``).
-    Rows go through A in fixed blocks of ``_MAP_ROWS``, the last padded with
-    zero rows, and the columns split by ``_chunk_plan`` into one reused
-    buffer, so every product has one shape and a row's probabilities are the
-    same bits alone, in any batch and at any BLAS thread count.  A takes
+    Rows (a matrix or an ``io.FeatureRows`` file, read one chunk at a time)
+    go through A in fixed blocks of ``_MAP_ROWS``, the last padded with zero
+    rows, and the columns split by ``_chunk_plan`` into one reused buffer, so
+    every product has one shape and a row's probabilities are the same bits
+    alone, in any batch, from a file or not, at any BLAS thread count.  A takes
     8 * D * C bytes and float32 W1 4 * D * H: above C = H / 2 the map is the
     larger, and this stays the one path.  A has its own anonymous mapping,
     so freeing the model returns it to the operating system instead of
     leaving a heap block resident under a later peak.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
+    arr = x if isinstance(x, FeatureRows) else np.asarray(x, dtype=np.float64)
+    single = len(arr.shape) == 1
     if single:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != model.input_dim:
+    if len(arr.shape) != 2 or arr.shape[1] != model.input_dim:
         raise InputError(
             f"input has shape {np.shape(x)}, model expects dimension {model.input_dim}"
         )
@@ -567,7 +568,8 @@ def two_stage_route(gate: LinearNetModel, one_body: LinearNetModel, multi_body: 
     probs = np.empty(to_multi.size)
     for rows, model, x, classes in ((~to_multi, one_body, x_one, partition.one_body_classes),
                                     (to_multi, multi_body, x_multi, partition.multi_body_classes)):
-        if not rows.any():
+        rows = np.flatnonzero(rows)
+        if not rows.size:
             continue
         p = forward(model, x[rows])
         labels[rows] = classes[p.argmax(axis=1)]

@@ -31,7 +31,6 @@ from .errors import FormatError, InputError, check_entries, check_labels, check_
 from . import io as pio
 from .classifier import (
     HIDDEN_UNITS,
-    _MAP_ROWS,
     TrainConfig,
     StagePartition,
     extract_body_features,
@@ -381,7 +380,7 @@ def cmd_train(args) -> int:
         for (stage, _), (_, classes, _), (x, y) in zip(_STAGES, stages, data):
             keep = np.flatnonzero(np.isin(y, classes))
             y_local = np.searchsorted(classes, y[keep])  # classes are sorted ids
-            _fit(x.select(keep), y_local, classes.size, config, args.hidden,
+            _fit(x[keep], y_local, classes.size, config, args.hidden,
                  f"{args.model}.{stage}.model", f"{args.model}.{stage}.history.txt", stack)
     return 0
 
@@ -432,9 +431,7 @@ def cmd_eval(args) -> int:
             model = load_model(args.model)
             _check_width(model, args.model, x.shape[1], args.features)
             check_labels(y, model.class_count, args.labels)
-            pred = np.concatenate([forward(model, block).argmax(axis=1)
-                                   for block in x.blocks(_MAP_ROWS)])
-            _report_eval(y, pred, model.class_count)
+            _report_eval(y, forward(model, x).argmax(axis=1), model.class_count)
             return 0
 
         labels_path = f"{args.features}.one.{args.split}.labels"  # global class ids
@@ -448,9 +445,7 @@ def cmd_eval(args) -> int:
         for (stage, _), model, x in zip(_STAGES, models, xs):
             _check_width(model, f"{args.model}.{stage}.model", x.shape[1], x.path)
         check_labels(y, partition.multi_body.size, labels_path)
-        pred = np.concatenate([two_stage_route(*models, partition, *blocks)[0]
-                               for blocks in zip(*(x.blocks(_MAP_ROWS) for x in xs))])
-        _report_eval(y, pred, partition.multi_body.size)
+        _report_eval(y, two_stage_route(*models, partition, *xs)[0], partition.multi_body.size)
     return 0
 
 

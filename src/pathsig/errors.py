@@ -94,7 +94,7 @@ def check_array(values, ndim: int, what: str, dtype=np.float64) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.ndim != ndim or 0 in arr.shape:
         raise InputError(f"{what} must be a non-empty {ndim}-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):  # NaN propagates; no bool copy
         raise InputError(f"{what} contains non-finite values")
     return arr
 

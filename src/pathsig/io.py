@@ -18,8 +18,8 @@ and only the commands publish: each file a command writes goes through
 a temporary name and renames it onto the file's own only when the block
 succeeds.
 ``FeatureRows`` is the one SIGFEAT1 reader: ``read_feature_matrix``,
-``read_scaler``, ``map_rows`` and the CLI's ``train`` and ``eval`` read
-through it, a block or a batch at a time.
+``read_scaler`` and ``map_rows`` read it a block at a time, and
+``classifier.train`` and ``forward`` a chunk of some rows at a time.
 
 Malformed input raises FormatError naming the file and the line number or
 byte offset.  Readers only parse: every text field goes through ``_parse``,
@@ -495,15 +495,15 @@ class FeatureRows:
     once, before anything sized from the header is allocated: the declared
     rows x cols must fit the file, and a non-empty footer must tile
     ``[0, cols)`` in order.  ``shape`` is (rows, cols) and ``layout`` the
-    footer's blocks.  ``read``, ``blocks`` and ``rows[batch, r0:r1]`` then
-    read with ``os.preadv``; a file cut short since it was opened is a
-    FormatError.  The file is read, not mapped: mapped pages that a
+    footer's blocks.  ``read``, ``blocks``, ``rows[batch, r0:r1]`` and a
+    ``rows[batch]`` view then read with ``os.preadv``; a file cut short
+    since it was opened is a FormatError.  The file is read, not mapped: mapped pages that a
     process touches count toward its resident memory, page-cache pages
     filled by a read do not.  As a context manager it closes the file.
     """
 
     def __init__(self, path):
-        self.path, self._rows = path, None  # _rows: file row of each row of a ``select`` view
+        self.path, self._rows = path, None  # _rows: file row of each row of a ``rows[batch]`` view
         self._file = open(path, "rb")
         try:
             f = self._file
@@ -541,24 +541,28 @@ class FeatureRows:
         self._pread(out, _FEAT_HEADER + 8 * self.shape[1] * start)
         return out
 
-    def blocks(self, step: int | None = None):
-        """Yield the rows in order, ``step`` rows at a time (by default about
-        ``_BLOCK_BYTES``, at least one row), each block read into one reused
-        buffer that the next block overwrites."""
+    def blocks(self):
+        """Yield the rows in order, about ``_BLOCK_BYTES`` at a time (at least
+        one row), each block read into one reused buffer that the next block
+        overwrites."""
         rows, cols = self.shape
-        if step is None:
-            step = max(1, _BLOCK_BYTES // (8 * cols)) if cols else max(1, rows)
+        step = max(1, _BLOCK_BYTES // (8 * cols)) if cols else max(1, rows)
         buffer = np.empty((min(step, rows), cols), dtype="<f8")
         for start in range(0, rows, step):
             yield self.read(start, min(start + step, rows), buffer[:rows - start])
 
-    def __getitem__(self, key) -> np.ndarray:
-        """``rows[batch, r0:r1]``: columns [r0, r1) of the given rows, as the
-        same fancy index of the matrix gives them (a fresh C-contiguous
-        float64 array); one read per row.  The column slice follows numpy's
-        rules with a step of 1; any other key is an InputError."""
-        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], slice)
-                and key[1].step in (None, 1)):
+    def __getitem__(self, key):
+        """``rows[batch]``: the rows ``batch`` (indices or a slice), in that
+        order, as a view sharing this file.  ``rows[batch, r0:r1]``: their
+        columns [r0, r1) as the matrix gives them (a fresh C-contiguous
+        float64 array); one read per row.  Slices follow numpy's rules with a
+        step of 1; any other key is an InputError."""
+        if not isinstance(key, tuple):
+            view = copy.copy(self)
+            view._rows = self._file_rows(key)
+            view.shape = (view._rows.size, self.shape[1])
+            return view
+        if not (len(key) == 2 and isinstance(key[1], slice) and key[1].step in (None, 1)):
             raise InputError(f"{self.path}: rows are indexed as rows[batch, r0:r1], got {key!r}")
         r0, r1, _ = key[1].indices(self.shape[1])
         file_rows = self._file_rows(key[0])
@@ -571,19 +575,14 @@ class FeatureRows:
             self._pread(out[i], first + stride * row)
         return out
 
-    def select(self, rows) -> FeatureRows:
-        """The given rows, in that order, as a view that shares this file."""
-        view = copy.copy(self)
-        view._rows = self._file_rows(rows)
-        view.shape = (view._rows.size, self.shape[1])
-        return view
-
     def _file_rows(self, rows) -> np.ndarray:
+        if isinstance(rows, slice) and rows.step in (None, 1):
+            rows = np.arange(*rows.indices(self.shape[0]))
         rows = np.asarray(rows)
         if rows.ndim != 1 or rows.size and (rows.dtype.kind not in "iu"
                                             or not 0 <= rows.min() <= rows.max() < self.shape[0]):
-            raise InputError(f"{self.path}: row indices must be a list of integers within "
-                             f"0..{self.shape[0] - 1}")
+            raise InputError(f"{self.path}: rows are a slice of step 1 or a list of integers "
+                             f"within 0..{self.shape[0] - 1}")
         rows = rows.astype(np.int64)
         return rows if self._rows is None else self._rows[rows]
 

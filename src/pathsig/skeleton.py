@@ -260,7 +260,7 @@ def horizontal_flip(clip: SkeletonClip, descriptor: DatasetDescriptor) -> Skelet
     return replace(clip, joints=joints, valid=valid)
 
 
-def add_gaussian_noise(clip: SkeletonClip, sigma: float = 0.01, seed=0) -> SkeletonClip:
+def add_gaussian_noise(clip: SkeletonClip, sigma: float, seed) -> SkeletonClip:
     """Add zero-mean Gaussian noise to every valid coordinate, seeded."""
     sigma = check_number(sigma, "sigma", float, ge=0.0)
     rng = np.random.default_rng(seed)

@@ -161,6 +161,24 @@ def test_a_rows_probabilities_do_not_depend_on_its_batch():
     forward_digest()
 
 
+def test_forward_reads_a_file_as_it_reads_the_matrix(tmp_path):
+    """``forward`` over an ``io.FeatureRows`` file, whole or a view of some of
+    its rows, gives the bits it gives over the same rows in memory."""
+    D = _CHUNK_ROWS + 300  # chunks of _CHUNK_ROWS, 256 and a ragged 44 rows
+    rng = np.random.default_rng(37)
+    model = init_model(D, 5, TrainConfig(seed=9), hidden_dim=8)
+    model.b1[:] = rng.standard_normal(8)
+    x = rng.standard_normal((17, D))
+    for n in (1, 7, 8, 9, 17):
+        pio.write_feature_matrix(tmp_path / f"x{n}.feat", x[:n])
+        with pio.FeatureRows(tmp_path / f"x{n}.feat") as rows:
+            assert forward(model, rows).tobytes() == forward(model, x[:n]).tobytes(), n
+    picked = np.array([16, 3, 3, 0, 9, 12, 5, 8, 1, 2])
+    with pio.FeatureRows(tmp_path / "x17.feat") as rows:
+        assert forward(model, rows[picked]).tobytes() == forward(model, x[picked]).tobytes()
+        assert forward(model, rows[2:11]).tobytes() == forward(model, x[2:11]).tobytes()
+
+
 def test_forward_bits_do_not_depend_on_the_blas_thread_count():
     paths = [os.path.dirname(os.path.dirname(classifier.__file__)), os.path.dirname(__file__)]
     digests = set()
@@ -211,6 +229,11 @@ def test_a_replaced_weight_array_rebuilds_the_map():
 
 
 # ------------------------------------------------------------------ schedule
+
+
+def test_train_config_defaults_are_the_reference_values():
+    assert TrainConfig() == TrainConfig(batch_size=30, momentum=0.7, learning_rate=0.01,
+                                        decay=0.005, max_epochs=200, drop_rate=0.95, seed=0)
 
 
 def test_lr_schedule_values():
@@ -680,7 +703,7 @@ def test_streamed_training_of_selected_rows_matches_row_copy(tmp_path, monkeypat
     streamed, copied = (init_model(D, 2, cfg, hidden_dim=4) for _ in range(2))
     y_local = np.searchsorted([1, 3], y[keep])
     with pio.FeatureRows(tmp_path / "x.feat") as rows:
-        history = train(streamed, rows.select(keep), y_local)
+        history = train(streamed, rows[keep], y_local)
     expect = train(copied, x[keep], y_local)
     for k in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(streamed, k), getattr(copied, k))
@@ -930,7 +953,7 @@ def test_load_holds_the_weights_once(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(loaded.w1, model.w1)
-    assert peak < 1.5 * model.w1.nbytes
+    assert peak < 1.05 * model.w1.nbytes  # the finiteness check copies no W1-sized array
 
 
 def test_load_rejects_duplicate_config_key(tmp_path):
@@ -986,6 +1009,7 @@ def test_stage_partition_threshold():
     assert part.multi_body_classes.tolist() == [1]
     with pytest.raises(InputError):
         stage_partition(np.array([0, 0]), np.array([1.0, 1.0]), 2)
+    assert stage_partition([0], [2.0], 1).multi_body.tolist() == [True]  # one clip is enough
 
 
 def test_stage_partition_arrays_must_be_equal_length_vectors():
@@ -1134,6 +1158,25 @@ def test_two_stage_route_matches_per_row_loop():
         for i in range(rows):
             model, x = (multi, x_multi[i]) if to_multi[i] else (one, x_one[i])
             assert probs[i] == pytest.approx(forward(model, x).max(), abs=1e-12)
+
+
+def test_two_stage_route_reads_files_as_it_reads_matrices(tmp_path):
+    partition = StagePartition(np.array([1.0, 2.0, 1.2, 1.9, 1.8]),
+                               np.array([False, True, False, True, True]))
+    rng = np.random.default_rng(38)
+    xs = [rng.standard_normal((21, d)) for d in (12, 7, 12)]
+    models = [init_model(d, c, TrainConfig(seed=seed), hidden_dim=5)
+              for d, c, seed in ((12, 2, 4), (7, 2, 5), (12, 3, 6))]
+    to_multi = forward(models[0], xs[0]).argmax(axis=1) == 1
+    assert 0 < to_multi.sum() < 21  # rows routed both ways
+    expect = two_stage_route(*models, partition, *xs)
+    paths = [tmp_path / f"{stage}.feat" for stage in ("gate", "one", "multi")]
+    for path, x in zip(paths, xs):
+        pio.write_feature_matrix(path, x)
+    with pio.FeatureRows(paths[0]) as gate, pio.FeatureRows(paths[1]) as one, \
+            pio.FeatureRows(paths[2]) as multi:
+        labels, probs = two_stage_route(*models, partition, gate, one, multi)
+    assert np.array_equal(labels, expect[0]) and probs.tobytes() == expect[1].tobytes()
 
 
 def test_two_stage_route_skips_a_class_model_no_row_reaches():

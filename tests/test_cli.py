@@ -933,7 +933,7 @@ def test_two_stage_eval_of_the_train_split(two_stage_prefix, two_stage_models, c
     models, partition, _ = _two_stage_inputs(prefix, two_stage_models)
     xs = [read_feature_matrix(f"{prefix}.{stage}.train.feat")[0] for stage, _ in cli._STAGES]
     y = pio.read_labels(f"{prefix}.one.train.labels")
-    assert y.size > cli._MAP_ROWS  # eval routes the rows in blocks, the reference in one call
+    assert y.size > classifier._MAP_ROWS  # forward takes the rows in blocks
     pred, _ = classifier.two_stage_route(*models, partition, *xs)
     cli._report_eval(y, pred, partition.multi_body.size)
     expect = capsys.readouterr().out
@@ -1024,7 +1024,7 @@ def test_eval_in_blocks_prints_the_whole_matrix_report(trained, monkeypatch, cap
     cli._report_eval(y, classifier.forward(model, x).argmax(axis=1), model.class_count)
     expect = capsys.readouterr().out
     for rows in (64, 3):  # 8 rows: one block, then blocks of 3, 3 and 2
-        monkeypatch.setattr(cli, "_MAP_ROWS", rows)
+        monkeypatch.setattr(classifier, "_MAP_ROWS", rows)
         assert cli.main(["eval", "--features", f"{prefix}.test.feat", "--labels",
                          f"{prefix}.test.labels", "--model", str(trained["model"])]) == 0
         assert capsys.readouterr().out == expect
@@ -1052,7 +1052,7 @@ def test_two_stage_train_and_eval_stream_the_same_results(two_stage_prefix, tmp_
     pred, _ = classifier.two_stage_route(*models, partition, *xs)
     cli._report_eval(y, pred, partition.multi_body.size)
     expect = capsys.readouterr().out
-    monkeypatch.setattr(cli, "_MAP_ROWS", 4)  # 6 rows: blocks of 4 and 2
+    monkeypatch.setattr(classifier, "_MAP_ROWS", 4)  # 6 rows: blocks of 4 and 2
     assert cli.main(["eval", "--features", str(prefix), "--model", str(tmp_path / "m"),
                      "--two-stage"]) == 0
     assert capsys.readouterr().out == expect
@@ -1074,6 +1074,30 @@ def test_train_does_not_load_the_matrix(tmp_path, capsys):
     # w1, its momentum, one chunk of 30 batch rows and the buffers: under a
     # quarter of the 48 MB matrix
     assert peak < x.nbytes / 4
+
+
+def test_eval_holds_the_weights_and_under_two_rows(tmp_path, capsys):
+    # forward reads the open file one block of rows and one chunk of columns
+    # at a time: beyond W1, eval holds less than two of the 64 rows
+    D, rows = 200_000, 64
+    rng = np.random.default_rng(22)
+    with pio.FeatureMatrixWriter(tmp_path / "x.feat", D) as writer:
+        for _ in range(rows // 8):
+            writer.write(rng.standard_normal((8, D)))
+    pio.write_labels(np.arange(rows) % 4, tmp_path / "x.labels")
+    model = classifier.init_model(D, 4, TrainConfig(), hidden_dim=64)
+    classifier.save_model(model, tmp_path / "m.model")
+    w1_bytes = model.w1.nbytes
+    del model
+    tracemalloc.start()
+    try:
+        assert cli.main(["eval", "--features", str(tmp_path / "x.feat"), "--labels",
+                         str(tmp_path / "x.labels"), "--model", str(tmp_path / "m.model")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "overall accuracy: " in capsys.readouterr().out
+    assert peak - w1_bytes < 2 * 8 * D
 
 
 def test_config_bodies_past_the_joint_cap_is_exit_2(trained, tmp_path, capsys):

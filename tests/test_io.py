@@ -159,6 +159,15 @@ def test_clip_huge_index_rejected_before_allocating(tmp_path, padding, row, inde
     assert peak < 1 << 20
 
 
+def test_clip_bound_admits_exactly_as_many_frames_as_bytes(tmp_path):
+    p = tmp_path / "c.clip"
+    p.write_text("10,0,0,1,2\n")  # 11 bytes of joint rows: 11 frames fit
+    assert read_clip_file(p, DESC).frame_count == 11
+    p.write_text("11,0,0,1,2\n")  # 11 bytes, 12 frames
+    with pytest.raises(FormatError, match="12 frames x 1 actors"):
+        read_clip_file(p, DESC)
+
+
 def test_clip_huge_min_actors_rejected(tmp_path):
     p = tmp_path / "c.clip"
     p.write_text("0,0,0,1.0,2.0\n")
@@ -490,16 +499,17 @@ def test_feature_rows_read_blocks_and_take(tmp_path, monkeypatch):
         assert rows.shape == (7, 5) and rows.layout == layout
         assert np.array_equal(rows.read(2, 6), matrix[2:6])
         assert [b.shape[0] for b in rows.blocks()] == [2, 2, 2, 1]
-        assert np.array_equal(np.vstack([b.copy() for b in rows.blocks(3)]), matrix)
+        assert np.array_equal(np.vstack([b.copy() for b in rows.blocks()]), matrix)
         picked = np.array([6, 0, 3, 3])
         for cols in (slice(1, 4), slice(3, None), slice(-2, 9), slice(4, 2)):
             out = rows[picked, cols]
             assert np.array_equal(out, matrix[picked, cols])
             assert out.flags.c_contiguous and out.dtype == np.float64
-        view = rows.select([5, 1, 4]).select([2, 0])
+        view = rows[[5, 1, 4]][[2, 0]]
         assert view.shape == (2, 5)
         assert np.array_equal(view.read(0, 2), matrix[[4, 5]])
         assert np.array_equal(view[[1], 0:5], matrix[[5]])
+        assert np.array_equal(rows[2:6][1:3, 1:4], matrix[3:5, 1:4])
         for bad in (lambda: rows[[7], 0:5],
                     lambda: rows[[0], 0:4:2],
                     lambda: rows[0],
@@ -507,9 +517,27 @@ def test_feature_rows_read_blocks_and_take(tmp_path, monkeypatch):
                     lambda: rows[[True], 0:5],
                     lambda: list(rows),
                     lambda: rows.read(5, 8),
-                    lambda: rows.select([-1])):
+                    lambda: rows[[-1]],
+                    lambda: rows[0:6:2]):
             with pytest.raises(InputError):
                 bad()
+
+
+def test_feature_rows_take_row_slices_as_the_matrix_does(tmp_path):
+    matrix = np.random.default_rng(8).standard_normal((6, 4))
+    write_feature_matrix(tmp_path / "m.feat", matrix)
+    with FeatureRows(tmp_path / "m.feat") as rows:
+        view = rows[[4, 0, 5, 2]]
+        for a, b in ((0, 6), (1, 4), (2, 2), (4, 1), (-3, None), (None, -2), (-9, 9), (7, 9)):
+            for cols in (slice(0, 4), slice(1, 3), slice(-3, -1), slice(3, 1)):
+                out = rows[a:b, cols]
+                assert out.flags.c_contiguous and out.dtype == np.float64
+                assert out.tobytes() == matrix[a:b, cols].tobytes(), (a, b, cols)
+                assert view[a:b, cols].tobytes() == matrix[[4, 0, 5, 2]][a:b, cols].tobytes()
+            assert rows[a:b].shape == matrix[a:b].shape
+        for step in (2, -1, 0):
+            with pytest.raises(InputError, match="slice of step 1"):
+                rows[0:6:step, 0:4]
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])

@@ -33,7 +33,7 @@ def _read_rows(path):
         n, cols = rows.shape
         for _ in rows.blocks():
             pass
-        picked = rows.select([n - 1, 0] if n else [])
+        picked = rows[[n - 1, 0] if n else []]
         picked[range(picked.shape[0]), cols // 2:]
 
 

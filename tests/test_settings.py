@@ -324,9 +324,9 @@ def test_each_count_is_an_integer_within_its_bounds(entry, small_set):
 def test_noise_sigma_is_a_finite_float_at_least_0():
     for bad in ("0.01", -0.01, math.nan, math.inf):
         with pytest.raises(InputError, match="^sigma = "):
-            add_gaussian_noise(CLIP, bad)
-    assert np.array_equal(add_gaussian_noise(CLIP, np.float64(0.01)).joints,
-                          add_gaussian_noise(CLIP, 0.01).joints)
+            add_gaussian_noise(CLIP, bad, 0)
+    assert np.array_equal(add_gaussian_noise(CLIP, np.float64(0.01), 0).joints,
+                          add_gaussian_noise(CLIP, 0.01, 0).joints)
 
 
 def test_synthetic_clips_take_their_classes_in_two_dimensions():
