@@ -46,7 +46,6 @@ settings codec of ``io``.
 
 from __future__ import annotations
 
-import dataclasses
 import mmap
 import struct
 from dataclasses import dataclass, field
@@ -55,8 +54,8 @@ import numpy as np
 
 from .errors import (FormatError, InputError, check_array, check_entries, check_labels,
                      check_number, check_settings, setting)
-from .io import (FeatureRows, _checked, _decode, _format_settings, _parse_key_values,
-                 _parse_settings, _read_array, _read_exact)
+from .io import (FeatureRows, _checked, _decode, _format_settings, _parse_settings, _read_array,
+                 _read_exact)
 from .skeleton import (
     DatasetDescriptor,
     FeatureConfig,
@@ -618,9 +617,6 @@ def load_model(path) -> LinearNetModel:
         if extra:
             raise FormatError(f"{path}: trailing bytes after config at offset {f.tell() - 1}")
     where = f"{path} config text"
-    fields = _parse_key_values((f"{where}:{lineno}", line)
-                               for lineno, line in enumerate(text.splitlines(), start=1))
-    missing = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in fields]
-    if missing:
-        raise FormatError(f"{where}: missing key {missing[0]!r}")
-    return _checked(path, LinearNetModel, *arrays, *_parse_settings(fields, where, TrainConfig))
+    lines = ((f"{where}:{lineno}", line) for lineno, line in enumerate(text.splitlines(), start=1))
+    return _checked(path, LinearNetModel, *arrays,
+                    *_parse_settings(lines, where, TrainConfig, complete=True))

@@ -22,13 +22,15 @@ succeeds.
 ``classifier.train`` and ``forward`` a chunk of some rows at a time.
 
 Malformed input raises FormatError naming the file and the line number or
-byte offset.  Readers only parse: every text field goes through ``_parse``,
-which reads one line's int, float or bool fields at once and names the
-field that is none, and every reader builds its value through
-``_checked``, which turns the InputError of a value that breaks a rule (a
-NaN coordinate or weight, a setting out of bounds, more joints or feature
-columns than ``skeleton`` allows) into a FormatError starting with the
-file's path.  Every writer/reader pair round-trips bit-exactly.  Binary
+byte offset.  ``_data_lines`` owns the rules of a text file's lines (blanks,
+``#`` comments, a file with no data line) and ``_parse_key_values`` those of
+its keys (unknown, duplicate, missing).  Readers only parse: every text
+field goes through ``_parse``, which reads one line's int, float or bool
+fields at once and names the field that is none, and every reader builds
+its value through ``_checked``, which turns the InputError of a value that
+breaks a rule (a NaN coordinate or weight, a setting out of bounds, more
+joints or feature columns than ``skeleton`` allows) into a FormatError
+starting with the file's path.  Every writer/reader pair round-trips bit-exactly.  Binary
 readers check each size from a header against the file size before they
 allocate, and read arrays in place; the SIGNET1 model reader in
 ``classifier`` shares them, ``_checked`` and the ``key = value`` settings
@@ -85,15 +87,20 @@ _EXPECTED = {int: "an integer", float: "a number", bool: "true, false, 1 or 0"}
 _MAX_FIELD = sys.int_info.default_max_str_digits  # 4,300: int() reads no longer literal
 
 
-def _data_lines(path):
-    """Yield ("path:line_number", stripped_text) skipping blanks and # comments."""
+def _data_lines(path, what=None):
+    """Yield ("path:line_number", stripped_text) skipping blanks and # comments;
+    given ``what``, a file with no such line is a FormatError naming ``what``."""
+    found = False
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             where = f"{path}:{lineno}"
             text = _decode(raw, where, "utf-8").strip()
             if not text or text.startswith("#"):
                 continue
+            found = True
             yield where, text
+    if what and not found:
+        raise FormatError(f"{path}: no {what} found")
 
 
 def _decode(data: bytes, where: str, encoding: str = "ascii") -> str:
@@ -142,15 +149,13 @@ def read_path_file(path) -> np.ndarray:
     """
     rows = []
     dim = None
-    for where, text in _data_lines(path):
+    for where, text in _data_lines(path, "samples"):
         fields = text.split(",")
         if dim is None:
             dim = len(fields)
         elif len(fields) != dim:
             raise FormatError(f"{where}: expected {dim} coordinates, got {len(fields)}")
         rows.append(_parse(fields, float, where, "coordinate"))
-    if not rows:
-        raise FormatError(f"{path}: no samples found")
     return _checked(path, check_array, rows, 2, "path")
 
 
@@ -174,7 +179,7 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
     max_actor = -1
     size = 0  # bytes of joint rows
     kinds = (int,) * 3 + (float,) * d
-    for where, text in _data_lines(path):
+    for where, text in _data_lines(path, "joint rows"):
         size += len(text) + 1
         fields = text.split(",")
         if len(fields) != 3 + d:
@@ -194,8 +199,6 @@ def read_clip_file(path, descriptor: DatasetDescriptor, label: int | None = None
         entries[key] = coords
         max_frame = max(max_frame, frame)
         max_actor = max(max_actor, actor)
-    if not entries:
-        raise FormatError(f"{path}: no joint rows found")
     F = max_frame + 1
     A = max(max_actor + 1, min_actors)
     if F * A > size:
@@ -240,7 +243,7 @@ def read_manifest(path) -> list[ManifestRecord]:
     """
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    for where, text in _data_lines(path):
+    for where, text in _data_lines(path, "manifest rows"):
         fields = [v.strip() for v in text.split(",")]
         if len(fields) != 4:
             raise FormatError(
@@ -255,8 +258,6 @@ def read_manifest(path) -> list[ManifestRecord]:
         if not os.path.isabs(clip_path):
             clip_path = os.path.join(base, clip_path)
         records.append(ManifestRecord(clip_path, label_name, split, actor_count))
-    if not records:
-        raise FormatError(f"{path}: empty manifest")
     return records
 
 
@@ -268,17 +269,24 @@ def write_manifest(records, path) -> None:
             f.write(f"{rel},{rec.label_name},{rec.split},{rec.actor_count}\n")
 
 
-def _parse_key_values(lines) -> dict[str, str]:
-    """``key = value`` fields of (where, text) pairs, ``where`` naming the line."""
+def _parse_key_values(lines, path, keys, required=()) -> dict[str, str]:
+    """``key = value`` fields of the (where, text) pairs of file ``path``: each key one of
+    ``keys`` and given once, and each of ``required`` given, or a FormatError naming the
+    key's line (``where``), or ``path`` for a missing key."""
     fields = {}
     for where, text in lines:
         if "=" not in text:
             raise FormatError(f"{where}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
+        if key not in keys:
+            raise FormatError(f"{where}: unknown key {key!r}")
         if key in fields:
             raise FormatError(f"{where}: duplicate key {key!r}")
         fields[key] = value.strip()
+    for key in required:
+        if key not in fields:
+            raise FormatError(f"{path}: missing key {key!r}")
     return fields
 
 
@@ -288,10 +296,9 @@ def read_descriptor(path) -> DatasetDescriptor:
     Required keys: joints (2 to 1000), dims, classes.  Optional: priority, mirror
     (identity when omitted), horizontal_axis (0 when omitted).
     """
-    fields = _parse_key_values(_data_lines(path))
-    for key in ("joints", "dims", "classes"):
-        if key not in fields:
-            raise FormatError(f"{path}: missing required descriptor key {key!r}")
+    required = ("joints", "dims", "classes")
+    fields = _parse_key_values(_data_lines(path), path,
+                               required + ("priority", "mirror", "horizontal_axis"), required)
     joints, dims = (_parse([fields[key]], int, path, key)[0] for key in ("joints", "dims"))
     axis = _parse([fields.get("horizontal_axis", "0")], int, path, "horizontal_axis")[0]
     priority, mirror = (tuple(_parse(fields[key].split(","), int, path, key) if fields.get(key)
@@ -311,16 +318,15 @@ def write_descriptor(descriptor: DatasetDescriptor, path) -> None:
         f.write(f"classes = {','.join(descriptor.class_names)}\n")
 
 
-def _parse_settings(fields: dict[str, str], where, *classes) -> tuple:
-    """The settings dataclasses ``classes`` built from ``key = value`` fields of
-    ``where``: each key a field name, parsed by the type of its default, and
-    omitted keys at their defaults.  An unknown key or a malformed or
-    out-of-bounds value is a FormatError naming ``where``."""
+def _parse_settings(lines, where, *classes, complete: bool = False) -> tuple:
+    """The settings dataclasses ``classes`` built from the ``key = value`` lines
+    of ``where`` (``_parse_key_values`` pairs): each key a field name, parsed by
+    the type of its default; an omitted key is at its default, or with
+    ``complete`` a FormatError.  A malformed or out-of-bounds value is a
+    FormatError naming ``where``."""
     schema = {f.name: (cls, type(f.default)) for cls in classes for f in dataclasses.fields(cls)}
     kwargs = {cls: {} for cls in classes}
-    for key, value in fields.items():
-        if key not in schema:
-            raise FormatError(f"{where}: unknown key {key!r}")
+    for key, value in _parse_key_values(lines, where, schema, schema if complete else ()).items():
         cls, kind = schema[key]
         kwargs[cls][key] = _parse([value], kind, where, key)[0]
     return tuple(_checked(where, cls, **kwargs[cls]) for cls in classes)
@@ -338,8 +344,7 @@ def read_feature_config(path) -> tuple[FeatureConfig, ExtractionOptions]:
     The keys are the field names of FeatureConfig and ExtractionOptions,
     each optional and held to the bounds its field declares.
     """
-    return _parse_settings(_parse_key_values(_data_lines(path)), path,
-                           FeatureConfig, ExtractionOptions)
+    return _parse_settings(_data_lines(path), path, FeatureConfig, ExtractionOptions)
 
 
 def write_feature_config(config: FeatureConfig, options: ExtractionOptions, path) -> None:
@@ -361,10 +366,11 @@ def published(path):
     succeeds, deleted if the block or the rename raises.  A failed creation or rename names
     ``path``.  Entered for every output before any work, these fail first on an output that
     cannot be written and rename all or none; a rename failing after others did (as a crash)
-    is out of scope."""
+    is out of scope.  The temporary is created exclusively: two outputs that are one file
+    (``m`` and ``./m``) fail on entry."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    _naming(path, open, tmp, "xb").close()
     try:
-        _naming(path, open, tmp, "wb").close()
         yield tmp
         _naming(path, os.replace, tmp, path)
     except BaseException:
@@ -587,7 +593,8 @@ class FeatureRows:
         return rows if self._rows is None else self._rows[rows]
 
     def close(self) -> None:
-        self._file.close()
+        if self._rows is None:  # a ``rows[batch]`` view leaves its parent's file open
+            self._file.close()
 
     def __enter__(self):
         return self
@@ -609,10 +616,8 @@ def read_feature_matrix(path) -> tuple[np.ndarray, tuple[Block, ...]]:
 def read_labels(path) -> np.ndarray:
     """Read labels: one integer per line."""
     values = []
-    for where, text in _data_lines(path):
+    for where, text in _data_lines(path, "labels"):
         values += _parse([text], int, where, "label")
-    if not values:
-        raise FormatError(f"{path}: no labels found")
     return np.array(values, dtype=np.int64)
 
 
@@ -647,10 +652,8 @@ def write_partition(means, multi, path) -> None:
 
 def read_partition(path):
     """Read the two-stage class split; returns (means, multi) arrays."""
-    fields = _parse_key_values(_data_lines(path))
-    for key in ("classes", "means", "multi"):
-        if key not in fields:
-            raise FormatError(f"{path}: missing partition key {key!r}")
+    keys = ("classes", "means", "multi")
+    fields = _parse_key_values(_data_lines(path), path, keys, keys)
     count = _parse([fields["classes"]], int, path, "classes")[0]
     means = np.array(_parse(fields["means"].split(","), float, path, "means"))
     multi = np.array(_parse(fields["multi"].split(","), bool, path, "multi"))

@@ -299,6 +299,20 @@ def test_train_writes_model_and_history(trained):
     assert first[0] == "0" and first[1] == "0.01"
 
 
+@pytest.mark.parametrize("history", ["m", "./m"])
+def test_train_with_one_file_for_two_outputs_fails_first_and_keeps_it(
+        extracted, tmp_path, monkeypatch, capsys, history):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m").write_bytes(b"old model")
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("trained"))
+    assert cli.main(["train", "--features", f"{extracted['prefix']}.train.feat", "--labels",
+                     f"{extracted['prefix']}.train.labels", "--model", "m",
+                     "--history", history]) == 1
+    assert f"File exists: '{history}'" in capsys.readouterr().err
+    assert (tmp_path / "m").read_bytes() == b"old model"
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]
+
+
 def test_eval_confusion_matches_reported_accuracy(trained):
     result = run_cli("eval",
                      "--features", f"{trained['prefix']}.test.feat",
@@ -538,6 +552,33 @@ def test_two_stage_models_must_match_the_partition(interaction_ds, tmp_path, cap
         assert cli.main(["predict", "--clip", str(root / line.split(",")[0]), "--features",
                          str(prefix), "--model", str(tmp_path / "m"), "--two-stage"]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_a_misspelled_key_is_exit_2_naming_its_line(interaction_ds, tmp_path, capsys):
+    descriptor = tmp_path / "descriptor.txt"
+    lines = pathlib.Path(interaction_ds["descriptor"]).read_text().splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith("priority"))
+    descriptor.write_text("\n".join(lines).replace("priority", "prority") + "\n")
+    prefix, model = tmp_path / "f", tmp_path / "m"
+    extract = ["features", "extract", "--manifest", str(interaction_ds["manifest"]),
+               "--config", str(interaction_ds["config"]), "--output", str(prefix), "--two-stage"]
+    assert cli.main(extract + ["--descriptor", str(descriptor)]) == 2
+    assert f"format error: {descriptor}:{line}: unknown key 'prority'" in capsys.readouterr().err
+    assert cli.main(extract + ["--descriptor", str(interaction_ds["descriptor"])]) == 0
+    assert cli.main(["train", "--features", str(prefix), "--model", str(model), "--epochs", "1",
+                     "--two-stage"]) == 0
+    partition = tmp_path / "f.partition.txt"
+    partition.write_text(partition.read_text() + "mutli = 1\n")
+    clip = _test_clips(interaction_ds["root"])[0]
+    capsys.readouterr()
+    for argv in (["train", "--features", str(prefix), "--model", str(tmp_path / "m2")],
+                 ["eval", "--features", str(prefix), "--model", str(model)],
+                 ["predict", "--clip", str(clip), "--features", str(prefix), "--model",
+                  str(model)]):
+        assert cli.main(argv + ["--two-stage"]) == 2, argv[0]
+        assert (f"format error: {partition}:4: unknown key 'mutli'"
+                in capsys.readouterr().err), argv[0]
+    assert not list(tmp_path.glob("m2*"))
 
 
 def test_two_stage_extract_needs_two_classes_per_side(action_ds, tmp_path):

@@ -1,11 +1,15 @@
-"""Pinned digests of BLAS-free outputs: a change to any of their bits fails here.
+"""Pinned outputs: a change to any of their bits, or to a trained model, fails here.
 
-Each case runs one command in process on small seeded ``synth`` data and
-compares the sha256 of every file it writes, and of its stdout, with a
-stored digest.  These outputs use no BLAS, so they are the same bits at any
-thread count; they can still move with numpy's build and the CPU features
-it dispatches on, so a mismatch names both.  A change that moves a digest
-on purpose updates it here in the same commit.
+Each extract or ``sig compute`` case runs one command in process on small
+seeded ``synth`` data and compares the sha256 of every file it writes, and
+of its stdout, with a stored digest.  These outputs use no BLAS, so they
+are the same bits at any thread count; they can still move with numpy's
+build and the CPU features it dispatches on, so a mismatch names both.
+A model trained on an extract goes through BLAS, whose kernel OpenBLAS
+picks by CPU, so its weights and probabilities are pinned to stored values
+at a tight tolerance instead, and a mismatch also names the BLAS build.  A
+change that moves a pinned value on purpose updates it here in the same
+commit.
 """
 
 import hashlib
@@ -14,7 +18,8 @@ import numpy as np
 import pytest
 
 from pathsig import cli
-from pathsig.io import ExtractionOptions, write_feature_config
+from pathsig.classifier import forward, load_model
+from pathsig.io import ExtractionOptions, FeatureRows, write_feature_config
 from pathsig.skeleton import FeatureConfig, SkeletonClip
 from pathsig.synth import make_action_dataset, make_interaction_dataset, write_dataset
 
@@ -31,6 +36,11 @@ def _numpy_build() -> str:
             f"dispatching on {' '.join(dispatched) or 'none'}")
 
 
+def _blas_build() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']} ({blas.get('openblas configuration', '')})"
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -40,6 +50,20 @@ def _check(digests: dict, expected: dict) -> None:
         f"output bits differ from the pinned digests under {_numpy_build()}; a new numpy "
         f"build or CPU can explain this, a code change on the pinned machine cannot. "
         f"Got {digests}")
+
+
+def _check_close(got: dict, expected: dict, tolerance: float = 1e-6) -> None:
+    """Each array of ``got`` within ``tolerance`` times the largest entry of its
+    expected values."""
+    errors = {}
+    for name, want in expected.items():
+        want = np.asarray(want)
+        errors[name] = float(np.abs(np.asarray(got[name]) - want).max() / np.abs(want).max())
+    assert max(errors.values()) <= tolerance, (
+        f"values differ from the pinned ones by more than {tolerance:g} of their scale under "
+        f"{_numpy_build()} and {_blas_build()}; a new numpy or BLAS build or CPU can explain "
+        f"this, a code change on the pinned machine cannot. Relative errors {errors}, "
+        f"got {({name: np.asarray(v).tolist() for name, v in got.items()})}")
 
 
 def _with_dropped_entries(clip: SkeletonClip, seed: int) -> SkeletonClip:
@@ -64,12 +88,17 @@ def _extract(tmp_path, capsys, dataset, config, options, *flags) -> dict:
     return digests
 
 
-def test_single_stage_extract_with_dropped_entries_is_pinned(tmp_path, capsys):
+def _single_stage_extract(tmp_path, capsys) -> dict:
+    """Digests of an extract of seeded clips, every other one with dropped entries."""
     train, test, desc = make_action_dataset(train_clips=8, test_clips=4, joint_count=5, seed=3)
     train = [_with_dropped_entries(c, i) if i % 2 else c for i, c in enumerate(train)]
     test = [_with_dropped_entries(c, 100 + i) if i % 2 else c for i, c in enumerate(test)]
-    digests = _extract(tmp_path, capsys, (train, test, desc), FeatureConfig(**SMALL),
-                       ExtractionOptions(noise_copies=1))
+    return _extract(tmp_path, capsys, (train, test, desc), FeatureConfig(**SMALL),
+                    ExtractionOptions(noise_copies=1))
+
+
+def test_single_stage_extract_with_dropped_entries_is_pinned(tmp_path, capsys):
+    digests = _single_stage_extract(tmp_path, capsys)
     _check(digests, {
         "f.config.txt": "d750012b96e59418501b010984932bdca565e9f17d6669eba66fd5f7f7fbc284",
         "f.descriptor.txt": "90df90966408b29fa9689a84bfcb2158083c7ab77fdbdc1477d434537e72bca9",
@@ -138,3 +167,54 @@ def test_sig_compute_stdout_is_pinned(tmp_path, capsys, flags, points, expected)
     path.write_text("".join(",".join(f"{v!r}" for v in p) + "\n" for p in points))
     assert cli.main(["sig", "compute", str(path), "--level", "3", *flags]) == 0
     _check({"stdout": _digest(capsys.readouterr().out.encode())}, {"stdout": expected})
+
+
+def test_model_trained_on_the_single_stage_extract_is_pinned(tmp_path, capsys):
+    """Four epochs of three batches each (24 rows, 8 a batch): a change to the
+    epoch permutations, the dropconnect draws or the batches moves every value
+    below."""
+    _single_stage_extract(tmp_path, capsys)
+    prefix, model_path = tmp_path / "out" / "f", tmp_path / "m.model"
+    assert cli.main(["train", "--features", f"{prefix}.train.feat", "--labels",
+                     f"{prefix}.train.labels", "--model", str(model_path), "--epochs", "4",
+                     "--hidden", "6", "--batch-size", "8", "--seed", "34"]) == 0
+    model = load_model(model_path)
+    with FeatureRows(f"{prefix}.test.feat") as rows:
+        probs = forward(model, rows)
+    w1 = model.w1.astype(np.float64)
+    got = {"w1 column sums": w1.sum(axis=0),
+           "w1 cosine projection": np.cos(np.arange(len(w1))) @ w1,
+           "b1": model.b1, "w2": model.w2.ravel(), "b2": model.b2,
+           "test probabilities": probs.ravel()}
+    _check_close(got, {
+        "w1 column sums": [
+            0.6848669869195874, -1.7951738744195609, -1.1762122153040764,
+            0.6923569736100035, 0.4605474507297913, -1.4724683834774623,
+        ],
+        "w1 cosine projection": [
+            0.3250393412208852, 0.46046945193086325, 0.9933638216849496,
+            -0.2950104662516734, -0.10800047175518666, 1.1729437978018886,
+        ],
+        "b1": [
+            0.025397662402264126, 0.006462218517814974, -0.019089742622456756,
+            0.013463139353614838, -0.00047660059056274257, -0.01899482055777099,
+        ],
+        "w2": [
+            -0.1649924064217249, 0.7772338331198453, 0.25008148342091996, -0.981652877668653,
+            -0.47099505718088835, -0.161114329625935, -0.32961812970077164, 0.44107855844318916,
+            0.9394313282564393, 0.14020378193397837, 0.290193119906879, 0.390983709669122,
+            -0.6069444594959945, -0.017252791912106696, -0.11017083671427332, 0.06893886409282551,
+            0.08035125941521264, 0.105485830373079, 0.3200305429853556, -0.1217623218360928,
+            0.085517525504603, -0.7278174663163419, -0.4355083588398436, -0.7487639410604552,
+        ],
+        "b2": [
+            -0.022356193727812175, 0.027751625014354065, -0.0036956672100358894,
+            -0.0016997640765060457,
+        ],
+        "test probabilities": [
+            0.2684900821740083, 0.2478680814249031, 0.25238831015323393, 0.2312535262478547,
+            0.24184371783858083, 0.2740898103853416, 0.2539555923008764, 0.2301108794752011,
+            0.3547535024672899, 0.18225545989731953, 0.23263066530832727, 0.23036037232706327,
+            0.24700592892238485, 0.2585946607046076, 0.2511504163341347, 0.2432489940388728,
+        ],
+    })

@@ -73,7 +73,7 @@ def test_path_file_non_numeric(tmp_path):
 def test_path_file_empty_errors(tmp_path):
     p = tmp_path / "path.txt"
     p.write_text("# nothing\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(f"{p}: no samples found")):
         read_path_file(p)
 
 
@@ -265,9 +265,8 @@ def test_descriptor_joint_count_is_capped(tmp_path):
 def test_descriptor_missing_key(tmp_path):
     p = tmp_path / "desc.txt"
     p.write_text("joints = 4\nclasses = a\n")
-    with pytest.raises(FormatError) as err:
+    with pytest.raises(FormatError, match=re.escape(f"{p}: missing key 'dims'")):
         read_descriptor(p)
-    assert "dims" in str(err.value)
 
 
 def test_descriptor_invalid_mirror(tmp_path):
@@ -314,10 +313,9 @@ def test_feature_config_partial_keeps_defaults(tmp_path):
 
 def test_feature_config_unknown_key(tmp_path):
     p = tmp_path / "cfg.txt"
-    p.write_text("pair_levle = 4\n")
-    with pytest.raises(FormatError) as err:
+    p.write_text("pair_level = 3\n\npair_levle = 4\n")
+    with pytest.raises(FormatError, match=re.escape(f"{p}:3: unknown key 'pair_levle'")):
         read_feature_config(p)
-    assert "pair_levle" in str(err.value)
 
 
 def test_feature_config_bad_bool(tmp_path):
@@ -540,6 +538,18 @@ def test_feature_rows_take_row_slices_as_the_matrix_does(tmp_path):
                 rows[0:6:step, 0:4]
 
 
+def test_feature_rows_view_leaves_its_parents_file_open(tmp_path):
+    matrix = np.random.default_rng(9).standard_normal((4, 6))
+    write_feature_matrix(tmp_path / "m.feat", matrix)
+    with FeatureRows(tmp_path / "m.feat") as rows:
+        with rows[[1, 2]] as view:
+            assert np.array_equal(view.read(0, 2), matrix[[1, 2]])
+        view.close()
+        assert np.array_equal(rows[np.arange(2), 0:5], matrix[:2, 0:5])
+    with pytest.raises(ValueError, match="closed file"):
+        rows.read(0, 1)
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
 def test_feature_rows_empty_shapes(tmp_path, shape):
     p = tmp_path / "m.feat"
@@ -648,9 +658,8 @@ def test_partition_roundtrip(tmp_path):
 def test_partition_missing_key(tmp_path):
     p = tmp_path / "part.txt"
     p.write_text("classes = 2\nmeans = 1,2\n")
-    with pytest.raises(FormatError) as err:
+    with pytest.raises(FormatError, match=re.escape(f"{p}: missing key 'multi'")):
         read_partition(p)
-    assert "multi" in str(err.value)
 
 
 def test_partition_length_mismatch(tmp_path):
@@ -658,3 +667,32 @@ def test_partition_length_mismatch(tmp_path):
     p.write_text("classes = 3\nmeans = 1,2\nmulti = 0,1\n")
     with pytest.raises(FormatError):
         read_partition(p)
+
+
+# -------------------------------------------------- rules of the line readers
+
+
+@pytest.mark.parametrize("read, text, line, key", [
+    (read_descriptor, "joints = 3\ndims = 2\nclasses = a\nprority = 2,1,0\n", 4, "prority"),
+    (read_descriptor, "joints = 3\nmirorr = 0,2,1\ndims = 2\nclasses = a\n", 2, "mirorr"),
+    (read_partition, "classes = 2\nmeans = 1,2\nmulti = 0,1\nmutli = 1,1\n", 4, "mutli"),
+], ids=["descriptor_priority", "descriptor_mirror", "partition"])
+def test_key_value_readers_reject_an_unknown_key_naming_its_line(tmp_path, read, text, line,
+                                                                  key):
+    p = tmp_path / "kv.txt"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(f"{p}:{line}: unknown key {key!r}")):
+        read(p)
+
+
+@pytest.mark.parametrize("read, what", [
+    (lambda p: read_clip_file(p, DatasetDescriptor(joint_count=3, dim=2)), "joint rows"),
+    (read_manifest, "manifest rows"),
+    (read_labels, "labels"),
+], ids=["clip", "manifest", "labels"])
+def test_line_readers_reject_a_file_with_no_data_line(tmp_path, read, what):
+    p = tmp_path / "data.txt"
+    for text in ("", "\n  \n# a comment\n"):
+        p.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: no {what} found")):
+            read(p)

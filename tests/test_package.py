@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -207,3 +208,64 @@ def test_only_the_field_parser_catches_a_value_error():
                         for n in ast.walk(node.type))):
                 found.append(f"{name}:{node.lineno}")
     assert not found
+
+
+def test_only_the_line_helpers_word_a_file_rule():
+    """Each rule about a text file's lines has one home: ``io._parse_key_values``
+    raises every unknown-, duplicate- and missing-key FormatError, and
+    ``io._data_lines`` every FormatError for a file with no data line."""
+    homes = {"_parse_key_values": re.compile(r"\b(unknown|duplicate|missing)\b.*\bkey\b"),
+             "_data_lines": re.compile(r"\b(no|empty)\b")}
+    found, inside = [], set()
+    for path in sorted((REPO / "src" / "pathsig").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if path.name == "io.py" and isinstance(func, ast.FunctionDef)
+                 and func.name in homes for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "FormatError"):
+                continue
+            for text in (c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant)
+                         and isinstance(c.value, str)):
+                for home, rule in homes.items():
+                    if rule.search(text):
+                        if owner.get(id(node)) == home:
+                            inside.add(home)
+                        else:
+                            found.append(f"{path.name}:{node.lineno}: {text!r}")
+    assert not found
+    assert inside == set(homes)
+
+
+def test_loc_tool_splits_lines_into_code_docstring_and_blank_or_comment(tmp_path):
+    """``tools/loc.py`` counts every docstring line, blank ones included, as
+    docstring, and a line that starts with ``#`` once indented as a comment."""
+    source = '''"""Module docstring,
+
+two lines apart."""
+
+import os  # a trailing comment is code
+
+
+class Thing:
+    """One line."""
+
+    # a comment
+    def method(self):
+        """Two
+        lines."""
+        text = """not a docstring"""
+        return os.sep + text
+
+
+async def waiter():
+    """Async too."""
+'''
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(source)
+    result = subprocess.run([sys.executable, str(REPO / "tools" / "loc.py"), str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == (
+        "total: 20 total, 6 code, 7 docstring, 7 blank_or_comment")

@@ -204,7 +204,8 @@ def test_model_file_accepts_each_bound_and_rejects_past_it(cls, name, small_set,
 def test_model_file_rejects_an_unknown_or_missing_key(small_set, tmp_path):
     model = tmp_path / "m.model"
     _with_config_text(small_set["model"], model, lambda t: t + "\nhidden = 2")
-    with pytest.raises(FormatError, match=re.escape(f"{model} config text: unknown key 'hidden'")):
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{model} config text:8: unknown key 'hidden'")):
         load_model(model)
     _with_config_text(small_set["model"], model,
                       lambda t: "\n".join(line for line in t.splitlines() if "decay" not in line))

@@ -64,6 +64,12 @@ def test_dimension_past_any_array_is_a_memory_error_at_once():
     assert signature_dimension(2, 1 << 15) == 2 ** (2**15 + 1) - 2
 
 
+def test_signatures_of_a_batch_past_any_array_are_a_memory_error():
+    # each level-30 planar signature fits an array; 2^40 of them together do not
+    with pytest.raises(MemoryError, match="past any array's size"):
+        _horner_fold(np.empty((0, 2, 1 << 40)), 30)
+
+
 def test_an_int_too_long_to_print_is_named_by_its_bit_length():
     # Python refuses str() of an int past 4,300 digits; messages give its bits
     for call in (lambda: path_signature(np.zeros((3, 2)), 10**5000),
@@ -332,6 +338,8 @@ def test_levy_area_values():
 def test_levy_area_requires_2d_level2():
     with pytest.raises(InputError):
         levy_area(segment_signature([0.0], [1.0], 2))
+    with pytest.raises(InputError, match="d = 3"):
+        levy_area(segment_signature([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2))
     with pytest.raises(InputError):
         levy_area(segment_signature([0.0, 0.0], [1.0, 1.0], 1))
 

@@ -53,6 +53,19 @@ def block_total(layout, name):
 # ----------------------------------------------------------- block dimensions
 
 
+def test_settings_default_to_the_reference_values():
+    assert FeatureConfig() == FeatureConfig(sampled_frames=10, pair_level=2, triple_level=4,
+                                            joint_level=5, evolution_level=2, lead_lag_dim=3,
+                                            dyadic=False, dyadic_depth=3)
+    assert ExtractionOptions() == ExtractionOptions(bodies=1, flip=True, noise_copies=2,
+                                                    noise_sigma=0.01, seed=0)
+
+
+def test_clip_counts_follow_the_joint_axes():
+    clip = SkeletonClip(np.zeros((5, 3, 4, 2)), np.ones((5, 3, 4), dtype=bool))
+    assert (clip.frame_count, clip.actor_count, clip.joint_count, clip.dim) == (5, 3, 4, 2)
+
+
 def test_pair_block_widths_levels_1_to_4():
     # C(15,2) = 105 pairs, 10 sampled frames
     expected = {1: 2100, 2: 6300, 3: 14700, 4: 31500}
