@@ -22,12 +22,15 @@ the bits are the same either way.  From a file, training holds the
 weights, the momentum, two chunk buffers, one chunk of batch rows and one
 batch's kept indices, whatever the number of rows.
 
-Precision: W1, its momentum and the chunk buffers are float32 (master
-weights, as in mixed-precision training); b1, W2, b2, the hidden layer
-and the softmax head are float64.  The W1 products take float32 batch
-rows and hidden gradient, and their chunks sum into the float64 hidden
-layer.  ``forward``'s D x C map is float64; only ``gradient_check``, meant
-for small models, makes a float64 copy of W1.
+Precision: W1 and the chunk buffers are float32 (master weights, as in
+mixed-precision training); b1, W2, b2, the hidden layer and the softmax
+head are float64.  W1's momentum is kept between batches as the top 16
+bits of each float32 (the bfloat16 layout), 2 bytes an entry, and is
+widened to float32 ``_WIDEN_ROWS`` rows at a time for each update.  The W1
+products take float32 batch rows and hidden gradient, and their chunks
+sum into the float64 hidden layer.  ``forward``'s D x C map is float64;
+only ``gradient_check``, meant for small models, makes a float64 copy of
+W1.
 
 Training minimizes softmax cross-entropy by mini-batch gradient descent
 with classical momentum (v <- mu*v - lr*grad; param += v) under an
@@ -95,7 +98,8 @@ _MODEL_ARRAYS = (("w1", "<f4"), ("b1", "<f8"), ("w2", "<f8"), ("b2", "<f8"))  # 
 # W1 rows per training chunk: a 4 MB float32 block at 64 hidden units.
 _CHUNK_ROWS = 16384
 
-# W1 rows ``_affine_map`` widens to float64 at a time: 512 KB at 64 hidden units.
+# W1 rows ``_affine_map`` widens to float64 at a time (512 KB at 64 hidden units),
+# and momentum rows ``train`` widens to float32 at a time (256 KB).
 _WIDEN_ROWS = 1024
 
 _MAP_ROWS = 8  # rows per product of ``forward``, a padded fixed-shape block
@@ -322,6 +326,15 @@ def _batch_rows(x, batch: np.ndarray, r0: int, r1: int, out: np.ndarray) -> np.n
     return out
 
 
+def _narrowed(bits: np.ndarray) -> np.ndarray:
+    """``bits`` (uint32 float32 bit patterns, changed in place) as their top
+    16 bits, rounded to nearest with ties away from zero: 0x8000 is added to
+    the magnitude, and a carry out of the largest finite exponent gives inf."""
+    bits += 0x8000
+    bits >>= 16
+    return bits
+
+
 # overflow on the way to a diverged run is reported by the finiteness checks below
 @np.errstate(over="ignore", invalid="ignore")
 def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
@@ -336,10 +349,22 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
     one chunk of columns at a time (``x[batch, r0:r1]``, which a file
     answers with one read per row, cast to float32 by ``_batch_rows``), so
     no batch-sized copy of the features is made and the only W1-sized array
-    is the float32 momentum; masked-out entries move by their momentum
-    alone (v <- mu*v).  Loss and accuracy are accumulated from the same
-    masked forward passes the updates use.  The cached affine map is
+    is the momentum at 2 bytes an entry; masked-out entries move by their
+    momentum alone (v <- mu*v).  Loss and accuracy are accumulated from the
+    same masked forward passes the updates use.  The cached affine map is
     dropped on entry and on exit.
+
+    The momentum is stored as the high half of each float32 bit pattern.
+    Each chunk's update walks ``_WIDEN_ROWS``-row pieces through one reused
+    float32 scratch: widen the stored halves (shift left by 16), v *= mu,
+    apply the kept-entry (or, at drop rate 0, dense) update, w1 += v with
+    this full-precision v, then narrow v (``_narrowed``): round to nearest
+    with ties away from zero to 8 significant bits, or to a multiple of
+    2**-133 below float32's smallest normal, keeping the sign.  Only the
+    carried state is rounded.  An entry of magnitude 2**128 - 2**119
+    (about 3.396e38) or more narrows to inf, which the final-weights check
+    reports.  Every step is elementwise numpy with no BLAS, so the bits do
+    not depend on the BLAS thread count or on the piece size.
     Deterministic: the same model and data give bit-identical results.
     Raises InputError, naming the epoch and batch, when a batch loss is
     not finite (before that batch updates the weights), or when the final
@@ -361,7 +386,9 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
     D, H = model.w1.shape
     masked = config.drop_rate > 0.0
     rng = np.random.default_rng([config.seed, 1])
-    v_w1 = np.zeros_like(model.w1)
+    v_w1 = np.zeros(model.w1.shape, np.uint16)  # top half of each float32 momentum entry
+    v_bits = np.empty((min(_WIDEN_ROWS, D), H), np.uint32)  # one piece of it, widened
+    v_wide = v_bits.view(np.float32)
     v_b1 = np.zeros_like(model.b1)
     v_w2 = np.zeros_like(model.w2)
     v_b2 = np.zeros_like(model.b2)
@@ -372,7 +399,7 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
     g_buf = np.empty((chunk_rows, H), np.float32)
     x_buf = np.empty((min(config.batch_size, n), chunk_rows), np.float32)
     w_buf_flat, g_buf_flat = w_buf.reshape(-1), g_buf.reshape(-1)
-    w1_flat, v_flat = model.w1.reshape(-1), v_w1.reshape(-1)
+    w1_flat = model.w1.reshape(-1)
     history = []
     for epoch in range(config.max_epochs):
         lr = lr_schedule(epoch, config)
@@ -383,7 +410,7 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
             batch = order[start:start + config.batch_size]
             yb = y[batch]
             if masked:
-                kept = idx = local = None  # drop the last batch's mask before drawing the next
+                kept = idx = local = at = None  # drop the last batch's mask before drawing the next
                 kept = _kept_entries(rng, model.w1.size, 1.0 - config.drop_rate)
                 bounds = np.searchsorted(kept, chunk_edges)
             h = np.zeros((batch.size, H))
@@ -409,15 +436,25 @@ def train(model: LinearNetModel, features, labels) -> list[EpochStats]:
             for c, (r0, r1) in enumerate(chunks):
                 rows = _batch_rows(x, batch, r0, r1, x_buf)
                 g = np.matmul(rows.T, g_h, out=g_buf[:r1 - r0])
-                v = v_w1[r0:r1]
-                v *= config.momentum
+                starts = range(r0, r1, _WIDEN_ROWS)
                 if masked:
-                    idx = kept[bounds[c]:bounds[c + 1]]
-                    v_flat[idx] -= lr * g_buf_flat[idx - r0 * H]
+                    local = kept[bounds[c]:bounds[c + 1]] - r0 * H
+                    cuts = np.searchsorted(local, [(p0 - r0) * H for p0 in starts] + [g.size])
                 else:
                     g *= lr
-                    v -= g
-                model.w1[r0:r1] += v
+                for p, p0 in enumerate(starts):
+                    p1 = min(p0 + _WIDEN_ROWS, r1)
+                    bits, v = v_bits[:p1 - p0], v_wide[:p1 - p0]
+                    np.copyto(bits, v_w1[p0:p1])
+                    bits <<= 16
+                    v *= config.momentum
+                    if masked:
+                        at = local[cuts[p]:cuts[p + 1]]
+                        v.reshape(-1)[at - (p0 - r0) * H] -= lr * g_buf_flat[at]
+                    else:
+                        v -= g[p0 - r0:p1 - r0]
+                    model.w1[p0:p1] += v
+                    v_w1[p0:p1] = _narrowed(bits)
             for param, vel, grad in ((model.b1, v_b1, g_b1), (model.w2, v_w2, g_w2), (model.b2, v_b2, g_b2)):
                 vel *= config.momentum
                 vel -= lr * grad

@@ -503,7 +503,8 @@ class FeatureRows:
     ``[0, cols)`` in order.  ``shape`` is (rows, cols) and ``layout`` the
     footer's blocks.  ``read``, ``blocks``, ``rows[batch, r0:r1]`` and a
     ``rows[batch]`` view then read with ``os.preadv``; a file cut short
-    since it was opened is a FormatError.  The file is read, not mapped: mapped pages that a
+    since it was opened is a FormatError, and a read once the file is closed
+    an InputError.  The file is read, not mapped: mapped pages that a
     process touches count toward its resident memory, page-cache pages
     filled by a read do not.  As a context manager it closes the file.
     """
@@ -528,6 +529,8 @@ class FeatureRows:
             raise
 
     def _pread(self, out: np.ndarray, offset: int) -> None:
+        if self._file.closed:
+            raise InputError(f"{self.path}: cannot read rows from a closed file")
         view = memoryview(out).cast("B") if out.size else memoryview(b"")  # no cast of empty shapes
         while view.nbytes:
             got = os.preadv(self._file.fileno(), [view], offset)

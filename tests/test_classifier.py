@@ -264,6 +264,21 @@ def test_gradient_check_20_random_models():
     assert worst < 1e-4
 
 
+def test_gradient_check_reports_a_doubled_gradient_as_relative_error_one_half(monkeypatch):
+    # the loss is unchanged, so every entry whose doubled gradient passes the
+    # 1e-3 floor reads |2g - g| / |2g| = 1/2
+    head = classifier._softmax_head
+
+    def doubled(*args):
+        loss, probs, *grads = head(*args)
+        return (loss, probs, *(2.0 * g for g in grads))
+
+    monkeypatch.setattr(classifier, "_softmax_head", doubled)
+    model = init_model(6, 3, TrainConfig(drop_rate=0.5, seed=35), hidden_dim=4)
+    x = 3.0 * np.random.default_rng(35).standard_normal(6)
+    assert gradient_check(model, x, 1) == pytest.approx(0.5, abs=1e-6)
+
+
 def test_zero_input_leaves_w1_unchanged():
     # dL/dW1 = x (outer) delta, so x = 0 freezes the first layer
     model = init_model(5, 2, TrainConfig(drop_rate=0.0, max_epochs=3, seed=0),
@@ -382,14 +397,84 @@ def test_train_takes_its_settings_from_the_model_only():
     assert len(train(model, x, y)) == 3
 
 
+def narrowed_reference(v):
+    """float32 momentum values ``v`` as ``train`` keeps them, from the value in
+    float64: 8 significant bits for a normal float and multiples of 2**-133
+    for a subnormal one, rounded to nearest with ties away from zero, the
+    sign kept (-0.0 stays -0.0); a value that rounds past the largest finite
+    float32 becomes inf."""
+    v = np.asarray(v, dtype=np.float32).astype(np.float64)
+    size = np.abs(v)
+    exponent = np.frexp(size)[1] - 1  # size in [2**exponent, 2**(exponent + 1))
+    step = np.exp2(np.maximum(exponent, -126) - 7)
+    rounded = np.floor(size / step + 0.5) * step
+    rounded = np.where(rounded > np.finfo(np.float32).max, np.inf, rounded)
+    return np.copysign(rounded, v).astype(np.float32)
+
+
+def train_narrowed(v):
+    """``v`` narrowed by ``train``'s rule and widened back to float32."""
+    bits = classifier._narrowed(np.array(v, dtype=np.float32).view(np.uint32))
+    return (bits << 16).view(np.float32)
+
+
+def test_narrowed_reference_hand_values():
+    tie = 1.0 + 2.0**-8  # halfway between 1 and 1 + 2**-7, the next 8-bit value
+    assert narrowed_reference([tie, -tie]).tolist() == [1.0 + 2.0**-7, -1.0 - 2.0**-7]
+    assert narrowed_reference(np.nextafter(np.float32(tie), np.float32(0))) == 1.0
+    assert narrowed_reference([2.0**-134, 3 * 2.0**-134]).tolist() == [2.0**-133, 2.0**-132]
+    assert np.signbit(narrowed_reference([-2.0**-149, -0.0])).all()
+    assert narrowed_reference(2.0**128 - 2.0**119) == np.inf
+    assert narrowed_reference(np.nextafter(np.float32(2.0**128 - 2.0**119), np.float32(0))) \
+        == 2.0**128 - 2.0**120
+
+
+def test_train_narrows_the_momentum_as_the_float64_reference():
+    f32 = np.finfo(np.float32)
+    tie = np.float32(1.0 + 2.0**-8)
+    edges = np.array([0.0, 1.0, tie, np.nextafter(tie, np.float32(0)), np.nextafter(tie, np.float32(2)),
+                      2.0**-149, 2.0**-134, 3 * 2.0**-134, f32.smallest_subnormal * (2**23 - 1),
+                      f32.smallest_normal, 0.7, 1e-30, 3.38e38, 2.0**128 - 2.0**119,
+                      np.nextafter(np.float32(2.0**128 - 2.0**119), np.float32(0)), f32.max, np.inf],
+                     dtype=np.float32)
+    rng = np.random.default_rng(35)
+    patterns = rng.integers(0, 2**32, size=200_000, dtype=np.uint32).view(np.float32)
+    scaled = (rng.standard_normal(200_000) * np.exp2(rng.integers(-150, 128, size=200_000)))
+    with np.errstate(over="ignore"):
+        values = np.concatenate([edges, -edges, patterns[~np.isnan(patterns)],
+                                 scaled.astype(np.float32)])
+    assert train_narrowed(values).view(np.uint32).tolist() == \
+        narrowed_reference(values).view(np.uint32).tolist()
+
+
+@pytest.mark.parametrize("drop_rate", [0.0, 0.5, 0.95])
+def test_momentum_pieces_do_not_move_the_bits(monkeypatch, drop_rate):
+    # six chunks of 50 w1 rows and a ragged one of 7; 7-row pieces split each
+    # 50-row chunk into seven pieces and a one-row eighth
+    monkeypatch.setattr(classifier, "_CHUNK_ROWS", 50)
+    D = 6 * 50 + 7
+    rng = np.random.default_rng(35)
+    x = rng.standard_normal((40, D))
+    y = rng.integers(0, 3, size=40)
+    cfg = TrainConfig(batch_size=16, max_epochs=3, drop_rate=drop_rate, seed=35)
+    models = []
+    for rows in (7, 50):  # 50: one piece per chunk
+        monkeypatch.setattr(classifier, "_WIDEN_ROWS", rows)
+        models.append(init_model(D, 3, cfg, hidden_dim=5))
+        train(models[-1], x, y)
+    for k in ("w1", "b1", "w2", "b2"):
+        assert getattr(models[0], k).tobytes() == getattr(models[1], k).tobytes()
+
+
 def dense_reference_train(model, x, y, config):
     """The dense masked training loop that the chunked one replaced.
 
     It builds a W1-shaped 0/1 mask per batch from the same ``_kept_entries``
     draws, in the same rng order, and updates every entry of w1 densely.
-    Like ``train``, it holds w1 and its momentum in float32, takes the
-    float32 products of the batch rows with w1 chunk by chunk and sums them
-    in float64.
+    Like ``train``, it holds w1 in float32, adds the float32 momentum to it
+    and then keeps the momentum rounded by ``narrowed_reference``, and it
+    takes the float32 products of the batch rows with w1 chunk by chunk and
+    sums them in float64.
     """
     n = x.shape[0]
     rng = np.random.default_rng([config.seed, 1])
@@ -429,6 +514,7 @@ def dense_reference_train(model, x, y, config):
                 v[k] *= config.momentum
                 v[k] -= lr * g
                 getattr(model, k)[...] += v[k]
+            v["w1"] = narrowed_reference(v["w1"])
         history.append((epoch, lr, loss_sum / n, correct / n))
     return history
 
@@ -513,13 +599,14 @@ def test_train_holds_one_w1_sized_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * model.w1.nbytes
+    assert peak < model.w1.nbytes  # the momentum is half of w1's bytes
 
 
 def test_train_takes_batch_rows_one_chunk_at_a_time():
     # a 30-row batch copy (48 MB) is 3.75x w1 here: taking the rows per
-    # chunk keeps the peak at the momentum, the two chunk buffers, the kept
-    # indices and one chunk of batch rows, which grows only by that chunk
+    # chunk keeps the peak at the momentum (half of w1's bytes), the two
+    # chunk buffers, the kept indices and one chunk of batch rows (float32,
+    # read 8 float64 rows at a time), which grows only by that chunk
     D, H = 200_000, 8
     peaks = {}
     for rows in (30, 60):
@@ -537,7 +624,7 @@ def test_train_takes_batch_rows_one_chunk_at_a_time():
         kept_bytes = (1.0 - cfg.drop_rate) * model.w1.size * 8
         buffers = 2 * _CHUNK_ROWS * H * 8
         row_chunk = rows * _CHUNK_ROWS * 8
-        assert peaks[rows] < model.w1.nbytes + kept_bytes + buffers + 2 * row_chunk
+        assert peaks[rows] < model.w1.nbytes / 2 + kept_bytes + buffers + row_chunk
     assert peaks[60] - peaks[30] < 30 * _CHUNK_ROWS * 8 + model.w1.nbytes / 8
 
 
@@ -545,7 +632,8 @@ def batch_copy_reference_train(model, x, y, config):
     """The chunked training loop as it was before rows were taken per chunk.
 
     It copies each mini-batch whole (``xb = x[batch]``, in float32) and
-    slices the copy's columns in both chunk loops.
+    slices the copy's columns in both chunk loops.  It holds the momentum
+    in float32, rounded by ``narrowed_reference`` once w1 has taken it.
     """
     n = x.shape[0]
     D, H = model.w1.shape
@@ -600,6 +688,7 @@ def batch_copy_reference_train(model, x, y, config):
                     g *= lr
                     v -= g
                 model.w1[r0:r1] += v
+                v[...] = narrowed_reference(v)
             for param, vel, grad in ((model.b1, v_b1, g_b1), (model.w2, v_w2, g_w2),
                                      (model.b2, v_b2, g_b2)):
                 vel *= config.momentum
@@ -711,7 +800,8 @@ def test_streamed_training_of_selected_rows_matches_row_copy(tmp_path, monkeypat
 
 
 def test_streamed_training_memory_does_not_grow_with_rows(tmp_path):
-    # the matrices (48 and 96 MB) stay on disk: the peak is the momentum, one
+    # the matrices (48 and 96 MB) stay on disk: the peak is the momentum (half
+    # of w1's bytes), one
     # batch's kept indices (the last batch's are dropped before the next are
     # drawn), the two chunk buffers and one chunk of batch rows, for 30 rows
     # and for 60
@@ -736,7 +826,7 @@ def test_streamed_training_memory_does_not_grow_with_rows(tmp_path):
         kept_bytes = (1.0 - cfg.drop_rate) * model.w1.size * 8
         buffers = 2 * _CHUNK_ROWS * H * 8
         row_chunk = cfg.batch_size * _CHUNK_ROWS * 8
-        assert peaks[rows] < model.w1.nbytes + kept_bytes + buffers + 2 * row_chunk
+        assert peaks[rows] < model.w1.nbytes / 2 + kept_bytes + buffers + 2 * row_chunk
     assert peaks[60] - peaks[30] < row_chunk
 
 
@@ -862,9 +952,9 @@ def test_no_w1_sized_float64_array_in_init_train_or_forward():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # init: w1 (half of w1_f64) and a chunk; train: the momentum (half) and
-        # chunk buffers; forward: one chunk of w1 widened
-        assert peak < (0.75 if step != "forward" else 0.125) * w1_f64, step
+        # init: w1 (half of w1_f64) and a chunk; train: the momentum (a quarter)
+        # and chunk buffers; forward: one chunk of w1 widened
+        assert peak < {"init": 0.75, "train": 0.5, "forward": 0.125}[step] * w1_f64, step
 
 
 def test_load_rejects_a_version_1_file(tmp_path):

@@ -188,33 +188,33 @@ def test_model_trained_on_the_single_stage_extract_is_pinned(tmp_path, capsys):
            "test probabilities": probs.ravel()}
     _check_close(got, {
         "w1 column sums": [
-            0.6848669869195874, -1.7951738744195609, -1.1762122153040764,
-            0.6923569736100035, 0.4605474507297913, -1.4724683834774623,
+            0.6862609768049879, -1.7950131111683731, -1.1762665470769207,
+            0.6923188802466029, 0.46066046475607436, -1.472990447686243,
         ],
         "w1 cosine projection": [
-            0.3250393412208852, 0.46046945193086325, 0.9933638216849496,
-            -0.2950104662516734, -0.10800047175518666, 1.1729437978018886,
+            0.32517309446234305, 0.46078601749499554, 0.9929702551417152,
+            -0.29521708144486014, -0.10823943647778306, 1.1739221080577045,
         ],
         "b1": [
-            0.025397662402264126, 0.006462218517814974, -0.019089742622456756,
-            0.013463139353614838, -0.00047660059056274257, -0.01899482055777099,
+            0.025392586550654836, 0.006464517412503727, -0.01908943713570985,
+            0.013463753653246974, -0.00047746561122441727, -0.01899538717602777,
         ],
         "w2": [
-            -0.1649924064217249, 0.7772338331198453, 0.25008148342091996, -0.981652877668653,
-            -0.47099505718088835, -0.161114329625935, -0.32961812970077164, 0.44107855844318916,
-            0.9394313282564393, 0.14020378193397837, 0.290193119906879, 0.390983709669122,
-            -0.6069444594959945, -0.017252791912106696, -0.11017083671427332, 0.06893886409282551,
-            0.08035125941521264, 0.105485830373079, 0.3200305429853556, -0.1217623218360928,
-            0.085517525504603, -0.7278174663163419, -0.4355083588398436, -0.7487639410604552,
+            -0.16499010843720197, 0.7772362013501718, 0.25008324096562373, -0.9816593014282062,
+            -0.4709906208174245, -0.1611163821833938, -0.32961471557838384, 0.4410727605147962,
+            0.9394417906274977, 0.14020134758191188, 0.29018526350325397, 0.390983538053755,
+            -0.6069448377848351, -0.01725233100391522, -0.11016757484461444, 0.06893551960381576,
+            0.08035092349753867, 0.10548687903251353, 0.32002877733986385, -0.12176126893236146,
+            0.08551927708571264, -0.7278234711007354, -0.43550085263126914, -0.7487671940657455,
         ],
         "b2": [
-            -0.022356193727812175, 0.027751625014354065, -0.0036956672100358894,
-            -0.0016997640765060457,
+            -0.022356611695793796, 0.02774935863711524, -0.0036963020428895446,
+            -0.0016964448984319843,
         ],
         "test probabilities": [
-            0.2684900821740083, 0.2478680814249031, 0.25238831015323393, 0.2312535262478547,
-            0.24184371783858083, 0.2740898103853416, 0.2539555923008764, 0.2301108794752011,
-            0.3547535024672899, 0.18225545989731953, 0.23263066530832727, 0.23036037232706327,
-            0.24700592892238485, 0.2585946607046076, 0.2511504163341347, 0.2432489940388728,
+            0.2684871533684353, 0.24786666758236675, 0.2523873724425888, 0.23125880660660914,
+            0.2418363536721035, 0.27409263637909004, 0.2539551527062389, 0.2301158572425675,
+            0.3547591724200981, 0.18226253652219532, 0.2326320871150079, 0.23034620394269872,
+            0.24700267470370715, 0.25859579578419273, 0.25114945880873873, 0.24325207070336138,
         ],
     })

@@ -550,6 +550,19 @@ def test_feature_rows_view_leaves_its_parents_file_open(tmp_path):
         rows.read(0, 1)
 
 
+def test_feature_rows_read_after_close_is_an_input_error_naming_the_file(tmp_path):
+    path = tmp_path / "m.feat"
+    write_feature_matrix(path, np.ones((4, 3)))
+    with FeatureRows(path) as rows:
+        view = rows[[2, 0]]
+    reads = {"read": lambda: rows.read(0, 1), "blocks": lambda: next(rows.blocks()),
+             "rows[batch, r0:r1]": lambda: rows[[1, 3], 0:2], "view": lambda: view.read(0, 2)}
+    for name, read in reads.items():
+        with pytest.raises(InputError) as caught:
+            read()
+        assert str(caught.value) == f"{path}: cannot read rows from a closed file", name
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
 def test_feature_rows_empty_shapes(tmp_path, shape):
     p = tmp_path / "m.feat"
